@@ -24,8 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from haloslopes.charpoly import lambda_seq
+from haloslopes.checks import random_monoid_matrix
 from haloslopes.iwasawa import CharOfDelta
-from haloslopes.monoid_action import DeltaMat, matrix_input_prec, verify_entry_bounds
+from haloslopes.monoid_action import matrix_input_prec, verify_entry_bounds
 from haloslopes.padic_core import phi_q, q_for
 from haloslopes.polygon import max_vertical_gap
 
@@ -60,18 +61,6 @@ def parse_args(argv) -> SweepConfig:
     )
 
 
-def random_monoid_matrix(rng, p: int, N: int) -> DeltaMat:
-    q = q_for(p)
-    span = p**6
-    while True:
-        delta = DeltaMat.from_ints(
-            p, N, p * rng.randrange(1, span), rng.randrange(span),
-            q * rng.randrange(span), rng.randrange(1, span),
-        )
-        if delta.d.is_unit() and delta.det().residue != 0:
-            return delta
-
-
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     rows = []
@@ -84,7 +73,7 @@ def main(argv=None) -> int:
             t0 = time.perf_counter()
             violations = 0
             for _ in range(cfg.count):
-                delta = random_monoid_matrix(rng, p, N)
+                delta = random_monoid_matrix(rng, p, N, True)
                 omega = CharOfDelta(p, rng.randrange(phi_q(p)))
                 violations += len(
                     verify_entry_bounds(delta, cfg.size, omega, cfg.trunc).violations

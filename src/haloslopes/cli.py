@@ -17,8 +17,6 @@ import argparse
 import csv
 import io
 import json
-import math
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,48 +24,30 @@ from pathlib import Path
 
 from .charpoly import (
     StabilityFailure,
-    berkowitz_charpoly,
-    char_input_prec,
     char_series,
     lambda_seq,
     truncation_size,
     verify_char_bound,
 )
-from .iwasawa import CharOfDelta, LambdaElt, halo_T_order, mlambda_order
-from .mahler import SampleVector, evaluate, mahler_from_samples
-from .monoid_action import (
-    DeltaMat,
-    NotInMonoid,
-    action_column,
-    matrix_input_prec,
-    verify_entry_bounds,
-)
+from .checks import CHECKS
+from .iwasawa import CharOfDelta, halo_T_order, mlambda_order
+from .monoid_action import NotInMonoid
 from .padic_core import (
     BadArgument,
     InsufficientPrecision,
     MismatchedParameters,
     NotAUnit,
-    PAdicNum,
     PrecisionTooLow,
-    Valuation,
-    phi_q,
     q_for,
-    val_p,
 )
 from .polygon import (
     AssertionFailure,
     LengthMismatch,
     MissingCharacterTable,
-    NewtonPolygon,
-    PolyPoint,
     UncertifiedHull,
-    atkin_lehner_check,
-    degree_formula_check,
-    dominates,
     lower_bound_polygon,
     max_vertical_gap,
     newton_polygon,
-    progression_check,
     series_points,
     slope_report,
     upper_bound_polygon,
@@ -330,407 +310,16 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
         }
     _write_text(out / "gap.csv", _csv_text(["vT", "max_gap"], gap_rows))
     if len(cfg.vT) >= 2:
-        a, b = cfg.vT[0], cfg.vT[1]
-        common = sorted(set(ratios[a]) & set(ratios[b]))
+        common = sorted(set.intersection(*(set(ratios[vT]) for vT in cfg.vT)))
+        rows = []
+        for x in common:
+            vals = [ratios[vT][x] for vT in cfg.vT]
+            rows.append([x, *vals, int(len(set(vals)) == 1)])
         _write_text(
             out / "rigidity.csv",
-            _csv_text(
-                ["x", f"ratio_{_slug(a)}", f"ratio_{_slug(b)}", "equal"],
-                [
-                    (x, ratios[a][x], ratios[b][x],
-                     int(ratios[a][x] == ratios[b][x]))
-                    for x in common
-                ],
-            ),
+            _csv_text(["x", *(f"ratio_{_slug(vT)}" for vT in cfg.vT), "equal"], rows),
         )
     return 0
-
-
-# -- verification checks ---------------------------------------------------------
-
-# shared synthetic fixtures (p, t, r, M_T, n_target, seed), series degree 12
-# at full scale and 6 at smoke scale; the T-window reaches past lambda(D) so
-# evaluation flags are decided inside the visible coefficients, the p-adic
-# target reaches past lambda(D) so zero residues still certify the bound
-CHAR_FIXTURES = {
-    "full": (
-        (3, 1, 8, 56, 52, 1),
-        (3, 2, 4, 40, 28, 4),
-        (5, 1, 10, 65, 61, 6),
-        (5, 2, 4, 44, 32, 54),
-    ),
-    "smoke": (
-        (3, 1, 5, 20, 16, 1),
-        (5, 2, 4, 14, 10, 1),
-    ),
-}
-
-_series_memo: dict = {}
-
-
-def _fixture_series(scale: str):
-    """(p, t, D, spec, CharSeries) per fixture, computed once per process."""
-    if scale not in _series_memo:
-        rows = []
-        D = 12 if scale == "full" else 6
-        for p, t, r, MT, nt, seed in CHAR_FIXTURES[scale]:
-            N = char_input_prec(p, t, r, MT, nt)
-            spec = synth_up(t, p, N, MT, seed=seed)
-            cs = char_series(spec, D, r, CharOfDelta(p, 0))
-            rows.append((p, t, D, spec, cs))
-        _series_memo[scale] = tuple(rows)
-    return _series_memo[scale]
-
-
-def _random_delta(rng, p: int, N: int, up: bool) -> DeltaMat:
-    q = q_for(p)
-    span = p**6
-    while True:
-        a = rng.randrange(1, span)
-        if up:
-            a *= p
-        elif a % p == 0:
-            continue
-        delta = DeltaMat.from_ints(
-            p, N, a, rng.randrange(span), q * rng.randrange(span),
-            rng.randrange(1, span),
-        )
-        if delta.d.is_unit() and delta.det().residue != 0:
-            return delta
-
-
-def _check_entry_bounds(scale: str, fault: bool, up: bool):
-    count, size = (200, 40) if scale == "full" else (20, 12)
-    trunc = 8
-    kind = "p-divisible" if up else "prime-to-p"
-    for p in (2, 3, 5):
-        N = matrix_input_prec(p, size, trunc, size)
-        rng = random.Random((1000 if up else 2000) + p)
-        for _ in range(count):
-            delta = _random_delta(rng, p, N, up)
-            omega = CharOfDelta(p, rng.randrange(phi_q(p)))
-            report = verify_entry_bounds(delta, size, omega, trunc)
-            if not report.ok:
-                return False, f"{kind} bound violated: {report.violations[0]}"
-            if fault:
-                # raise the requirement by one; P_{0,0} is a unit, so it fails
-                col = action_column(delta, 0, omega, 0, trunc, size)
-                order = mlambda_order(col.entries[0])
-                if not order.certainly_at_least(1):
-                    return False, (
-                        f"injected fault: entry (0,0) order {order.value} "
-                        "misses the raised bound 1"
-                    )
-    return True, f"{3 * count} {kind} matrices, all entries m,n < {size} certified"
-
-
-def _check_entry_bounds_up(scale, fault):
-    return _check_entry_bounds(scale, fault, up=True)
-
-
-def _check_entry_bounds_m1(scale, fault):
-    return _check_entry_bounds(scale, fault, up=False)
-
-
-def _check_char_series_bound(scale, fault):
-    worst = None
-    total = 0
-    for p, t, D, _spec, cs in _fixture_series(scale):
-        lam = lambda_seq(p, t, D)
-        if fault:
-            lam = type(lam)(p, t, tuple(v + 1 for v in lam.values))
-        report = verify_char_bound(cs, lam)
-        if report.violations:
-            n, order = report.violations[0]
-            return False, f"(p,t)=({p},{t}) c_{n} order {order.value} < {lam[n]}"
-        if report.skipped:
-            return False, f"(p,t)=({p},{t}) budget skipped n={report.skipped}"
-        total += len(report.checked)
-        m = min(margin for _n, margin in report.checked)
-        worst = m if worst is None else min(worst, m)
-    return True, f"{total} coefficients certified, min margin {worst}"
-
-
-def _check_lambda_closed_form(scale, fault):
-    for p, t in ((3, 1), (3, 2), (5, 1), (5, 2), (2, 1)):
-        q = q_for(p)
-        lam = lambda_seq(p, t, 11 * q * t)
-        for k in range(11):
-            lhs = Fraction(p, q * (p - 1)) * lam[(k + 1) * q * t]
-            rhs = Fraction((k + 1) ** 2 * q * t, 2)
-            if fault:
-                rhs += 1
-            if lhs != rhs:
-                return False, f"(p,t)=({p},{t}) k={k}: {lhs} != {rhs}"
-    return True, "five (p,t) pairs, k = 0..10, exact equality"
-
-
-def _check_vertical_gap(scale, fault):
-    for p, t in ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2)):
-        q = q_for(p)
-        for vT in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            got = max_vertical_gap(p, q, t, vT)
-            want = t * vT if p == 2 else Fraction((p * p - 1) * t, 8) * vT
-            if fault:
-                want += 1
-            if got != want:
-                return False, f"(p,t,vT)=({p},{t},{vT}): {got} != {want}"
-    return True, "15 grid points match the closed form exactly"
-
-
-def _cofactor_charpoly(mat, one, zero):
-    """det(I - X M) by recursive cofactor expansion over polynomials in X."""
-    n = len(mat)
-
-    def padd(f, g):
-        if len(f) < len(g):
-            f, g = g, f
-        out = list(f)
-        for i, gi in enumerate(g):
-            out[i] = out[i] + gi
-        return out
-
-    def pmul(f, g):
-        out = [zero] * (len(f) + len(g) - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                out[i + j] = out[i + j] + fi * gj
-        return out
-
-    def det(rows, cols):
-        if not cols:
-            return [one]
-        i = rows[0]
-        total = [zero]
-        for pos, j in enumerate(cols):
-            entry = [one if i == j else zero, -mat[i][j]]
-            term = pmul(entry, det(rows[1:], cols[:pos] + cols[pos + 1 :]))
-            if pos % 2:
-                term = [-c for c in term]
-            total = padd(total, term)
-        return total
-
-    out = padd(det(tuple(range(n)), tuple(range(n))), [zero] * (n + 1))
-    return tuple(out[: n + 1])
-
-
-def _check_charpoly_oracle(scale, fault):
-    count = 100 if scale == "full" else 20
-    rng = random.Random(6)
-    p, prec, trunc = 5, 4, 5
-    for case in range(count):
-        size = rng.randrange(1, 6)
-        mat = [
-            [
-                LambdaElt.from_ints(
-                    p, prec, trunc, [rng.randrange(p**prec) for _ in range(trunc)]
-                )
-                for _ in range(size)
-            ]
-            for _ in range(size)
-        ]
-        got = berkowitz_charpoly(tuple(tuple(r) for r in mat))
-        want = _cofactor_charpoly(
-            mat, LambdaElt.one(p, prec, trunc), LambdaElt.zero(p, prec, trunc)
-        )
-        if fault:
-            one = LambdaElt.one(p, prec, trunc)
-            want = (want[0], want[1] + one) + want[2:]
-        if got != want:
-            return False, f"case {case} size {size} disagrees with cofactor oracle"
-    return True, f"{count} random matrices up to 5x5 match the cofactor oracle"
-
-
-def _check_mahler_round_trip(scale, fault):
-    count = 500 if scale == "full" else 50
-    rng = random.Random(7)
-    primes = (2, 3, 5, 7)
-    for case in range(count):
-        p = primes[case % len(primes)]
-        prec = 12
-        length = rng.randrange(1, 13)
-        vals = [PAdicNum(p, prec, rng.randrange(p**prec)) for _ in range(length)]
-        f = mahler_from_samples(SampleVector(tuple(vals)), length)
-        for z, want in enumerate(vals):
-            got = evaluate(f, z)
-            if fault:
-                got = got + PAdicNum(p, prec, 1)
-            if got != want:
-                return False, f"case {case} p={p} sample {z} not recovered"
-    return True, f"{count} sample vectors recovered exactly"
-
-
-def _check_truncation_stability(scale, fault):
-    # char_series recomputes at sizes S and S+t and raises on disagreement,
-    # so holding a CharSeries is already the certificate; re-assert the gap
-    for p, t, D, _spec, cs in _fixture_series(scale):
-        probe = cs.coeffs[1]
-        if fault:
-            probe = probe + LambdaElt.one(probe.p, probe.prec, probe.trunc)
-        gap = mlambda_order(probe - cs.coeffs[1])
-        if not gap.certainly_at_least(cs.r):
-            return False, f"(p,t)=({p},{t}) c_1 self-gap {gap.value} below r={cs.r}"
-    n = len(CHAR_FIXTURES[scale])
-    return True, f"{n} series stable between truncation sizes S and S+t mod m^r"
-
-
-def _polygon_ratio_table(cs, vT):
-    pts = series_points(cs, vT)
-    poly = newton_polygon(pts)
-    return {x: y / vT for x, y in poly.vertices if pts[x].y.is_exact}
-
-
-def _check_ratio_rigidity(scale, fault):
-    radii = (Fraction(1, 3), Fraction(1, 4))
-    vertices = 0
-    for p, t, D, _spec, cs in _fixture_series(scale):
-        tables = [_polygon_ratio_table(cs, vT) for vT in radii]
-        common = sorted(set(tables[0]) & set(tables[1]))
-        if not common:
-            return False, f"(p,t)=({p},{t}) has no common flagged vertices"
-        for x in common:
-            lhs, rhs = tables[0][x], tables[1][x]
-            if fault:
-                rhs += 1
-            if lhs != rhs:
-                return False, f"(p,t)=({p},{t}) vertex {x}: {lhs} != {rhs}"
-        vertices += len(common)
-    return True, f"{vertices} flagged vertices share ratios at vT = 1/3, 1/4"
-
-
-def _check_lower_bound_sandwich(scale, fault):
-    radii = (Fraction(1, 3), Fraction(1, 4))
-    count = 0
-    for p, t, D, _spec, cs in _fixture_series(scale):
-        for vT in radii:
-            poly = newton_polygon(series_points(cs, vT))
-            lower = lower_bound_polygon(p, t, vT, D)
-            if fault:
-                lower = NewtonPolygon(tuple((x, y + 1) for x, y in lower.vertices))
-            if not dominates(poly, lower):
-                return False, f"(p,t)=({p},{t}) vT={vT} dips below the bound"
-            count += 1
-    return True, f"{count} polygons lie on or above the lower bound"
-
-
-def _check_rescaled_columns(scale, fault):
-    checked = 0
-    for p, t, D, spec, _cs in _fixture_series(scale):
-        n_blocks = max(-(-truncation_size(4, p, t) // t), 1)
-        mat = rescale_halo_basis(assemble(spec, n_blocks, CharOfDelta(p, 0)), t, p)
-        for col in range(mat.size):
-            need = col // t - col // (p * t)
-            if fault:
-                need += 1
-            for row in range(mat.size):
-                order = mat.entry(row, col).halo_T_order()
-                if not order.certainly_at_least(need):
-                    return False, (
-                        f"(p,t)=({p},{t}) entry ({row},{col}) order "
-                        f"{order.value} < {need}"
-                    )
-                checked += 1
-    return True, f"{checked} rescaled entries meet the column bound"
-
-
-def _check_non_compactness(scale, fault):
-    # one column of the full uncompactified operator: its image keeps a
-    # valuation-1 coefficient at row p, so no reordering makes it compact
-    expected = {3: 66, 5: 27405}
-    m, prec = 2, 8
-    for p in (3, 5):
-        count = p ** (m - 1) + 1
-        samples = tuple(
-            PAdicNum(p, prec, sum(math.comb(p * j + i, p**m) for i in range(p)))
-            for j in range(count)
-        )
-        fn = mahler_from_samples(SampleVector(samples), count)
-        coeff = fn.coeffs[p ** (m - 1)]
-        if fault:
-            coeff = coeff * PAdicNum(p, prec, p)
-        if coeff != PAdicNum(p, prec, expected[p]):
-            return False, f"p={p}: coefficient differs from frozen {expected[p]}"
-        if coeff.residue % p**2 == 0:
-            return False, f"p={p}: coefficient {coeff.residue} is 0 mod p^2"
-        if val_p(coeff).bound != 1:
-            return False, f"p={p}: valuation {val_p(coeff).bound} != 1"
-    return True, "columns p^2 keep a valuation-1 entry at row p (66, 27405)"
-
-
-def _check_checker_fault_detection(scale, fault):
-    F = Fraction
-    # involution pairing: alpha_i = k+1 - alpha'_{L-1-i}, sum (k+1)^2 p^m t/q
-    psi = [F(0), F(1), F(3, 2)]
-    psi_inv = [F(3, 2), F(2), F(3)]
-    if fault:
-        psi = [F(0), F(1), F(2)]
-    good = atkin_lehner_check(psi, psi_inv, 2, 3, 3, 1, 1)
-    if not good.passed:
-        return False, "pairing checker rejects a satisfying table"
-    bad = atkin_lehner_check(psi, [F(3, 2), F(5, 2), F(3)], 2, 3, 3, 1, 1)
-    if bad.passed:
-        return False, "pairing checker misses a perturbed table"
-    # K = 3 interleaved progressions of difference 1 at p = 3, M = 2
-    seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
-    good = progression_check({0: list(seq)}, 2, 3, 3, 1)
-    if not good.passed:
-        return False, "progression checker rejects a satisfying table"
-    seq[4] += F(1, 9)
-    bad = progression_check({0: seq}, 2, 3, 3, 1)
-    if bad.passed:
-        return False, "progression checker misses a perturbed table"
-    # ladder polygon over six unit steps, slopes interleaving the intervals
-    ys = [F(0)]
-    for s in (F(1, 3), F(1, 2), F(2, 3), F(4, 3), F(3, 2), F(5, 3)):
-        ys.append(ys[-1] + s)
-    poly = newton_polygon(
-        [PolyPoint(i, Valuation.exact(y)) for i, y in enumerate(ys)]
-    )
-    report = slope_report(poly, F(1, 2), 3)
-    good = degree_formula_check(report, {0: 0, 1: 0}, 3, 1)
-    if not good.passed:
-        return False, "degree checker rejects a satisfying table"
-    bad = degree_formula_check(report, {0: 1, 1: 0}, 3, 1)
-    if bad.passed:
-        return False, "degree checker misses a perturbed rank table"
-    return True, "three checkers pass and catch single perturbations"
-
-
-def _check_deterministic_export(scale, fault):
-    blobs = []
-    for round_no in range(2):
-        p, t, r, MT, nt, seed = CHAR_FIXTURES["smoke"][0]
-        N = char_input_prec(p, t, r, MT, nt)
-        spec = synth_up(t, p, N, MT, seed=seed)
-        cs = char_series(spec, 4, r, CharOfDelta(p, 0))
-        poly = newton_polygon(series_points(cs, Fraction(1, 3)))
-        blob = json.dumps(cs.to_json(), sort_keys=True) + _csv_text(
-            ["x", "y"], list(poly.vertices)
-        )
-        if fault and round_no == 1:
-            blob += "."
-        blobs.append(blob)
-    if blobs[0] != blobs[1]:
-        return False, "two identical runs produced different bytes"
-    return True, "repeated runs export byte-identical series and polygons"
-
-
-CHECKS = (
-    ("entry-bounds-up", _check_entry_bounds_up),
-    ("entry-bounds-m1", _check_entry_bounds_m1),
-    ("char-series-bound", _check_char_series_bound),
-    ("lambda-closed-form", _check_lambda_closed_form),
-    ("vertical-gap", _check_vertical_gap),
-    ("charpoly-oracle", _check_charpoly_oracle),
-    ("mahler-round-trip", _check_mahler_round_trip),
-    ("truncation-stability", _check_truncation_stability),
-    ("ratio-rigidity", _check_ratio_rigidity),
-    ("lower-bound-sandwich", _check_lower_bound_sandwich),
-    ("rescaled-columns", _check_rescaled_columns),
-    ("non-compactness", _check_non_compactness),
-    ("checker-fault-detection", _check_checker_fault_detection),
-    ("deterministic-export", _check_deterministic_export),
-)
 
 
 def cmd_verify(cfg: ExperimentConfig, only=None, inject_fault=None) -> int:

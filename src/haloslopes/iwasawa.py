@@ -189,14 +189,6 @@ class LambdaElt:
         return cls.from_ints(p, n, len(obj["coeffs"]), [int(s) for s in obj["coeffs"]])
 
 
-def lambda_add(x: LambdaElt, y: LambdaElt) -> LambdaElt:
-    return x + y
-
-
-def lambda_mul(x: LambdaElt, y: LambdaElt) -> LambdaElt:
-    return x * y
-
-
 def _order_from_contributions(x: LambdaElt) -> OrderBound:
     # both ideal orders reduce to min_m (m + v(b_m)) over stored coefficients
     best = None  # (bound, is_exact)

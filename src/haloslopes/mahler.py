@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .iwasawa import OrderBound
-from .padic_core import PadicError, val_p
+from .padic_core import PadicError
 
 
 class NotEnoughSamples(PadicError):
@@ -36,16 +35,12 @@ class SampleVector:
 
 @dataclass(frozen=True)
 class MahlerFn:
-    """f(z) = sum_{n < basis_len} coeffs[n] * C(z, n); truncation explicit."""
+    """f(z) = sum_{n < len(coeffs)} coeffs[n] * C(z, n); truncation explicit."""
 
     coeffs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def basis_len(self) -> int:
-        return len(self.coeffs)
 
 
 def mahler_from_samples(s: SampleVector, count: int) -> MahlerFn:
@@ -69,31 +64,3 @@ def evaluate(f: MahlerFn, z: int):
         term = math.comb(z, n) * a
         acc = term if acc is None else acc + term
     return acc
-
-
-def delta_op(f: MahlerFn, m: int = 1) -> MahlerFn:
-    """m-th forward difference: shifts coefficients left by m."""
-    if m >= f.basis_len:
-        raise NotEnoughSamples(f"difference order {m} exceeds basis {f.basis_len}")
-    return MahlerFn(f.coeffs[m:])
-
-
-def tilted_degree(f: MahlerFn) -> OrderBound:
-    """Smallest certified n with v(a_j) >= j - n for every stored j.
-
-    Coefficients must be PAdicNum.  A zero residue gives only v >= N; using
-    that bound can overstate the degree, never understate it, so claims of
-    the form "degree <= n" stay sound.  Inexact only when the maximum is
-    witnessed solely by AtLeast coefficients; a floor at zero is exact by
-    definition.
-    """
-    best = 0
-    exact_hit = False
-    for j, a in enumerate(f.coeffs):
-        v = val_p(a)
-        need = j - int(v.bound)
-        if need > best:
-            best, exact_hit = need, v.is_exact
-        elif need == best and v.is_exact:
-            exact_hit = True
-    return OrderBound(best, exact_hit or best == 0)

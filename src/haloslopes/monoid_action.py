@@ -87,14 +87,6 @@ class DeltaMat:
     def det(self) -> PAdicNum:
         return self.a * self.d - self.b * self.c
 
-    def matmul(self, other: "DeltaMat") -> "DeltaMat":
-        return DeltaMat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def to_json(self) -> dict:
         return {k: str(getattr(self, k).residue) for k in ("a", "b", "c", "d")}
 
@@ -207,20 +199,6 @@ def action_column(
         samples.append(one_plus_T_pow(g, trunc, n_target) * scalar)
     fn = mahler_from_samples(SampleVector(tuple(samples)), m_max + 1)
     return ActionColumn(n, fn.coeffs)
-
-
-def action_matrix(
-    delta: DeltaMat,
-    size: int,
-    omega: CharOfDelta,
-    trunc: int = DEFAULT_TRUNC,
-    n_target: int = 8,
-) -> tuple:
-    """Columns 0..size-1, each with rows 0..size-1."""
-    return tuple(
-        action_column(delta, n, omega, size - 1, trunc, n_target)
-        for n in range(size)
-    )
 
 
 # -- packed path -----------------------------------------------------------

@@ -137,14 +137,6 @@ class PAdicNum:
             )
         return PAdicNum(self.p, n, self.residue)
 
-    def lift_exact(self, n: int) -> "PAdicNum":
-        """Reinterpret the residue as an exact integer known to precision n.
-
-        Only valid when the residue really is exact data (synthetic or
-        file-ingested integers), not the output of truncated arithmetic.
-        """
-        return PAdicNum(self.p, n, self.residue)
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -253,12 +245,12 @@ def _inv_mod(u: int, mod: int) -> int:
 @lru_cache(maxsize=None)
 def _fact_unit(r: int, p: int, mod: int) -> int:
     """Unit part of r! (all factors of p removed) as a residue."""
-    if r <= 1:
-        return 1
-    u = r
-    while u % p == 0:
-        u //= p
-    return _fact_unit(r - 1, p, mod) * u % mod
+    acc = 1
+    for u in range(2, r + 1):
+        while u % p == 0:
+            u //= p
+        acc = acc * u % mod
+    return acc
 
 
 def _log_ratio_raw(u: int, p: int, q: int, mod_exp: int) -> tuple[int, int]:

@@ -4,13 +4,16 @@ Each oracle deliberately uses a different algorithm from the library code
 (digit search instead of fixed-point iteration, exact fractions instead of
 modular series, direct alternating sums instead of difference tables,
 cofactor expansion instead of division-free recurrences, gift wrapping
-instead of a monotone chain).
+instead of a monotone chain).  The cofactor oracle lives in
+`haloslopes.checks`, whose `charpoly-oracle` check runs it too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from haloslopes.checks import charpoly_cofactor_oracle  # noqa: F401
 
 
 def val_int(n: int, p: int) -> int:
@@ -79,42 +82,6 @@ def mahler_coeff_oracle(samples, m: int):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-def poly_mul(f, g):
-    """Product of polynomials in X with coefficients in any commutative ring."""
-    out = [None] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            prod = a * b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return out
-
-
-def charpoly_cofactor_oracle(mat, one, zero):
-    """Coefficients of det(I - X*mat) by recursive cofactor expansion.
-
-    Entries of I - X*mat are degree-1 polynomials in X over the ring;
-    `one`/`zero` are the ring constants.
-    """
-    n = len(mat)
-    poly = [[[one if i == j else zero, -mat[i][j]] for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        if len(cols) == 1:
-            return poly[rows[0]][cols[0]]
-        r = rows[0]
-        acc = None
-        for idx, c in enumerate(cols):
-            sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = poly_mul(poly[r][c], sub)
-            if idx % 2 == 1:
-                term = [-t for t in term]
-            acc = term if acc is None else [a + b for a, b in zip(acc, term)]
-        return acc
-
-    full = det(list(range(n)), list(range(n)))
-    return full[: n + 1]
 
 
 def lower_hull_oracle(points):

@@ -1,48 +1,25 @@
 """Acceptance suite: one test per contract line, scales and budgets pinned.
 
-Every numeric scale (matrix counts, sizes, degrees, radii) and every
+Every numeric scale (matrix counts, sizes, degrees, seeds) and every
 runtime budget is fixed here rather than inherited from defaults, so a
-green run certifies the same statement on every machine.  The synthetic
+green run certifies the same statement on every machine.  The checks run
+from the registry in `haloslopes.checks`, which `verify` also drives; a
+test pins the registry's full scale to the values below.  The synthetic
 operator fixtures are seed-pinned; their T-window reaches past the
 growth floor of the last tested coefficient so exactness flags are
 decided by visible data.
 """
 
-import functools
 import json
-import math
-import random
 import time
 from fractions import Fraction
 
-from oracles import charpoly_cofactor_oracle
-
-from haloslopes.charpoly import (
-    berkowitz_charpoly,
-    char_input_prec,
-    char_series,
-    lambda_seq,
-    truncation_size,
-    verify_char_bound,
-)
+from haloslopes import checks
+from haloslopes.charpoly import berkowitz_charpoly, char_input_prec, truncation_size
 from haloslopes.cli import main
-from haloslopes.iwasawa import CharOfDelta, LambdaElt, halo_T_order, mlambda_order
-from haloslopes.mahler import SampleVector, evaluate, mahler_from_samples
-from haloslopes.monoid_action import DeltaMat, matrix_input_prec, verify_entry_bounds
-from haloslopes.padic_core import PAdicNum, Valuation, phi_q, q_for, val_p
-from haloslopes.polygon import (
-    PolyPoint,
-    atkin_lehner_check,
-    degree_formula_check,
-    dominates,
-    lower_bound_polygon,
-    max_vertical_gap,
-    newton_polygon,
-    progression_check,
-    series_points,
-    slope_report,
-)
-from haloslopes.up_operator import assemble, rescale_halo_basis, synth_up
+from haloslopes.iwasawa import CharOfDelta, mlambda_order
+from haloslopes.polygon import dominates, lower_bound_polygon, newton_polygon, series_points
+from haloslopes.up_operator import assemble, synth_up
 
 # (p, t, r, M_T, n_target, seed); all series go to degree 12
 FIXTURES = (
@@ -52,126 +29,55 @@ FIXTURES = (
     (5, 2, 4, 44, 32, 54),
 )
 DEGREE = 12
+# random monoid matrices per prime and class, their size and series
+# truncation, and the RNG stream bases for p | a and for a prime to p
+ENTRY_COUNT, ENTRY_SIZE, ENTRY_TRUNC = 200, 40, 8
+ENTRY_STREAMS = (1000, 2000)
+ORACLE_CASES, ORACLE_SEED = 100, 60
+MAHLER_CASES, MAHLER_SEED = 500, 70
 
 ENTRY_BOUND_BUDGET_S = 60.0
 SERIES_BUDGET_S = 300.0
 ORACLE_BUDGET_S = 30.0
 
 
-@functools.lru_cache(maxsize=None)
-def fixture_series():
-    """Pinned synthetic operators with their degree-12 characteristic series."""
-    rows = []
-    for p, t, r, MT, nt, seed in FIXTURES:
-        N = char_input_prec(p, t, r, MT, nt)
-        spec = synth_up(t, p, N, MT, seed=seed)
-        cs = char_series(spec, DEGREE, r, CharOfDelta(p, 0))
-        rows.append((p, t, spec, cs))
-    return tuple(rows)
-
-
-def random_monoid_matrix(rng, p, N, p_divides_a):
-    q = q_for(p)
-    span = p**6
-    while True:
-        a = rng.randrange(1, span)
-        if p_divides_a:
-            a *= p
-        elif a % p == 0:
-            continue
-        delta = DeltaMat.from_ints(
-            p, N, a, rng.randrange(span), q * rng.randrange(span),
-            rng.randrange(1, span),
-        )
-        if delta.d.is_unit() and delta.det().residue != 0:
-            return delta
-
-
-def run_entry_bound_harness(p_divides_a, stream):
-    size, trunc, count = 40, 8, 200
+def run_full(check, budget_s=None):
+    """Run one registry check at the acceptance scale, within its budget."""
     start = time.perf_counter()
-    violations = []
-    for p in (2, 3, 5):
-        N = matrix_input_prec(p, size, trunc, size)
-        rng = random.Random(stream + p)
-        for _ in range(count):
-            delta = random_monoid_matrix(rng, p, N, p_divides_a)
-            omega = CharOfDelta(p, rng.randrange(phi_q(p)))
-            violations.extend(verify_entry_bounds(delta, size, omega, trunc).violations)
-    return violations, time.perf_counter() - start
+    ok, detail = check("full")
+    elapsed = time.perf_counter() - start
+    assert ok, detail
+    if budget_s is not None:
+        assert elapsed < budget_s, f"{elapsed:.1f} s over the {budget_s} s budget"
 
 
 def test_p_divisible_entry_bounds_on_600_random_matrices():
-    violations, elapsed = run_entry_bound_harness(True, stream=1000)
-    assert violations == []
-    assert elapsed < ENTRY_BOUND_BUDGET_S
+    run_full(checks.entry_bounds_up, ENTRY_BOUND_BUDGET_S)
 
 
 def test_prime_to_p_entry_bounds_on_600_random_matrices():
-    violations, elapsed = run_entry_bound_harness(False, stream=2000)
-    assert violations == []
-    assert elapsed < ENTRY_BOUND_BUDGET_S
+    run_full(checks.entry_bounds_m1, ENTRY_BOUND_BUDGET_S)
 
 
 def test_series_coefficients_meet_growth_floor_on_all_fixtures():
-    start = time.perf_counter()
-    for p, t, _spec, cs in fixture_series():
-        assert cs.r >= 4
-        report = verify_char_bound(cs, lambda_seq(p, t, DEGREE))
-        assert report.violations == ()
-        assert report.skipped == ()
-        assert len(report.checked) == DEGREE + 1
-    assert time.perf_counter() - start < SERIES_BUDGET_S
+    # the first test to touch the fixtures, so the budget covers the series
+    run_full(checks.char_series_bound, SERIES_BUDGET_S)
 
 
 def test_growth_sequence_closed_form_on_period_grid():
-    for p, t in ((3, 1), (3, 2), (5, 1), (5, 2), (2, 1)):
-        q = q_for(p)
-        lam = lambda_seq(p, t, 11 * q * t)
-        for k in range(11):
-            lhs = Fraction(p, q * (p - 1)) * lam[(k + 1) * q * t]
-            assert lhs == Fraction((k + 1) ** 2 * q * t, 2)
+    run_full(checks.lambda_closed_form)
 
 
 def test_bound_gap_closed_form_across_grid():
-    for p, t in ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2)):
-        q = q_for(p)
-        for vT in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            want = t * vT if p == 2 else Fraction((p * p - 1) * t, 8) * vT
-            assert max_vertical_gap(p, q, t, vT) == want
+    run_full(checks.vertical_gap)
 
 
 def test_division_free_charpoly_matches_cofactor_oracle():
-    start = time.perf_counter()
-    rng = random.Random(60)
-    p, prec, trunc = 5, 4, 5
-    for _ in range(100):
-        size = rng.randrange(1, 6)
-        mat = tuple(
-            tuple(
-                LambdaElt.from_ints(
-                    p, prec, trunc, [rng.randrange(p**prec) for _ in range(trunc)]
-                )
-                for _ in range(size)
-            )
-            for _ in range(size)
-        )
-        want = charpoly_cofactor_oracle(
-            mat, LambdaElt.one(p, prec, trunc), LambdaElt.zero(p, prec, trunc)
-        )
-        assert berkowitz_charpoly(mat) == tuple(want)
-    assert time.perf_counter() - start < ORACLE_BUDGET_S
+    run_full(checks.charpoly_oracle, ORACLE_BUDGET_S)
 
 
 def test_mahler_expansion_round_trips_500_sample_vectors():
-    rng = random.Random(70)
-    primes = (2, 3, 5, 7)
-    for case in range(500):
-        p = primes[case % 4]
-        length = rng.randrange(1, 13)
-        vals = [PAdicNum(p, 12, rng.randrange(p**12)) for _ in range(length)]
-        f = mahler_from_samples(SampleVector(tuple(vals)), length)
-        assert [evaluate(f, z) for z in range(length)] == vals
+    run_full(checks.mahler_round_trip)
 
 
 def test_series_coefficients_stable_across_truncation_sizes():
@@ -188,23 +94,11 @@ def test_series_coefficients_stable_across_truncation_sizes():
 
 
 def test_vertex_ratios_rigid_across_radii():
-    radii = (Fraction(1, 3), Fraction(1, 4))
-    for p, t, _spec, cs in fixture_series():
-        tables = []
-        for vT in radii:
-            pts = series_points(cs, vT)
-            poly = newton_polygon(pts)
-            tables.append(
-                {x: y / vT for x, y in poly.vertices if pts[x].y.is_exact}
-            )
-        common = set(tables[0]) & set(tables[1])
-        assert common, f"(p,t)=({p},{t}) polygons share no flagged vertex"
-        mismatches = [x for x in common if tables[0][x] != tables[1][x]]
-        assert mismatches == []
+    run_full(checks.ratio_rigidity)
 
 
 def test_polygons_dominate_lower_bound_at_tested_radii():
-    for p, t, _spec, cs in fixture_series():
+    for p, t, _D, _spec, cs in checks.fixture_series("full"):
         radii = [Fraction(1, 3), Fraction(1, 4)]
         if (p, t) == (3, 1):
             radii.append(Fraction(1, 2))
@@ -214,50 +108,30 @@ def test_polygons_dominate_lower_bound_at_tested_radii():
 
 
 def test_rescaled_columns_meet_order_floor():
-    for p, t, spec, _cs in fixture_series():
-        n_blocks = max(-(-truncation_size(4, p, t) // t), 1)
-        mat = rescale_halo_basis(assemble(spec, n_blocks, CharOfDelta(p, 0)), t, p)
-        for col in range(mat.size):
-            need = col // t - col // (p * t)
-            for row in range(mat.size):
-                assert mat.entry(row, col).halo_T_order().certainly_at_least(need)
+    run_full(checks.rescaled_columns)
 
 
 def test_uncompactified_column_keeps_valuation_one_entry():
-    # row p^{m-1} of the image of column p^m under summing over residues
-    frozen = {3: 66, 5: 27405}
-    m, prec = 2, 8
-    for p in (3, 5):
-        count = p ** (m - 1) + 1
-        samples = tuple(
-            PAdicNum(p, prec, sum(math.comb(p * j + i, p**m) for i in range(p)))
-            for j in range(count)
-        )
-        coeff = mahler_from_samples(SampleVector(samples), count).coeffs[p ** (m - 1)]
-        assert coeff == PAdicNum(p, prec, frozen[p])
-        assert coeff.residue % p**2 != 0
-        assert val_p(coeff) == Valuation.exact(1)
+    run_full(checks.non_compactness)
 
 
 def test_checkers_accept_valid_tables_and_reject_perturbations():
-    F = Fraction
-    psi = [F(0), F(1), F(3, 2)]
-    psi_inv = [F(3, 2), F(2), F(3)]
-    assert atkin_lehner_check(psi, psi_inv, 2, 3, 3, 1, 1).passed
-    assert not atkin_lehner_check(psi, [F(3, 2), F(5, 2), F(3)], 2, 3, 3, 1, 1).passed
+    run_full(checks.checker_fault_detection)
 
-    seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
-    assert progression_check({0: list(seq)}, 2, 3, 3, 1).passed
-    seq[4] += F(1, 9)
-    assert not progression_check({0: seq}, 2, 3, 3, 1).passed
 
-    ys = [F(0)]
-    for s in (F(1, 3), F(1, 2), F(2, 3), F(4, 3), F(3, 2), F(5, 3)):
-        ys.append(ys[-1] + s)
-    poly = newton_polygon([PolyPoint(i, Valuation.exact(y)) for i, y in enumerate(ys)])
-    report = slope_report(poly, F(1, 2), 3)
-    assert degree_formula_check(report, {0: 0, 1: 0}, 3, 1).passed
-    assert not degree_formula_check(report, {0: 1, 1: 0}, 3, 1).passed
+def test_contract_pins_match_full_scale_of_check_registry():
+    assert checks.SCALES["full"] == checks.Scale(
+        fixtures=FIXTURES,
+        degree=DEGREE,
+        entry_count=ENTRY_COUNT,
+        entry_size=ENTRY_SIZE,
+        entry_trunc=ENTRY_TRUNC,
+        entry_streams=ENTRY_STREAMS,
+        oracle_count=ORACLE_CASES,
+        oracle_seed=ORACLE_SEED,
+        mahler_count=MAHLER_CASES,
+        mahler_seed=MAHLER_SEED,
+    )
 
 
 def test_verification_ledger_is_byte_identical_across_runs(tmp_path):

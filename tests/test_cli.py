@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from haloslopes.charpoly import CharSeries
-from haloslopes.cli import CHECKS, ExperimentConfig, load_config, main
+from haloslopes.checks import CHECKS
+from haloslopes.cli import ExperimentConfig, load_config, main
 from haloslopes.padic_core import BadArgument
 from haloslopes.up_operator import Ingested, Synthetic
 
@@ -214,6 +215,15 @@ def test_polygon_rigidity_table_all_equal(tmp_path):
     assert rows[0]["ratio_1_3"] == rows[0]["ratio_1_4"]
 
 
+def test_polygon_rigidity_table_spans_all_radii(tmp_path):
+    cfg = write_config(tmp_path, vT=["1/2", "1/3", "1/4"])
+    out = tmp_path / "p"
+    assert main(["polygon", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "rigidity.csv").read_text().splitlines()
+    assert lines[0] == "x,ratio_1_2,ratio_1_3,ratio_1_4,equal"
+    assert lines[1:] == ["0,0,0,0,1", "3,3,3,3,1", "4,5,5,5,1", "5,8,8,8,1", "6,12,12,12,1"]
+
+
 def test_polygon_single_radius_skips_rigidity(tmp_path):
     cfg = write_config(tmp_path, vT=["1/2"])
     out = tmp_path / "p"
@@ -223,6 +233,32 @@ def test_polygon_single_radius_skips_rigidity(tmp_path):
 
 
 # -- verify -------------------------------------------------------------------
+
+
+SMOKE_LEDGER = """\
+PASS entry-bounds-up: 60 p-divisible matrices, all entries m,n < 12 certified
+PASS entry-bounds-m1: 60 prime-to-p matrices, all entries m,n < 12 certified
+PASS char-series-bound: 14 coefficients certified, min margin 0
+PASS lambda-closed-form: five (p,t) pairs, k = 0..10, exact equality
+PASS vertical-gap: 15 grid points match the closed form exactly
+PASS charpoly-oracle: 20 random matrices up to 5x5 match the cofactor oracle
+PASS mahler-round-trip: 50 sample vectors recovered exactly
+PASS truncation-stability: 2 series stable between truncation sizes S and S+t mod m^r
+PASS ratio-rigidity: 9 flagged vertices share ratios at vT = 1/3, 1/4
+PASS lower-bound-sandwich: 4 polygons lie on or above the lower bound
+PASS rescaled-columns: 193 rescaled entries meet the column bound
+PASS non-compactness: columns p^2 keep a valuation-1 entry at row p (66, 27405)
+PASS checker-fault-detection: three checkers pass and catch single perturbations
+PASS deterministic-export: repeated runs export byte-identical series and polygons
+result: 14/14 checks passed
+"""
+
+
+def test_verify_smoke_ledger_is_golden(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "verify.txt").read_text() == SMOKE_LEDGER
 
 
 def test_verify_only_filters_ledger(tmp_path, capsys):

@@ -8,18 +8,12 @@ from haloslopes.mahler import (
     MahlerFn,
     NotEnoughSamples,
     SampleVector,
-    delta_op,
     evaluate,
     mahler_from_samples,
-    tilted_degree,
 )
 from haloslopes.padic_core import PAdicNum
 
 from oracles import mahler_coeff_oracle
-
-
-def lift_samples(vals, p, prec):
-    return SampleVector(tuple(PAdicNum(p, prec, v) for v in vals))
 
 
 def test_square_function_coeffs():
@@ -39,20 +33,6 @@ def test_binomial_round_trip():
     f = mahler_from_samples(s, 6)
     assert f.coeffs == (0, 0, 0, 1, 0, 0)
     assert [evaluate(f, z) for z in range(6)] == list(s.values)
-
-
-def test_difference_shifts_basis():
-    # forward difference of C(z, n) is C(z, n - 1)
-    f = MahlerFn((0, 0, 0, 1))
-    g = delta_op(f)
-    assert g.coeffs == (0, 0, 1)
-    h = delta_op(f, 3)
-    assert h.coeffs == (1,)
-
-
-def test_difference_order_too_high():
-    with pytest.raises(NotEnoughSamples):
-        delta_op(MahlerFn((1, 2)), 2)
 
 
 def test_not_enough_samples():
@@ -85,7 +65,7 @@ def test_difference_commutes_with_expansion(vals):
     f = mahler_from_samples(SampleVector(tuple(vals)), len(vals))
     dvals = tuple(vals[i + 1] - vals[i] for i in range(len(vals) - 1))
     g = mahler_from_samples(SampleVector(dvals), len(dvals))
-    assert g.coeffs == delta_op(f).coeffs
+    assert g.coeffs == f.coeffs[1:]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -97,36 +77,3 @@ def test_geometric_samples_have_pure_power_coeffs(p):
     f = mahler_from_samples(SampleVector(tuple(vals)), 8)
     for m, a in enumerate(f.coeffs):
         assert a == PAdicNum(p, prec, p**m)
-    td = tilted_degree(f)
-    assert td.value == 0 and td.is_exact
-
-
-@pytest.mark.parametrize("k", [0, 2, 4])
-def test_tilted_degree_of_basis_vector(k):
-    coeffs = [PAdicNum(5, 10, 0)] * 6
-    coeffs[k] = PAdicNum(5, 10, 1)
-    td = tilted_degree(MahlerFn(tuple(coeffs)))
-    assert td.value == k and td.is_exact
-
-
-def test_tilted_degree_scaled_column_bound():
-    # C(pz, p) sampled exactly: certified degree at most 1
-    p = 5
-    vals = [math.comb(p * z, p) for z in range(9)]
-    f = mahler_from_samples(lift_samples(vals, p, 14), 9)
-    td = tilted_degree(f)
-    assert td.value <= 1
-
-
-def test_tilted_degree_inexact_from_zero_residue():
-    p, prec = 3, 2
-    coeffs = (
-        PAdicNum(p, prec, 1),
-        PAdicNum(p, prec, 0),
-        PAdicNum(p, prec, 0),
-        PAdicNum(p, prec, 0),
-        PAdicNum(p, prec, 0),
-    )
-    td = tilted_degree(MahlerFn(coeffs))
-    # j = 4 with v >= 2 certifies only degree <= 2, and nothing exact attains it
-    assert td.value == 2 and not td.is_exact

@@ -13,7 +13,6 @@ from haloslopes.monoid_action import (
     NotInMonoid,
     _packed_matrix,
     action_column,
-    action_matrix,
     check_monoid,
     column_input_prec,
     matrix_input_prec,
@@ -37,6 +36,11 @@ def dm(p, prec, a, b, c, d):
 
 def triv(p):
     return CharOfDelta(p, 0)
+
+
+def columns(delta, size, omega, trunc, nt):
+    """Object-path columns 0..size-1, each with rows 0..size-1."""
+    return [action_column(delta, n, omega, size - 1, trunc, nt) for n in range(size)]
 
 
 # -- classification ---------------------------------------------------------
@@ -144,7 +148,7 @@ def test_packed_matches_object_path(p, up):
     for _ in range(3):
         delta = rand_delta(rng, p, prec, up)
         omega = CharOfDelta(p, rng.randrange(4))
-        ref = action_matrix(delta, size, omega, trunc, nt)
+        ref = columns(delta, size, omega, trunc, nt)
         fast = _packed_matrix(delta, size, omega, trunc, nt)
         for rc, fc in zip(ref, fast):
             assert rc.n == fc.n
@@ -194,7 +198,7 @@ def test_column_support_shape():
     nt = size
     prec = matrix_input_prec(p, size, 6, nt) + 2
     delta = dm(p, prec, 3, 1, 3, 2)
-    cols = action_matrix(delta, size, triv(p), trunc=6, n_target=nt)
+    cols = columns(delta, size, triv(p), 6, nt)
     for col in cols:
         live = sum(
             1 for e in col.entries if not mlambda_order(e).certainly_at_least(r)
@@ -233,10 +237,15 @@ def test_composition_matches_product(p, d1, d2):
     omega = CharOfDelta(p, 1)
     delta1 = dm(p, prec, *d1)
     delta2 = dm(p, prec, *d2)
-    both = delta1.matmul(delta2)
-    cols1 = action_matrix(delta1, size, omega, trunc, nt)
-    cols2 = action_matrix(delta2, size, omega, trunc, nt)
-    cols12 = action_matrix(both, size, omega, trunc, nt)
+    both = DeltaMat(
+        delta1.a * delta2.a + delta1.b * delta2.c,
+        delta1.a * delta2.b + delta1.b * delta2.d,
+        delta1.c * delta2.a + delta1.d * delta2.c,
+        delta1.c * delta2.b + delta1.d * delta2.d,
+    )
+    cols1 = columns(delta1, size, omega, trunc, nt)
+    cols2 = columns(delta2, size, omega, trunc, nt)
+    cols12 = columns(both, size, omega, trunc, nt)
     prod = matrix_product(cols2, cols1, size)
     for n in range(size - size // p):
         for m in range(size):

@@ -126,6 +126,14 @@ def test_binom_examples():
     assert got.residue == binom_oracle(7, 5, 5, 3) == 21 % 125
 
 
+def test_binom_large_r_matches_oracle():
+    # r = 1200 once overflowed the recursion limit in the unit factorial
+    p, prec, u, r = 3, 2000, 12345, 1200
+    got = binom_padic(PAdicNum(p, prec, u), r)
+    assert got.prec == prec - val_p_factorial(r, p)
+    assert got.residue == binom_oracle(u, r, p, got.prec)
+
+
 def test_binom_insufficient_precision():
     with pytest.raises(InsufficientPrecision):
         binom_padic(PAdicNum(5, 1, 3), 5)
