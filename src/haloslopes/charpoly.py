@@ -25,7 +25,7 @@ from .padic_core import (
     PadicError,
     PrecisionTooLow,
 )
-from .up_operator import UpSpec, assemble
+from .up_operator import UpSpec, assemble, attainable_target
 
 
 class StabilityFailure(PadicError):
@@ -89,6 +89,11 @@ def truncation_size(r: int, p: int, t: int) -> int:
     return p * t * r // (p - 1) + t
 
 
+def window_blocks(p: int, t: int, r: int, D: int) -> int:
+    """Whole blocks covering the stable window mod m^r and c_0..c_D."""
+    return max(-(-truncation_size(r, p, t) // t), -(-D // t), 1)
+
+
 # -- packed ring helpers -----------------------------------------------------
 
 
@@ -128,11 +133,19 @@ def _neg(x: int, pn: int, width: int, trunc: int, mask: int) -> int:
     return out
 
 
-def berkowitz_charpoly(entries) -> tuple:
-    """Coefficients (c_0..c_S) of det(I - X M) over the truncated ring."""
+def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
+    """Coefficients (c_0..c_S) of det(I - X M) over the truncated ring.
+
+    Step k absorbs row and column k, so the state after it is the
+    polynomial of the leading (k+1) x (k+1) minor (Berkowitz 1984).  Given
+    a minor size, one pass returns the pair (leading minor's coefficients,
+    full coefficients).
+    """
     size = len(entries)
     if size == 0:
         raise BadArgument("empty matrix has no characteristic series")
+    if minor is not None and not 1 <= minor <= size:
+        raise BadArgument(f"minor size {minor} is outside 1..{size}")
     params = {(e.p, e.prec, e.trunc) for row in entries for e in row}
     if len(params) != 1:
         raise MismatchedParameters(f"entries disagree on ring parameters: {params}")
@@ -170,16 +183,23 @@ def berkowitz_charpoly(entries) -> tuple:
                 acc += c[i - j] * v[j]
             v_new.append(_reduce(acc, pn, width, trunc, mask))
         v = v_new
+        if k + 1 == minor:
+            lead = v
 
-    out = []
-    for packed in v:
-        coeffs = []
-        shift = 0
-        for _ in range(trunc):
-            coeffs.append(PAdicNum(p, prec, (packed >> shift) & mask))
-            shift += width
-        out.append(LambdaElt(tuple(coeffs)))
-    return tuple(out)
+    def unpack(poly):
+        out = []
+        for packed in poly:
+            coeffs = []
+            shift = 0
+            for _ in range(trunc):
+                coeffs.append(PAdicNum(p, prec, (packed >> shift) & mask))
+                shift += width
+            out.append(LambdaElt(tuple(coeffs)))
+        return tuple(out)
+
+    if minor is None:
+        return unpack(v)
+    return unpack(lead), unpack(v)
 
 
 # -- the series of an operator spec ------------------------------------------
@@ -194,24 +214,33 @@ def char_input_prec(p: int, t: int, r: int, trunc: int, n_target: int) -> int:
 def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     """c_0..c_D of the block operator, certified mod m_Lambda^r.
 
-    Computes at the stable truncation size S (rounded up to whole blocks)
-    and again at S + t; the convergence lemma says the two agree mod m^r,
-    so any disagreement signals a precision or implementation fault.
+    One Berkowitz pass over the matrix of size S + t yields both the series
+    at the stable truncation size S (rounded up to whole blocks), as the
+    polynomial of the leading S x S minor, and the series at S + t.  The
+    ring runs at the precision certified for size S, so the returned
+    coefficients keep it; the size-(S + t) polynomial is cut to the
+    precision certified for its own size.  The convergence lemma says the
+    two agree mod m^r, so any disagreement signals a precision or
+    implementation fault.
     """
     p, t = spec.p, spec.t
     ts = truncation_size(r, p, t)
+    if D < 0:
+        raise BadArgument(f"degree {D} is negative")
     if D > ts:
         raise BadArgument(f"degree {D} exceeds the stable window {ts}")
-    n_blocks = max((ts + t - 1) // t, (D + t - 1) // t, 1)
-    small = berkowitz_charpoly(assemble(spec, n_blocks, omega).entries)
-    big = berkowitz_charpoly(assemble(spec, n_blocks + 1, omega).entries)
-    if small[0].prec < r:
+    n_blocks = window_blocks(p, t, r, D)
+    mat = assemble(spec, n_blocks + 1, omega, lead_blocks=n_blocks)
+    prec = mat.entry(0, 0).prec
+    if prec < r:
         raise PrecisionTooLow(
-            f"coefficients certified to {small[0].prec} digits cannot witness "
+            f"coefficients certified to {prec} digits cannot witness "
             f"stability mod m^{r}"
         )
+    small, big = berkowitz_charpoly(mat.entries, minor=n_blocks * t)
+    big_prec = attainable_target(p, n_blocks + 1, spec.M_T, spec.N)
     for n in range(D + 1):
-        gap = mlambda_order(small[n] - big[n])
+        gap = mlambda_order(small[n] - big[n].with_prec(big_prec))
         if not gap.certainly_at_least(r):
             raise StabilityFailure(
                 f"c_{n} differs between sizes {n_blocks * t} and "

@@ -94,7 +94,7 @@ class ExperimentConfig:
             raise BadArgument(f"scale must be full or smoke, not {self.scale!r}")
 
 
-def _int_field(obj: dict, key: str, default=None) -> int:
+def _int_field(obj: dict, key: str, default=None, least=None) -> int:
     if key not in obj:
         if default is None:
             raise BadArgument(f"config is missing {key!r}")
@@ -102,7 +102,51 @@ def _int_field(obj: dict, key: str, default=None) -> int:
     val = obj[key]
     if not isinstance(val, str):
         raise BadArgument(f"config field {key!r} must be a decimal string")
-    return int(val)
+    try:
+        num = int(val)
+    except ValueError:
+        raise BadArgument(f"config field {key!r} is not an integer: {val!r}") from None
+    if least is not None and num < least:
+        raise BadArgument(f"config field {key!r} must be at least {least}, not {num}")
+    return num
+
+
+def _is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin: these bases decide every n below 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _str_list(obj: dict, key: str, default: list) -> list:
+    val = obj.get(key, default)
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise BadArgument(f"config field {key!r} must be a list of strings")
+    return val
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadArgument(f"{text!r} is not a rational number") from None
 
 
 def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
@@ -110,31 +154,43 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"config {path} must hold a key/value table")
     src_obj = obj.get("source", {})
+    if not isinstance(src_obj, dict):
+        raise BadArgument("config field 'source' must be a key/value table")
     if seed is not None:
         source = Synthetic(seed)
     elif "file" in src_obj:
+        if not isinstance(src_obj["file"], str):
+            raise BadArgument("source 'file' must be a path string")
         source = Ingested(src_obj["file"])
     else:
         source = Synthetic(_int_field(src_obj, "seed", 0))
-    vT = tuple(Fraction(s) for s in obj.get("vT", ["1/3", "1/4"]))
+    p = _int_field(obj, "p")
+    if not _is_prime(p):
+        raise BadArgument(f"p = {p} is not a prime")
+    out_dir = out if out is not None else obj.get("out", "out")
+    if not isinstance(out_dir, str):
+        raise BadArgument("config field 'out' must be a path string")
+    scale = obj.get("scale", "smoke")
+    if not isinstance(scale, str):
+        raise BadArgument("config field 'scale' must be a string")
     return ExperimentConfig(
-        p=_int_field(obj, "p"),
-        t=_int_field(obj, "t"),
-        N=_int_field(obj, "N"),
-        M_T=_int_field(obj, "M_T"),
-        r=_int_field(obj, "r"),
-        D=_int_field(obj, "D"),
+        p=p,
+        t=_int_field(obj, "t", least=1),
+        N=_int_field(obj, "N", least=1),
+        M_T=_int_field(obj, "M_T", least=1),
+        r=_int_field(obj, "r", least=0),
+        D=_int_field(obj, "D", least=0),
         omega_exponent=_int_field(obj, "omega_exponent", 0),
-        vT=vT,
+        vT=tuple(_fraction(s) for s in _str_list(obj, "vT", ["1/3", "1/4"])),
         source=source,
-        out_dir=out if out is not None else obj.get("out", "out"),
-        checks=tuple(obj.get("checks", [])),
-        scale=obj.get("scale", "smoke"),
+        out_dir=out_dir,
+        checks=tuple(_str_list(obj, "checks", [])),
+        scale=scale,
     )
 
 

@@ -14,14 +14,11 @@ from fractions import Fraction
 
 from .padic_core import (
     BadArgument,
-    InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
     Valuation,
-    binom_padic,
     phi_q,
     val_p,
-    val_p_factorial,
 )
 
 DEFAULT_TRUNC = 24
@@ -259,14 +256,3 @@ def eval_valuation(x: LambdaElt, vT: Fraction) -> tuple[Valuation, bool]:
             tie = True
     exact = best_exact and not tie
     return (Valuation.exact(best) if exact else Valuation.at_least(best)), exact
-
-
-def one_plus_T_pow(g: PAdicNum, trunc: int, n_target: int) -> LambdaElt:
-    """(1+T)^g as a truncated series: coefficients C(g, r) for r < trunc."""
-    need = n_target + val_p_factorial(trunc - 1, g.p)
-    if g.prec < need:
-        raise InsufficientPrecision(
-            f"exponent needs precision >= {need} to certify {n_target} digits"
-        )
-    coeffs = [binom_padic(g, r).with_prec(n_target) for r in range(trunc)]
-    return LambdaElt(tuple(coeffs))

@@ -10,10 +10,11 @@ with f(z) = (az+b)/(cz+d), d0 the torsion component of d, and
 g(z) = log((cz+d)/d0)/q, then expanded back into the basis by finite
 differences: P_{m,n} = m-th difference of h_n at 0.
 
-Two engines compute the same residues: a per-entry object path built on
-PAdicNum/LambdaElt, and a packed path that stores all T-coefficients of a
-sample in a single big integer so the difference triangle runs in whole-row
-operations.  The packed path backs the bound scan over large matrices.
+One packed kernel computes the residues: all T-coefficients of a sample
+sit in a single big integer, so the difference triangle runs in whole-row
+operations.  It backs both block assembly (`up_operator.assemble`) and the
+bound scan over large matrices; the per-entry PAdicNum/LambdaElt reference
+it is tested against lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .iwasawa import (
-    DEFAULT_TRUNC,
-    CharOfDelta,
-    LambdaElt,
-    mlambda_order,
-    one_plus_T_pow,
-)
-from .mahler import SampleVector, mahler_from_samples
+from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
-    InsufficientPrecision,
     NotAUnit,
     PAdicNum,
     PadicError,
@@ -38,8 +31,6 @@ from .padic_core import (
     _fact_unit,
     _inv_mod,
     _log_ratio_raw,
-    binom_padic,
-    padic_log_ratio,
     q_for,
     teichmuller,
     val_p_factorial,
@@ -159,48 +150,6 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
     return column_input_prec(p, size - 1, trunc, n_target)
 
 
-# -- object path -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ActionColumn:
-    """Rows P_{0,n}..P_{m_max,n} of the action matrix for one column n."""
-
-    n: int
-    entries: tuple
-
-
-def action_column(
-    delta: DeltaMat,
-    n: int,
-    omega: CharOfDelta,
-    m_max: int,
-    trunc: int = DEFAULT_TRUNC,
-    n_target: int = 8,
-) -> ActionColumn:
-    cls = check_monoid(delta)
-    if cls is MonoidClass.Neither:
-        raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
-    need = column_input_prec(delta.p, n, trunc, n_target)
-    if delta.prec < need:
-        raise InsufficientPrecision(
-            f"column {n} at target {n_target} needs entry precision {need}, "
-            f"have {delta.prec}"
-        )
-    q = q_for(delta.p)
-    d0 = torsion_part(delta.d)
-    w = omega.value_at(d0)
-    samples = []
-    for z in range(m_max + 1):
-        den = delta.c * z + delta.d
-        fz = (delta.a * z + delta.b).divide_unit(den)
-        scalar = (binom_padic(fz, n) * w).with_prec(n_target)
-        g = padic_log_ratio(den.divide_unit(d0), q)
-        samples.append(one_plus_T_pow(g, trunc, n_target) * scalar)
-    fn = mahler_from_samples(SampleVector(tuple(samples)), m_max + 1)
-    return ActionColumn(n, fn.coeffs)
-
-
 # -- packed path -----------------------------------------------------------
 
 
@@ -290,30 +239,11 @@ def _bias_block(bias: int, width: int, trunc: int) -> int:
     return acc
 
 
-def _packed_matrix(
-    delta: DeltaMat,
-    size: int,
-    omega: CharOfDelta,
-    trunc: int,
-    n_target: int,
-) -> tuple:
-    """Materialize the packed kernel's output as ActionColumns (test hook)."""
-    p = delta.p
-    mod_t = p**n_target
-    mask_mod = p**delta.prec
-    cols = []
-    for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc):
-        mask = (1 << width) - 1
-        entries = []
-        for m, packed in enumerate(firsts):
-            off = bias if m >= 1 else 0
-            coeffs = []
-            for s in range(trunc):
-                digit = (packed >> (width * s)) & mask
-                coeffs.append(PAdicNum(p, n_target, (digit - off) % mask_mod % mod_t))
-            entries.append(LambdaElt(tuple(coeffs)))
-        cols.append(ActionColumn(n, tuple(entries)))
-    return tuple(cols)
+def _unbiased(packed: int, m: int, bias: int, width: int, trunc: int) -> list:
+    """Row m's digits as integers congruent to the T-coefficients of P_{m,n}."""
+    mask = (1 << width) - 1
+    off = bias if m else 0
+    return [((packed >> (width * s)) & mask) - off for s in range(trunc)]
 
 
 # -- bound verification ----------------------------------------------------
@@ -335,6 +265,7 @@ def verify_entry_bounds(
     size: int,
     omega: CharOfDelta,
     trunc: int = DEFAULT_TRUNC,
+    raise_by: int = 0,
 ) -> BoundReport:
     """Certify the entry valuation bounds for all m, n < size.
 
@@ -342,7 +273,9 @@ def verify_entry_bounds(
     the rest of the monoid it is max(m - n, 0).  Certification needs every
     entry known to n_target = size digits, so the input precision must
     cover the budget; short inputs fail fast rather than mislabel AtLeast
-    coefficients as violations.
+    coefficients as violations.  raise_by > 0 demands that much more than
+    the claim wherever it is nonnegative, a claim that must fail (P_{0,0}
+    is a unit); the acceptance checks use it to show they detect faults.
     """
     cls = check_monoid(delta)
     if cls is MonoidClass.Neither:
@@ -356,13 +289,13 @@ def verify_entry_bounds(
             f"bounds, have {delta.prec}"
         )
     if cls is MonoidClass.UpMonoid:
-        required = lambda m, n: m - n // p
+        required = lambda m, n: m - n // p + raise_by
     else:
-        required = lambda m, n: m - n
+        required = lambda m, n: m - n + raise_by
 
     mod = p**delta.prec
-    pk = [p**k for k in range(size + 1)]
-    flagged: dict[int, list[int]] = {}
+    pk = [p**k for k in range(size + raise_by + 1)]
+    violations = []
     for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc):
         mask = (1 << width) - 1
         for m in range(size):
@@ -374,12 +307,8 @@ def verify_entry_bounds(
             for s in range(min(r, trunc)):
                 digit = (packed >> (width * s)) & mask
                 if (digit - off) % mod % pk[r - s]:
-                    flagged.setdefault(n, []).append(m)
+                    digits = _unbiased(packed, m, bias, width, trunc)
+                    entry = LambdaElt.from_ints(p, n_target, trunc, digits)
+                    violations.append((m, n, mlambda_order(entry)))
                     break
-
-    violations = []
-    for n in sorted(flagged):
-        col = action_column(delta, n, omega, size - 1, trunc, n_target)
-        for m in flagged[n]:
-            violations.append((m, n, mlambda_order(col.entries[m])))
     return BoundReport(cls, size, tuple(violations))

@@ -18,11 +18,19 @@ from .iwasawa import DEFAULT_TRUNC, CharOfDelta, HaloElt, LambdaElt, mlambda_ord
 from .monoid_action import (
     DeltaMat,
     MonoidClass,
-    action_column,
+    NotInMonoid,
+    _kernel_columns,
+    _unbiased,
     check_monoid,
     matrix_input_prec,
 )
-from .padic_core import InsufficientPrecision, PadicError, PrecisionTooLow, q_for
+from .padic_core import (
+    BadArgument,
+    InsufficientPrecision,
+    PadicError,
+    PrecisionTooLow,
+    q_for,
+)
 
 
 class ParseError(PadicError):
@@ -112,8 +120,11 @@ def synth_up(
     characteristic coefficients cancel far past their valuation floor.
 
     Default determinants have valuation exactly 1; arbitrary_det allows any
-    nonvanishing determinant.
+    nonvanishing determinant.  Either way N >= 2: p | a and q | c make every
+    determinant vanish mod p, so at one digit no matrix qualifies.
     """
+    if N < 2:
+        raise BadArgument(f"synthetic operators need precision N >= 2, not {N}")
     rng = random.Random(seed)
     q = q_for(p)
     rows = []
@@ -195,31 +206,59 @@ def attainable_target(p: int, size: int, trunc: int, N: int) -> int:
     return nt
 
 
-def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
+def assemble(
+    spec: UpSpec, n_blocks: int, omega: CharOfDelta, lead_blocks: int | None = None
+) -> BlockMatrix:
     """Entry ((m,i),(n,j)) = sum over cell (i,j) of P_{m,n}(delta).
 
     Output component i collects the matrices stored at (i, j) applied to
-    input component j.  All entries share the largest certifiable precision.
-    Invariants are checked where specs enter the system (synthesis, file
-    ingestion), not here, so partial cell lists can be assembled and summed.
+    input component j.  Each cell matrix runs through the packed Mahler
+    kernel once; its unbiased digits are summed per entry as integers and
+    reduced once.  All entries share the largest precision the budget
+    certifies for the leading lead_blocks blocks (default: all n_blocks).
+    With fewer lead blocks, entries outside that leading minor carry the
+    same number of digits but are certified only to attainable_target for
+    n_blocks; char_series reads its two truncation sizes from one such
+    matrix and cuts the larger one to that.  Invariants are checked where
+    specs enter the system (synthesis, file ingestion), not here, so
+    partial cell lists can be assembled and summed.
     """
     p, t, trunc = spec.p, spec.t, spec.M_T
-    n_target = attainable_target(p, n_blocks, trunc, spec.N)
-    if n_target <= 0:
-        raise InsufficientPrecision(
-            f"operator data at precision {spec.N} cannot certify any digits "
-            f"for {n_blocks} basis blocks"
-        )
+    lead = n_blocks if lead_blocks is None else lead_blocks
+    n_target = attainable_target(p, lead, trunc, spec.N)
+    full_target = attainable_target(p, n_blocks, trunc, spec.N)
+    for blocks, target in ((lead, n_target), (n_blocks, full_target)):
+        if target <= 0:
+            raise InsufficientPrecision(
+                f"operator data at precision {spec.N} cannot certify any digits "
+                f"for {blocks} basis blocks"
+            )
+    need = max(
+        matrix_input_prec(p, lead, trunc, n_target),
+        matrix_input_prec(p, n_blocks, trunc, full_target),
+    )
     size = t * n_blocks
-    zero = LambdaElt.zero(p, n_target, trunc)
-    grid = [[zero for _ in range(size)] for _ in range(size)]
+    grid = [[[0] * trunc for _ in range(size)] for _ in range(size)]
     for i, j, delta in spec.cells:
-        for n in range(n_blocks):
-            col = action_column(delta, n, omega, n_blocks - 1, trunc, n_target)
-            for m in range(n_blocks):
-                row_idx, col_idx = m * t + i, n * t + j
-                grid[row_idx][col_idx] = grid[row_idx][col_idx] + col.entries[m]
-    return BlockMatrix(t, tuple(tuple(r) for r in grid))
+        if check_monoid(delta) is MonoidClass.Neither:
+            raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
+        if delta.prec < need:
+            raise InsufficientPrecision(
+                f"{n_blocks} basis blocks need entry precision {need}, "
+                f"have {delta.prec}"
+            )
+        for n, firsts, bias, width in _kernel_columns(delta, n_blocks, omega, trunc):
+            for m, packed in enumerate(firsts):
+                acc = grid[m * t + i][n * t + j]
+                for s, digit in enumerate(_unbiased(packed, m, bias, width, trunc)):
+                    acc[s] += digit
+    return BlockMatrix(
+        t,
+        tuple(
+            tuple(LambdaElt.from_ints(p, n_target, trunc, acc) for acc in row)
+            for row in grid
+        ),
+    )
 
 
 def block_bound(row: int, col: int, t: int, p: int) -> int:

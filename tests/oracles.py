@@ -4,16 +4,36 @@ Each oracle deliberately uses a different algorithm from the library code
 (digit search instead of fixed-point iteration, exact fractions instead of
 modular series, direct alternating sums instead of difference tables,
 cofactor expansion instead of division-free recurrences, gift wrapping
-instead of a monotone chain).  The cofactor oracle lives in
+instead of a monotone chain, per-entry PAdicNum/LambdaElt arithmetic
+instead of the packed Mahler kernel).  The cofactor oracle lives in
 `haloslopes.checks`, whose `charpoly-oracle` check runs it too.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from haloslopes.checks import charpoly_cofactor_oracle  # noqa: F401
+from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt
+from haloslopes.mahler import SampleVector, mahler_from_samples
+from haloslopes.monoid_action import (
+    DeltaMat,
+    MonoidClass,
+    NotInMonoid,
+    check_monoid,
+    column_input_prec,
+    torsion_part,
+)
+from haloslopes.padic_core import (
+    InsufficientPrecision,
+    PAdicNum,
+    binom_padic,
+    padic_log_ratio,
+    q_for,
+    val_p_factorial,
+)
 
 
 def val_int(n: int, p: int) -> int:
@@ -103,3 +123,59 @@ def lower_hull_oracle(points):
                 best_slope = slope
         hull.append(best)
     return hull
+
+
+def one_plus_T_pow(g: PAdicNum, trunc: int, n_target: int) -> LambdaElt:
+    """(1+T)^g as a truncated series: coefficients C(g, r) for r < trunc."""
+    need = n_target + val_p_factorial(trunc - 1, g.p)
+    if g.prec < need:
+        raise InsufficientPrecision(
+            f"exponent needs precision >= {need} to certify {n_target} digits"
+        )
+    coeffs = [binom_padic(g, r).with_prec(n_target) for r in range(trunc)]
+    return LambdaElt(tuple(coeffs))
+
+
+@dataclass(frozen=True)
+class ActionColumn:
+    """Rows P_{0,n}..P_{m_max,n} of the action matrix for one column n."""
+
+    n: int
+    entries: tuple
+
+
+def action_column(
+    delta: DeltaMat,
+    n: int,
+    omega: CharOfDelta,
+    m_max: int,
+    trunc: int = DEFAULT_TRUNC,
+    n_target: int = 8,
+) -> ActionColumn:
+    """Column n of the action matrix, entry by entry in PAdicNum/LambdaElt.
+
+    Samples h_n(z) = C(f(z), n) * omega(d0) * (1+T)^{g(z)} at z = 0..m_max
+    as ring elements, then takes finite differences at 0.  The reference
+    for the packed kernel behind `assemble` and `verify_entry_bounds`.
+    """
+    cls = check_monoid(delta)
+    if cls is MonoidClass.Neither:
+        raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
+    need = column_input_prec(delta.p, n, trunc, n_target)
+    if delta.prec < need:
+        raise InsufficientPrecision(
+            f"column {n} at target {n_target} needs entry precision {need}, "
+            f"have {delta.prec}"
+        )
+    q = q_for(delta.p)
+    d0 = torsion_part(delta.d)
+    w = omega.value_at(d0)
+    samples = []
+    for z in range(m_max + 1):
+        den = delta.c * z + delta.d
+        fz = (delta.a * z + delta.b).divide_unit(den)
+        scalar = (binom_padic(fz, n) * w).with_prec(n_target)
+        g = padic_log_ratio(den.divide_unit(d0), q)
+        samples.append(one_plus_T_pow(g, trunc, n_target) * scalar)
+    fn = mahler_from_samples(SampleVector(tuple(samples)), m_max + 1)
+    return ActionColumn(n, fn.coeffs)

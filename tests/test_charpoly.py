@@ -32,7 +32,7 @@ from haloslopes.padic_core import (
     q_for,
     val_p,
 )
-from haloslopes.up_operator import UpSpec, synth_up
+from haloslopes.up_operator import UpSpec, assemble, synth_up
 
 from oracles import charpoly_cofactor_oracle
 
@@ -152,6 +152,21 @@ def test_berkowitz_rejects_mixed_rings():
         berkowitz_charpoly(())
 
 
+def test_berkowitz_minor_is_leading_minor_polynomial():
+    p, prec, trunc, size = 3, 5, 4, 5
+    rng = random.Random(17)
+    mat = tuple(
+        tuple(rand_elt(rng, p, prec, trunc) for _ in range(size)) for _ in range(size)
+    )
+    full = berkowitz_charpoly(mat)
+    for k in range(1, size + 1):
+        lead = berkowitz_charpoly(tuple(row[:k] for row in mat[:k]))
+        assert berkowitz_charpoly(mat, minor=k) == (lead, full)
+    for k in (0, size + 1):
+        with pytest.raises(BadArgument):
+            berkowitz_charpoly(mat, minor=k)
+
+
 def test_berkowitz_conjugation_invariant():
     p, prec, trunc, size = 5, 6, 4, 4
     rng = random.Random(9)
@@ -187,6 +202,31 @@ def test_char_series_scaling_triple_frozen():
     # trace congruence: c_1 = -p modulo m^2
     assert mlambda_order(cs.coeffs[1] - elt(3, prec, trunc, [-3])).certainly_at_least(2)
     assert mlambda_order(cs.coeffs[2] - elt(3, prec, trunc, [27])).certainly_at_least(4)
+
+
+def two_pass_series(spec, D, r, omega):
+    """c_0..c_D from a separate assembly and Berkowitz pass at size S."""
+    p, t = spec.p, spec.t
+    n_blocks = max(-(-truncation_size(r, p, t) // t), -(-D // t), 1)
+    return berkowitz_charpoly(assemble(spec, n_blocks, omega).entries)[: D + 1]
+
+
+@pytest.mark.parametrize(
+    "p,t,r,MT,N,D,seed",
+    [
+        # the smoke fixtures of the check registry
+        (3, 1, 5, 20, char_input_prec(3, 1, 5, 20, 16), 6, 1),
+        (5, 2, 4, 14, char_input_prec(5, 2, 4, 14, 10), 6, 1),
+        # S certifies 6 digits but S + t only 5; the series keeps 6
+        *((3, 2, 5, 3, 9, 6, seed) for seed in range(6)),
+    ],
+)
+def test_char_series_matches_two_pass_reference(p, t, r, MT, N, D, seed):
+    spec = synth_up(t, p, N, MT, seed=seed)
+    cs = char_series(spec, D, r, triv(p))
+    want = two_pass_series(spec, D, r, triv(p))
+    assert cs.coeffs == want
+    assert [c.prec for c in cs.coeffs] == [c.prec for c in want]
 
 
 def test_char_series_synthetic_runs_stably():

@@ -1,11 +1,17 @@
 import csv
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from haloslopes import checks
 from haloslopes.charpoly import CharSeries
 from haloslopes.checks import CHECKS
+from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
 from haloslopes.padic_core import BadArgument
 from haloslopes.up_operator import Ingested, Synthetic
@@ -72,6 +78,67 @@ def test_load_config_missing_field(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(BadArgument):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"p": "x"},
+        {"vT": ["abc"]},
+        {"vT": "1/3"},
+        {"p": "1"},
+        {"p": "4"},
+        {"vT": [0.25]},
+        {"D": "-1"},
+    ],
+    ids=["p-x", "vT-abc", "vT-string", "p-1", "p-4", "vT-float", "D-negative"],
+)
+def test_malformed_config_field_exits_2(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, **override)
+    assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+# decimal strings (some out of range), malformed strings and wrong JSON types
+CONFIG_KEYS = tuple(BASE) + ("checks", "out")
+FIELD_VALUES = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["1/3", "1/4", "x", "1/0", "0.25", "", " 7 ", "1e3", "smoke", "full"]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.sampled_from(["1/3", "1/4", "2", "abc", "1/0", "-1/5"]), max_size=3),
+    st.lists(st.floats(0, 1), max_size=2),
+    st.dictionaries(
+        st.sampled_from(["seed", "file"]),
+        st.one_of(st.integers(-2, 9).map(str), st.integers(), st.none()),
+        max_size=2,
+    ),
+)
+CONFIGS = st.one_of(
+    st.builds(
+        lambda changes, dropped: {
+            **{k: v for k, v in BASE.items() if k not in dropped},
+            **changes,
+        },
+        st.dictionaries(st.sampled_from(CONFIG_KEYS), FIELD_VALUES, max_size=3),
+        st.sets(st.sampled_from(CONFIG_KEYS), max_size=2),
+    ),
+    st.lists(st.integers(), max_size=2),
+    st.text(max_size=5),
+    st.integers(),
+)
+
+
+@settings(max_examples=150)
+@given(CONFIGS)
+def test_fuzzed_config_exits_0_or_2(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(obj))
+        args = ["verify", "--config", str(path), "--out", str(Path(tmp) / "o")]
+        assert main(args + ["--only", "lambda-closed-form"]) in (0, 2)
 
 
 def test_config_rejects_vt_outside_unit_interval():
@@ -309,6 +376,19 @@ def test_every_check_has_a_detectable_fault(tmp_path, capsys):
         args = ["verify", "--config", cfg, "--out", str(out)]
         assert main(args + ["--only", name, "--inject-fault", name]) == 1
         assert f"FAIL {name}" in capsys.readouterr().out
+
+
+def test_truncation_stability_recomputes_size_s_plus_t(monkeypatch):
+    # a series that no longer matches an independent pass at S + t must FAIL
+    rows = checks.fixture_series("smoke")
+    p, t, D, spec, cs = rows[0]
+    bumped = cs.coeffs[2] + LambdaElt.one(p, cs.coeffs[2].prec, cs.coeffs[2].trunc)
+    bad = CharSeries(cs.coeffs[:2] + (bumped,) + cs.coeffs[3:], cs.r)
+    monkeypatch.setattr(checks, "fixture_series", lambda scale: ((p, t, D, spec, bad),))
+    ok, detail = checks.truncation_stability("smoke")
+    assert not ok and "c_2" in detail
+    monkeypatch.undo()
+    assert checks.truncation_stability("smoke", fault=True)[0] is False
 
 
 def test_check_registry_names_are_unique():

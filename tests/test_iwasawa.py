@@ -16,8 +16,9 @@ from haloslopes.iwasawa import (
     eval_valuation,
     halo_T_order,
     mlambda_order,
-    one_plus_T_pow,
 )
+
+from oracles import one_plus_T_pow
 
 
 def elt(p, n, trunc, ints):

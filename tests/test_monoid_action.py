@@ -6,13 +6,12 @@ import pytest
 
 from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import (
-    ActionColumn,
     BoundReport,
     DeltaMat,
     MonoidClass,
     NotInMonoid,
-    _packed_matrix,
-    action_column,
+    _kernel_columns,
+    _unbiased,
     check_monoid,
     column_input_prec,
     matrix_input_prec,
@@ -27,7 +26,7 @@ from haloslopes.padic_core import (
     val_p,
 )
 
-from oracles import log_ratio_oracle, teichmuller_oracle
+from oracles import ActionColumn, action_column, log_ratio_oracle, teichmuller_oracle
 
 
 def dm(p, prec, a, b, c, d):
@@ -39,7 +38,23 @@ def triv(p):
 
 
 def columns(delta, size, omega, trunc, nt):
-    """Object-path columns 0..size-1, each with rows 0..size-1."""
+    """Packed-kernel columns 0..size-1, each with rows 0..size-1, at nt digits."""
+    return [
+        ActionColumn(
+            n,
+            tuple(
+                LambdaElt.from_ints(
+                    delta.p, nt, trunc, _unbiased(packed, m, bias, width, trunc)
+                )
+                for m, packed in enumerate(firsts)
+            ),
+        )
+        for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc)
+    ]
+
+
+def oracle_columns(delta, size, omega, trunc, nt):
+    """Reference columns 0..size-1 from the per-entry object path."""
     return [action_column(delta, n, omega, size - 1, trunc, nt) for n in range(size)]
 
 
@@ -142,18 +157,17 @@ def rand_delta(rng, p, prec, up: bool):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("up", [True, False])
 def test_packed_matches_object_path(p, up):
+    # with slack, and at the exact budget where assemble runs its entries
     size, trunc, nt = 8, 5, 8
-    prec = matrix_input_prec(p, size, trunc, nt) + 2
-    rng = random.Random(90_000 + 10 * p + up)
-    for _ in range(3):
-        delta = rand_delta(rng, p, prec, up)
-        omega = CharOfDelta(p, rng.randrange(4))
-        ref = columns(delta, size, omega, trunc, nt)
-        fast = _packed_matrix(delta, size, omega, trunc, nt)
-        for rc, fc in zip(ref, fast):
-            assert rc.n == fc.n
-            for re, fe in zip(rc.entries, fc.entries):
-                assert re == fe
+    for slack in (2, 0):
+        prec = matrix_input_prec(p, size, trunc, nt) + slack
+        rng = random.Random(90_000 + 10 * p + up)
+        for _ in range(3):
+            delta = rand_delta(rng, p, prec, up)
+            omega = CharOfDelta(p, rng.randrange(4))
+            ref = oracle_columns(delta, size, omega, trunc, nt)
+            fast = columns(delta, size, omega, trunc, nt)
+            assert ref == fast
 
 
 # -- entry bounds -----------------------------------------------------------
@@ -180,6 +194,19 @@ def test_bounds_m1_class_does_not_assert_up_shape():
     report = verify_entry_bounds(dm(p, prec, 1, 1, 3, 1), 20, triv(p))
     assert report.ok
     assert report.monoid_class is MonoidClass.M1
+
+
+def test_bounds_report_violation_orders_of_the_reference_path():
+    # a bound raised by one must fail at the unit P_{0,0}; every reported
+    # order is read from kernel digits and must match the object path
+    p, size, trunc = 3, 10, 6
+    delta = dm(p, matrix_input_prec(p, size, trunc, size), 3, 1, 3, 2)
+    report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=1)
+    assert report.violations[0][:2] == (0, 0)
+    ref = oracle_columns(delta, size, triv(p), trunc, size)
+    for m, n, order in report.violations:
+        assert order == mlambda_order(ref[n].entries[m])
+        assert not order.certainly_at_least(max(m - n // p, 0) + 1)
 
 
 def test_bounds_need_enough_precision():

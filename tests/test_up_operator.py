@@ -3,8 +3,13 @@ import json
 import pytest
 
 from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, halo_T_order
-from haloslopes.monoid_action import DeltaMat, matrix_input_prec
-from haloslopes.padic_core import InsufficientPrecision, PrecisionTooLow, val_p_int
+from haloslopes.monoid_action import DeltaMat, NotInMonoid, matrix_input_prec
+from haloslopes.padic_core import (
+    BadArgument,
+    InsufficientPrecision,
+    PrecisionTooLow,
+    val_p_int,
+)
 from haloslopes.up_operator import (
     BlockMatrix,
     Ingested,
@@ -22,6 +27,8 @@ from haloslopes.up_operator import (
     synth_up,
     verify_block_bounds,
 )
+
+from oracles import action_column
 
 
 def triv(p):
@@ -64,6 +71,12 @@ def test_synth_determinant_valuations():
             assert val_p_int(delta.det().residue, p) == 1
     spec = synth_up(1, 3, 16, seed=77, arbitrary_det=True)
     spec.validate()
+
+
+def test_synth_rejects_single_digit_precision():
+    # at N = 1 every U_p-class determinant is 0 mod p; the draw loop never ends
+    with pytest.raises(BadArgument):
+        synth_up(1, 3, 1)
 
 
 def test_synth_provenance():
@@ -166,6 +179,60 @@ def test_assemble_linear_in_cells():
 def test_assemble_deterministic():
     spec = synth_up(2, 3, 22, M_T=5, seed=8)
     assert assemble(spec, 3, triv(3)) == assemble(spec, 3, triv(3))
+
+
+def oracle_assemble(spec, n_blocks, omega, n_target):
+    """Block matrix summed entry by entry from the reference action columns."""
+    p, t, trunc = spec.p, spec.t, spec.M_T
+    size = t * n_blocks
+    grid = [[LambdaElt.zero(p, n_target, trunc)] * size for _ in range(size)]
+    for i, j, delta in spec.cells:
+        for n in range(n_blocks):
+            col = action_column(delta, n, omega, n_blocks - 1, trunc, n_target)
+            for m in range(n_blocks):
+                grid[m * t + i][n * t + j] = grid[m * t + i][n * t + j] + col.entries[m]
+    return grid
+
+
+@pytest.mark.parametrize("p,t,seed", [(2, 1, 5), (3, 2, 8), (5, 1, 3)])
+def test_assemble_matches_reference_path(p, t, seed):
+    nb, trunc = 3, 5
+    N = matrix_input_prec(p, nb, trunc, 6)
+    spec = synth_up(t, p, N, trunc, seed=seed)
+    omega = CharOfDelta(p, 1)
+    mat = assemble(spec, nb, omega)
+    nt = attainable_target(p, nb, trunc, N)
+    assert {e.prec for row in mat.entries for e in row} == {nt}
+    assert [list(row) for row in mat.entries] == oracle_assemble(spec, nb, omega, nt)
+
+
+def test_assemble_lead_blocks_certify_the_leading_minor():
+    # one matrix carries the leading minor's higher target; that minor is
+    # exact there, and every entry is exact at the whole matrix's target
+    p, t, nb, trunc, N = 2, 1, 8, 3, 10
+    spec = synth_up(t, p, N, trunc, seed=2)
+    lead_t = attainable_target(p, nb, trunc, N)
+    full_t = attainable_target(p, nb + 1, trunc, N)
+    assert lead_t > full_t
+    mat = assemble(spec, nb + 1, triv(p), lead_blocks=nb)
+    assert {e.prec for row in mat.entries for e in row} == {lead_t}
+    lead = oracle_assemble(spec, nb, triv(p), lead_t)
+    full = oracle_assemble(spec, nb + 1, triv(p), full_t)
+    for row in range(mat.size):
+        for col in range(mat.size):
+            if row < t * nb and col < t * nb:
+                assert mat.entry(row, col) == lead[row][col]
+            assert mat.entry(row, col).with_prec(full_t) == full[row][col]
+
+
+def test_assemble_rejects_bad_matrix_and_short_precision():
+    good = DeltaMat.from_ints(3, 24, 3, 0, 0, 1)
+    bad = DeltaMat.from_ints(3, 24, 1, 0, 1, 1)
+    with pytest.raises(NotInMonoid):
+        assemble(UpSpec(1, 3, 24, 6, ((0, 0, good), (0, 0, bad)), None), 2, triv(3))
+    short = DeltaMat.from_ints(3, 5, 3, 0, 0, 1)
+    with pytest.raises(InsufficientPrecision):
+        assemble(UpSpec(1, 3, 24, 6, ((0, 0, good), (0, 0, short)), None), 2, triv(3))
 
 
 def test_assemble_needs_precision():
