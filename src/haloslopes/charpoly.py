@@ -21,7 +21,6 @@ from .monoid_action import matrix_input_prec
 from .padic_core import (
     BadArgument,
     MismatchedParameters,
-    PAdicNum,
     PadicError,
     PrecisionTooLow,
 )
@@ -105,8 +104,8 @@ def _ring_params(p: int, prec: int, trunc: int, size: int):
 
 def _pack(x: LambdaElt, width: int) -> int:
     acc = 0
-    for c in reversed(x.coeffs):
-        acc = (acc << width) | c.residue
+    for c in reversed(x.res):
+        acc = (acc << width) | c
     return acc
 
 
@@ -186,16 +185,14 @@ def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
         if k + 1 == minor:
             lead = v
 
+    shifts = range(0, width * trunc, width)
+
     def unpack(poly):
-        out = []
-        for packed in poly:
-            coeffs = []
-            shift = 0
-            for _ in range(trunc):
-                coeffs.append(PAdicNum(p, prec, (packed >> shift) & mask))
-                shift += width
-            out.append(LambdaElt(tuple(coeffs)))
-        return tuple(out)
+        # every value in the state is reduced, so each digit is below p^prec
+        return tuple(
+            LambdaElt._raw(p, prec, tuple((packed >> s) & mask for s in shifts))
+            for packed in poly
+        )
 
     if minor is None:
         return unpack(v)

@@ -38,6 +38,7 @@ from .padic_core import (
     MismatchedParameters,
     NotAUnit,
     PrecisionTooLow,
+    is_prime,
     q_for,
 )
 from .polygon import (
@@ -111,30 +112,6 @@ def _int_field(obj: dict, key: str, default=None, least=None) -> int:
     return num
 
 
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin: these bases decide every n below 3.3e24
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _str_list(obj: dict, key: str, default: list) -> list:
     val = obj.get(key, default)
     if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
@@ -170,7 +147,7 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     else:
         source = Synthetic(_int_field(src_obj, "seed", 0))
     p = _int_field(obj, "p")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise BadArgument(f"p = {p} is not a prime")
     out_dir = out if out is not None else obj.get("out", "out")
     if not isinstance(out_dir, str):

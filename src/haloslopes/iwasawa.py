@@ -1,10 +1,11 @@
 """Truncated arithmetic in Z_p[[T]] with order and valuation certification.
 
 A LambdaElt is the image of a weight-ring element after a torsion character
-has been evaluated: coefficients are PAdicNum sharing (p, N), stored densely
-up to T^M_T.  Orders against the maximal ideal (p, T) and against the
-T-shifted outer-annulus ring are certified from coefficient valuations,
-honestly flagging anything a zero residue leaves undecidable.
+has been evaluated: the prime p, the precision N and the residues mod p^N
+of the T-coefficients, stored densely up to T^M_T as plain integers.
+Orders against the maximal ideal (p, T) and against the T-shifted
+outer-annulus ring are certified from coefficient valuations, honestly
+flagging anything a zero residue leaves undecidable.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from fractions import Fraction
 
 from .padic_core import (
     BadArgument,
+    InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
     Valuation,
     phi_q,
-    val_p,
+    val_p_int,
 )
 
 DEFAULT_TRUNC = 24
@@ -62,30 +64,56 @@ class CharOfDelta:
         return d0 ** self.exponent
 
 
-@dataclass(frozen=True)
 class LambdaElt:
-    """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^N."""
+    """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^prec.
 
-    coeffs: tuple
+    Holds p, prec and res, the T-coefficients as residues already reduced
+    mod p^prec.  LambdaElt(coeffs) takes PAdicNum sharing (p, prec) and
+    .coeffs gives them back; everything else works on the integers.
+    """
 
-    def __post_init__(self):
-        if not self.coeffs:
+    __slots__ = ("p", "prec", "res")
+
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise BadArgument("LambdaElt needs at least one coefficient")
-        c0 = self.coeffs[0]
-        for c in self.coeffs:
+        c0 = coeffs[0]
+        for c in coeffs:
             if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
                 raise MismatchedParameters("coefficients must share (p, N)")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        _init(self, c0.p, c0.prec, tuple(c.residue for c in coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LambdaElt is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"LambdaElt is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return LambdaElt._raw, (self.p, self.prec, self.res)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _raw(cls, p: int, prec: int, res: tuple) -> "LambdaElt":
+        # trusted callers: res is nonempty and reduced mod p^prec, prec >= 1
+        obj = object.__new__(cls)
+        _init(obj, p, prec, res)
+        return obj
 
     @classmethod
     def from_ints(cls, p: int, n: int, trunc: int, ints) -> "LambdaElt":
         ints = list(ints)
         if len(ints) > trunc:
             raise BadArgument("more coefficients than the truncation order")
+        if trunc < 1:
+            raise BadArgument("LambdaElt needs at least one coefficient")
+        if n <= 0:
+            raise BadArgument(f"precision must be positive, got {n}")
+        mod = p**n
         ints += [0] * (trunc - len(ints))
-        return cls(tuple(PAdicNum(p, n, c) for c in ints))
+        return cls._raw(p, n, tuple(c % mod for c in ints))
 
     @classmethod
     def zero(cls, p: int, n: int, trunc: int) -> "LambdaElt":
@@ -102,74 +130,95 @@ class LambdaElt:
     # -- parameters --------------------------------------------------------
 
     @property
-    def p(self) -> int:
-        return self.coeffs[0].p
-
-    @property
-    def prec(self) -> int:
-        return self.coeffs[0].prec
-
-    @property
     def trunc(self) -> int:
-        return len(self.coeffs)
+        return len(self.res)
 
-    def _join(self, other: "LambdaElt") -> None:
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(PAdicNum(self.p, self.prec, c) for c in self.res)
+
+    def _join(self, other: "LambdaElt") -> int:
+        """The shared precision of two elements of the same ring."""
         if not isinstance(other, LambdaElt):
             raise TypeError(f"expected LambdaElt, got {type(other).__name__}")
-        if (self.p, self.trunc) != (other.p, other.trunc):
+        if self.p != other.p or len(self.res) != len(other.res):
             raise MismatchedParameters(
                 f"({self.p},{self.trunc}) vs ({other.p},{other.trunc})"
             )
+        return min(self.prec, other.prec)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        self._join(other)
-        return LambdaElt(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self._join(other)
+        mod = self.p**n
+        res = tuple((a + b) % mod for a, b in zip(self.res, other.res))
+        return LambdaElt._raw(self.p, n, res)
 
     def __sub__(self, other):
-        self._join(other)
-        return LambdaElt(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self._join(other)
+        mod = self.p**n
+        res = tuple((a - b) % mod for a, b in zip(self.res, other.res))
+        return LambdaElt._raw(self.p, n, res)
 
     def __neg__(self):
-        return LambdaElt(tuple(-a for a in self.coeffs))
+        mod = self.p**self.prec
+        return LambdaElt._raw(self.p, self.prec, tuple(-a % mod for a in self.res))
 
     def __mul__(self, other):
-        if isinstance(other, (int, PAdicNum)):
-            return LambdaElt(tuple(a * other for a in self.coeffs))
-        self._join(other)
-        n = min(self.prec, other.prec)
-        mod = self.p ** n
-        mt = self.trunc
-        a = [c.residue for c in self.coeffs]
-        b = [c.residue for c in other.coeffs]
-        out = [0] * mt
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(mt - i):
-                out[i + j] += ai * b[j]
-        return LambdaElt(tuple(PAdicNum(self.p, n, c % mod) for c in out))
+        if isinstance(other, int):
+            n, k = self.prec, other
+        elif isinstance(other, PAdicNum):
+            if other.p != self.p:
+                raise MismatchedParameters(f"primes differ: {self.p} vs {other.p}")
+            n, k = min(self.prec, other.prec), other.residue
+        else:
+            n = self._join(other)
+            mt = len(self.res)
+            b = other.res
+            out = [0] * mt
+            for i, ai in enumerate(self.res):
+                if ai == 0:
+                    continue
+                for j in range(mt - i):
+                    out[i + j] += ai * b[j]
+            mod = self.p**n
+            return LambdaElt._raw(self.p, n, tuple(c % mod for c in out))
+        mod = self.p**n
+        return LambdaElt._raw(self.p, n, tuple(a * k % mod for a in self.res))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        """Equality at the shared precision."""
         if not isinstance(other, LambdaElt):
             return NotImplemented
-        return self.p == other.p and self.trunc == other.trunc and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        if self.p != other.p or len(self.res) != len(other.res):
+            return False
+        if self.prec == other.prec:
+            return self.res == other.res
+        m = self.p ** min(self.prec, other.prec)
+        return all(a % m == b % m for a, b in zip(self.res, other.res))
 
     def __hash__(self):
-        return hash((self.p, self.trunc, tuple(c.residue for c in self.coeffs)))
+        # equal elements agree at their shared precision, which is >= 1
+        return hash((self.p, len(self.res), tuple(c % self.p for c in self.res)))
 
     def __repr__(self):
-        parts = [f"{c.residue}*T^{m}" for m, c in enumerate(self.coeffs) if c.residue]
+        parts = [f"{c}*T^{m}" for m, c in enumerate(self.res) if c]
         body = " + ".join(parts) if parts else "0"
         return f"LambdaElt({body} mod (p^{self.prec}, T^{self.trunc}))"
 
     def with_prec(self, n: int) -> "LambdaElt":
-        return LambdaElt(tuple(c.with_prec(n) for c in self.coeffs))
+        """Truncate to a lower precision (raising never allowed implicitly)."""
+        if n > self.prec:
+            raise InsufficientPrecision(
+                f"cannot raise precision {self.prec} -> {n} without exact data"
+            )
+        if n <= 0:
+            raise BadArgument(f"precision must be positive, got {n}")
+        mod = self.p**n
+        return LambdaElt._raw(self.p, n, tuple(c % mod for c in self.res))
 
     # -- serialization -------------------------------------------------------
 
@@ -177,7 +226,7 @@ class LambdaElt:
         return {
             "p": str(self.p),
             "N": str(self.prec),
-            "coeffs": [str(c.residue) for c in self.coeffs],
+            "coeffs": [str(c) for c in self.res],
         }
 
     @classmethod
@@ -186,17 +235,27 @@ class LambdaElt:
         return cls.from_ints(p, n, len(obj["coeffs"]), [int(s) for s in obj["coeffs"]])
 
 
+def _init(obj: LambdaElt, p: int, prec: int, res: tuple) -> None:
+    object.__setattr__(obj, "p", p)
+    object.__setattr__(obj, "prec", prec)
+    object.__setattr__(obj, "res", res)
+
+
 def _order_from_contributions(x: LambdaElt) -> OrderBound:
-    # both ideal orders reduce to min_m (m + v(b_m)) over stored coefficients
-    best = None  # (bound, is_exact)
-    for m, c in enumerate(x.coeffs):
-        v = val_p(c)
-        contrib = int(v.bound) + m
-        if best is None or contrib < best[0]:
-            best = (contrib, v.is_exact)
-        elif contrib == best[0] and v.is_exact:
-            best = (contrib, True)
-    return OrderBound(best[0], best[1])
+    # both ideal orders reduce to min_m (m + v(b_m)) over stored coefficients,
+    # where a zero residue only bounds v(b_m) below by prec.  Coefficient m
+    # contributes at least m, so past the minimum nothing can lower or tie it.
+    p, prec = x.p, x.prec
+    best, best_exact = None, False
+    for m, c in enumerate(x.res):
+        if best is not None and m > best:
+            break
+        contrib = (val_p_int(c, p) if c else prec) + m
+        if best is None or contrib < best:
+            best, best_exact = contrib, bool(c)
+        elif contrib == best and c:
+            best_exact = True
+    return OrderBound(best, best_exact)
 
 
 def mlambda_order(x: LambdaElt) -> OrderBound:
@@ -244,15 +303,21 @@ def eval_valuation(x: LambdaElt, vT: Fraction) -> tuple[Valuation, bool]:
     vT = Fraction(vT)
     if not 0 < vT < 1:
         raise BadArgument(f"vT must lie in (0,1), got {vT}")
+    # compare den * (v(b_m) + m*vT) as integers; coefficient m contributes
+    # at least m*vT, so past the minimum nothing can lower or tie it
+    num, den = vT.numerator, vT.denominator
+    p, prec = x.p, x.prec
     best = None
     best_exact = False
     tie = False
-    for m, c in enumerate(x.coeffs):
-        v = val_p(c)
-        contrib = v.bound + m * vT
+    for m, c in enumerate(x.res):
+        if best is not None and m * num > best:
+            break
+        contrib = (val_p_int(c, p) if c else prec) * den + m * num
         if best is None or contrib < best:
-            best, best_exact, tie = contrib, v.is_exact, False
+            best, best_exact, tie = contrib, bool(c), False
         elif contrib == best:
             tie = True
     exact = best_exact and not tie
-    return (Valuation.exact(best) if exact else Valuation.at_least(best)), exact
+    value = Fraction(best, den)
+    return (Valuation.exact(value) if exact else Valuation.at_least(value)), exact

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
@@ -81,10 +82,6 @@ class DeltaMat:
     def to_json(self) -> dict:
         return {k: str(getattr(self, k).residue) for k in ("a", "b", "c", "d")}
 
-    @classmethod
-    def from_json(cls, obj: dict, p: int, prec: int) -> "DeltaMat":
-        return cls.from_ints(p, prec, *(int(obj[k]) for k in ("a", "b", "c", "d")))
-
 
 def check_monoid(delta: DeltaMat) -> MonoidClass:
     """q | c, d a unit, det nonzero at working precision; p | a refines."""
@@ -121,6 +118,7 @@ def _ilog(p: int, n: int) -> int:
     return e
 
 
+@lru_cache(maxsize=None)
 def log_input_prec(p: int, goal: int) -> int:
     """Smallest input precision certifying >= goal digits of log(u)/q."""
     q = q_for(p)
@@ -191,9 +189,8 @@ def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
         fz.append((a * z + b) * inv_den % mod)
         g, _eff = _log_ratio_raw(den * inv_d0 % mod, p, q, prec)
         acc = 0
-        for r in range(trunc - 1, 0, -1):
-            acc = (acc << width) | _binom_residue(g, r, p, mod)
-        acc = (acc << width) | 1
+        for binom in reversed(_series_binoms(g, trunc, p, mod)):
+            acc = (acc << width) | binom
         packed_series.append(acc)
 
     bc = _bias_block(bias, width, trunc)
@@ -221,15 +218,21 @@ def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
         yield n, firsts, bias, width
 
 
-def _binom_residue(g: int, r: int, p: int, mod: int) -> int:
-    """C(g, r) mod (its certified precision), as a raw representative."""
+def _series_binoms(g: int, trunc: int, p: int, mod: int) -> list:
+    """C(g, r) for r < trunc as residues, from one running falling factorial.
+
+    Dividing the falling factorial by r! costs v_p(r!) digits of the mod
+    p^prec residue; the budget keeps those digits out of the target.
+    """
+    out = [1]
     ff = 1
-    for i in range(r):
-        ff = ff * (g - i) % mod
-    v = val_p_factorial(r, p)
-    if ff % p**v:
-        raise PrecisionTooLow(f"series binomial r={r} lost exact divisibility")
-    return (ff // p**v) * _inv_mod(_fact_unit(r, p, mod), mod) % mod
+    for r in range(1, trunc):
+        ff = ff * (g - r + 1) % mod
+        v = val_p_factorial(r, p)
+        if ff % p**v:
+            raise PrecisionTooLow(f"series binomial r={r} lost exact divisibility")
+        out.append((ff // p**v) * _inv_mod(_fact_unit(r, p, mod), mod) % mod)
+    return out
 
 
 def _bias_block(bias: int, width: int, trunc: int) -> int:

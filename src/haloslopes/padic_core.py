@@ -47,6 +47,30 @@ def phi_q(p: int) -> int:
     return p - 1 if p != 2 else 2
 
 
+def is_prime(n: int) -> bool:
+    # deterministic Miller-Rabin: these bases decide every n below 3.3e24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def val_p_int(n: int, p: int) -> int:
     """Exact p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -207,7 +231,8 @@ class PAdicNum:
         return self.residue % m == other.residue % m
 
     def __hash__(self):
-        return hash((self.p, self.prec, self.residue))
+        # equal numbers agree at their shared precision, which is >= 1
+        return hash((self.p, self.residue % self.p))
 
     def __repr__(self):
         return f"PAdicNum({self.residue} mod {self.p}^{self.prec})"
@@ -253,6 +278,27 @@ def _fact_unit(r: int, p: int, mod: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _log_series_terms(p: int, vq: int, mod_exp: int) -> tuple:
+    """Per-term data of log(1+x) summed mod p^mod_exp, and the p-power lost.
+
+    The cutoff keeps every term up to the last that can still be nonzero
+    there: v(x^k / k) >= k*vq - v_p(k!) >= mod_exp for all later terms.
+    Term k is (p^v_p(k), inverse of the unit part of k, k even).
+    """
+    modulus = p**mod_exp
+    k_max = 1
+    while k_max * vq - val_p_factorial(k_max, p) < mod_exp:
+        k_max += 1
+    terms = []
+    max_div_loss = 0
+    for k in range(1, k_max + 1):
+        vk = val_p_int(k, p) if k % p == 0 else 0
+        max_div_loss = max(max_div_loss, vk)
+        terms.append((p**vk, _inv_mod(k // p**vk, modulus), k % 2 == 0))
+    return tuple(terms), max_div_loss
+
+
 def _log_ratio_raw(u: int, p: int, q: int, mod_exp: int) -> tuple[int, int]:
     """log(u)/q for u = 1 mod q, as (residue, effective precision).
 
@@ -265,22 +311,13 @@ def _log_ratio_raw(u: int, p: int, q: int, mod_exp: int) -> tuple[int, int]:
     vq = val_p_int(q, p)
     if x % q != 0:
         raise BadArgument(f"log argument {u} is not 1 mod {q}")
-    # cutoff: v(x^k / k) >= k*vq - log_p(k) >= mod_exp for all later terms
-    k_max = 1
-    while k_max * vq - val_p_factorial(k_max, p) < mod_exp:
-        k_max += 1
-    max_div_loss = 0
+    terms, max_div_loss = _log_series_terms(p, vq, mod_exp)
     total = 0
     xk = 1
-    for k in range(1, k_max + 1):
-        xk = (xk * x) % modulus
-        vk = val_p_int(k, p) if k % p == 0 else 0
-        if vk:
-            max_div_loss = max(max_div_loss, vk)
-            term = (xk % modulus) // p ** vk * _inv_mod(k // p ** vk, modulus)
-        else:
-            term = xk * _inv_mod(k, modulus)
-        total = (total - term if k % 2 == 0 else total + term) % modulus
+    for pk, inv, even in terms:
+        xk = xk * x % modulus
+        term = xk // pk * inv
+        total = (total - term if even else total + term) % modulus
     # divide by q: exact p-power division plus (for p=2, q=4) nothing else
     eff = mod_exp - max_div_loss - vq
     if eff <= 0:

@@ -29,6 +29,7 @@ from .padic_core import (
     InsufficientPrecision,
     PadicError,
     PrecisionTooLow,
+    is_prime,
     q_for,
 )
 
@@ -164,21 +165,46 @@ def save_up(spec: UpSpec, path: str) -> None:
         fh.write("\n")
 
 
+def _file_int(val, key: str, least: int | None = None) -> int:
+    """An integer field of an operator file: a JSON integer or decimal string."""
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
+        raise ValueError(f"field {key!r} must be an integer, not {val!r}")
+    try:
+        num = int(val)
+    except ValueError:
+        raise ValueError(f"field {key!r} is not an integer: {val!r}") from None
+    if least is not None and num < least:
+        raise ValueError(f"field {key!r} must be at least {least}, not {num}")
+    return num
+
+
 def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
+    """Read a save_up file; M_T applies unless the file sets its own."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read operator file {path}: {exc}") from exc
     try:
-        p, t, n = int(obj["p"]), int(obj["t"]), int(obj["N"])
+        if not isinstance(obj, dict):
+            raise ValueError("the file must hold a key/value table")
+        p = _file_int(obj["p"], "p")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
+        t = _file_int(obj["t"], "t", least=1)
+        n = _file_int(obj["N"], "N", least=1)
+        m_t = _file_int(obj.get("M_T", M_T), "M_T", least=1)
         cells = tuple(
-            (int(c["i"]), int(c["j"]), DeltaMat.from_json(c["delta"], p, n))
+            (
+                _file_int(c["i"], "i"),
+                _file_int(c["j"], "j"),
+                DeltaMat.from_ints(p, n, *(_file_int(c["delta"][k], k) for k in "abcd")),
+            )
             for c in obj["cells"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed operator file {path}: {exc}") from exc
-    spec = UpSpec(t, p, n, int(obj.get("M_T", M_T)), cells, Ingested(path))
+    spec = UpSpec(t, p, n, m_t, cells, Ingested(path))
     spec.validate()
     return spec
 

@@ -5,7 +5,8 @@ Each oracle deliberately uses a different algorithm from the library code
 modular series, direct alternating sums instead of difference tables,
 cofactor expansion instead of division-free recurrences, gift wrapping
 instead of a monotone chain, per-entry PAdicNum/LambdaElt arithmetic
-instead of the packed Mahler kernel).  The cofactor oracle lives in
+instead of the packed Mahler kernel, one PAdicNum per T-coefficient
+instead of LambdaElt's reduced integers).  The cofactor oracle lives in
 `haloslopes.checks`, whose `charpoly-oracle` check runs it too.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from haloslopes.checks import charpoly_cofactor_oracle  # noqa: F401
-from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt
+from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, OrderBound
 from haloslopes.mahler import SampleVector, mahler_from_samples
 from haloslopes.monoid_action import (
     DeltaMat,
@@ -27,11 +28,15 @@ from haloslopes.monoid_action import (
     torsion_part,
 )
 from haloslopes.padic_core import (
+    BadArgument,
     InsufficientPrecision,
+    MismatchedParameters,
     PAdicNum,
+    Valuation,
     binom_padic,
     padic_log_ratio,
     q_for,
+    val_p,
     val_p_factorial,
 )
 
@@ -179,3 +184,82 @@ def action_column(
         samples.append(one_plus_T_pow(g, trunc, n_target) * scalar)
     fn = mahler_from_samples(SampleVector(tuple(samples)), m_max + 1)
     return ActionColumn(n, fn.coeffs)
+
+
+@dataclass(frozen=True)
+class CoeffLambda:
+    """Truncated Z_p[[T]] element as one PAdicNum per T-coefficient.
+
+    The reference for LambdaElt: every operation goes through PAdicNum
+    arithmetic coefficient by coefficient, never through a shared modulus.
+    """
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise BadArgument("needs at least one coefficient")
+        c0 = self.coeffs[0]
+        for c in self.coeffs:
+            if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
+                raise MismatchedParameters("coefficients must share (p, N)")
+
+    def _join(self, other):
+        if (self.coeffs[0].p, len(self.coeffs)) != (other.coeffs[0].p, len(other.coeffs)):
+            raise MismatchedParameters("different rings")
+
+    def __add__(self, other):
+        self._join(other)
+        return CoeffLambda(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        self._join(other)
+        return CoeffLambda(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return CoeffLambda(tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, PAdicNum)):
+            return CoeffLambda(tuple(a * other for a in self.coeffs))
+        self._join(other)
+        out = []
+        for k in range(len(self.coeffs)):
+            acc = self.coeffs[0] * other.coeffs[k]
+            for i in range(1, k + 1):
+                acc = acc + self.coeffs[i] * other.coeffs[k - i]
+            out.append(acc)
+        return CoeffLambda(tuple(out))
+
+    def __eq__(self, other):
+        # PAdicNum equality is already at the shared precision
+        return len(self.coeffs) == len(other.coeffs) and all(
+            a == b for a, b in zip(self.coeffs, other.coeffs)
+        )
+
+    def with_prec(self, n: int) -> "CoeffLambda":
+        return CoeffLambda(tuple(c.with_prec(n) for c in self.coeffs))
+
+    def to_json(self) -> dict:
+        c0 = self.coeffs[0]
+        return {
+            "p": str(c0.p),
+            "N": str(c0.prec),
+            "coeffs": [str(c.residue) for c in self.coeffs],
+        }
+
+
+def order_oracle(x: CoeffLambda) -> OrderBound:
+    """min over every m of m + v(b_m), exact iff an exact term attains it."""
+    contribs = [(int(val_p(c).bound) + m, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    best = min(v for v, _ in contribs)
+    return OrderBound(best, any(exact for v, exact in contribs if v == best))
+
+
+def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> tuple:
+    """min over every m of v(b_m) + m*vT, exact iff one exact term attains it."""
+    contribs = [(val_p(c).bound + m * vT, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    best = min(v for v, _ in contribs)
+    winners = [exact for v, exact in contribs if v == best]
+    exact = winners == [True]
+    return (Valuation.exact(best) if exact else Valuation.at_least(best)), exact

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tempfile
 from fractions import Fraction
@@ -14,7 +15,7 @@ from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
 from haloslopes.padic_core import BadArgument
-from haloslopes.up_operator import Ingested, Synthetic
+from haloslopes.up_operator import Ingested, Synthetic, save_up, synth_up
 
 BASE = {
     "p": "3",
@@ -97,6 +98,61 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **override)
     assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def run_charpoly_on_saved_file(tmp_path, capsys, edit):
+    """charpoly over a save_up operator file after `edit` changed its JSON."""
+    op = tmp_path / "op.json"
+    save_up(synth_up(1, 3, 40, 20, seed=1), str(op))
+    obj = json.loads(op.read_text())
+    edit(obj)
+    op.write_text(json.dumps(obj))
+    cfg = write_config(tmp_path, source={"file": str(op)})
+    code = main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(M_T="x"),
+        lambda obj: obj.update(M_T=20.5),
+        lambda obj: obj.update(M_T="0"),
+        lambda obj: obj.update(N=40.9),
+        lambda obj: obj.update(N="40.0"),
+        lambda obj: obj.update(t=1.0),
+        lambda obj: obj.update(t="one"),
+        lambda obj: obj.update(p="x"),
+        lambda obj: obj.update(p=[3]),
+        lambda obj: obj.update(p=None),
+        lambda obj: obj.update(p=True),
+        lambda obj: obj.update(p=9),
+        lambda obj: obj["cells"][0].update(i=0.0),
+        lambda obj: obj["cells"][0].update(j="x"),
+        lambda obj: obj["cells"][0]["delta"].update(a=3.5),
+        lambda obj: obj.update(cells={"i": "0"}),
+    ],
+    ids=[
+        "M_T-x", "M_T-float", "M_T-0", "N-float", "N-float-string", "t-float",
+        "t-word", "p-x", "p-list", "p-null", "p-bool", "p-9", "i-float",
+        "j-x", "a-float", "cells-table",
+    ],
+)
+def test_malformed_operator_file_exits_2(tmp_path, capsys, edit):
+    code, err = run_charpoly_on_saved_file(tmp_path, capsys, edit)
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_operator_file_with_composite_p_says_so(tmp_path, capsys):
+    code, err = run_charpoly_on_saved_file(tmp_path, capsys, lambda obj: obj.update(p=9))
+    assert code == 2
+    assert "p = 9 is not a prime" in err
+
+
+def test_saved_operator_file_runs(tmp_path, capsys):
+    # the unedited file behind the malformed cases above is accepted
+    assert run_charpoly_on_saved_file(tmp_path, capsys, lambda obj: None)[0] == 0
 
 
 # decimal strings (some out of range), malformed strings and wrong JSON types
@@ -366,6 +422,35 @@ def test_polygon_outputs_are_byte_identical(tmp_path):
         assert main(["polygon", "--config", cfg, "--out", str(out)]) == 0
         trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert trees[0] == trees[1]
+
+
+# sha256 of each smoke-config output tree: for every file in path order,
+# its relative path, a NUL byte, its contents and a NUL byte.  Pinned from
+# the object-per-coefficient LambdaElt, so a change of ring representation
+# must leave every byte of every tree as it was.
+GOLDEN_TREES = {
+    "matrix": "79fe408885fa35d42177af21f2a6c227c2ec41f7a4a487546fdacaa5570836ca",
+    "matrix --rescale": "1a7950596b83781578f8f39c6797bec6fd53c56e8bafd9ca33da6dceccc15223",
+    "charpoly": "26ae7bb1992ad893d783d0b989778e2129e3fea31311a10fb2386b1246226826",
+    "polygon": "82dccbe03c01f08c14506124ff94a90af1cdc862a371d247a2750558fa8bee05",
+}
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for f in sorted(path for path in root.rglob("*") if path.is_file()):
+        h.update(f.relative_to(root).as_posix().encode() + b"\0")
+        h.update(f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_TREES))
+def test_smoke_output_tree_matches_golden_digest(tmp_path, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    name, *flags = command.split()
+    assert main([name, "--config", cfg, "--out", str(out), *flags]) == 0
+    assert tree_digest(out) == GOLDEN_TREES[command]
 
 
 def test_every_check_has_a_detectable_fault(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from haloslopes.padic_core import (
     BadArgument,
+    InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
     Valuation,
@@ -18,7 +22,7 @@ from haloslopes.iwasawa import (
     mlambda_order,
 )
 
-from oracles import one_plus_T_pow
+from oracles import CoeffLambda, eval_valuation_oracle, one_plus_T_pow, order_oracle
 
 
 def elt(p, n, trunc, ints):
@@ -141,3 +145,114 @@ def test_json_round_trip():
     back = LambdaElt.from_json(x.to_json())
     assert back == x
     assert x.to_json()["coeffs"][2] == "624"
+
+
+# -- the packed element against the per-coefficient oracle ----------------------
+
+
+@st.composite
+def ring_pairs(draw):
+    """Two elements of one ring Z/p^? [T]/T^trunc at independent precisions."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    trunc = draw(st.integers(1, 6))
+
+    def element():
+        n = draw(st.integers(1, 6))
+        digit = st.one_of(
+            st.just(0),
+            st.integers(0, p**n - 1),
+            st.integers(0, p ** (n - 1)).map(lambda k: k * p),
+            st.integers(-(10**6), 10**6),
+        )
+        return LambdaElt.from_ints(p, n, trunc, draw(st.lists(digit, max_size=trunc)))
+
+    return element(), element()
+
+
+def exact_digits(coeffs):
+    return [(c.p, c.prec, c.residue) for c in coeffs]
+
+
+def assert_same(x, ref):
+    """Same p, precision and residues, not merely equal at a shared precision."""
+    assert exact_digits(x.coeffs) == exact_digits(ref.coeffs)
+    assert x.res == tuple(c.residue for c in ref.coeffs)
+
+
+VTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 5)]
+
+
+@given(ring_pairs(), st.integers(-50, 50), st.integers(0, 10**4), st.integers(1, 7))
+def test_packed_element_matches_coefficient_oracle(pair, k, u, n):
+    x, y = pair
+    rx, ry = CoeffLambda(x.coeffs), CoeffLambda(y.coeffs)
+    assert_same(x + y, rx + ry)
+    assert_same(x - y, rx - ry)
+    assert_same(-x, -rx)
+    assert_same(x * y, rx * ry)
+    assert_same(x * k, rx * k)
+    assert_same(k * x, rx * k)
+    assert_same(x * PAdicNum(x.p, n, u), rx * PAdicNum(x.p, n, u))
+    assert (x == y) == (rx == ry)
+    assert mlambda_order(x) == halo_T_order(x) == order_oracle(rx)
+    assert x.to_json() == rx.to_json()
+    back = LambdaElt.from_json(x.to_json())
+    assert (back.p, back.prec, back.res) == (x.p, x.prec, x.res)
+    for vT in VTS:
+        assert eval_valuation(x, vT) == eval_valuation_oracle(rx, vT)
+    for m in range(1, x.prec + 1):
+        assert_same(x.with_prec(m), rx.with_prec(m))
+        assert x == x.with_prec(m) and hash(x) == hash(x.with_prec(m))
+    with pytest.raises(InsufficientPrecision):
+        x.with_prec(x.prec + 1)
+    with pytest.raises(BadArgument):
+        x.with_prec(0)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=4),
+)
+@example(3, 5, 3, [246, 30])  # 246 = 3 and 30 = 3 mod 27
+def test_equal_at_shared_precision_hash_equal(p, n, m, ints):
+    x = LambdaElt.from_ints(p, n, len(ints), ints)
+    y = LambdaElt.from_ints(p, m, len(ints), ints)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    a, b = PAdicNum(p, n, ints[0]), PAdicNum(p, m, ints[0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_compatibility_surface():
+    # LambdaElt(tuple of PAdicNum), .coeffs and .trunc are public forms
+    coeffs = (PAdicNum(3, 4, 80), PAdicNum(3, 4, 0), PAdicNum(3, 4, 9))
+    x = LambdaElt(coeffs)
+    assert x.trunc == 3 and (x.p, x.prec) == (3, 4)
+    assert exact_digits(x.coeffs) == exact_digits(coeffs)
+    assert x == elt(3, 4, 3, [80, 0, 9])
+    with pytest.raises(MismatchedParameters):
+        LambdaElt((PAdicNum(3, 4, 1), PAdicNum(3, 5, 1)))
+    with pytest.raises(MismatchedParameters):
+        LambdaElt((PAdicNum(3, 4, 1), PAdicNum(5, 4, 1)))
+    with pytest.raises(MismatchedParameters):
+        LambdaElt((PAdicNum(3, 4, 1), 1))
+    with pytest.raises(BadArgument):
+        LambdaElt(())
+    with pytest.raises(BadArgument):
+        LambdaElt.from_ints(3, 0, 2, [1])
+    with pytest.raises(MismatchedParameters):
+        x * PAdicNum(5, 4, 1)
+
+
+def test_packed_element_is_immutable_and_hashable():
+    x = elt(5, 3, 3, [1, 2])
+    with pytest.raises(AttributeError):
+        x.prec = 2
+    with pytest.raises(AttributeError):
+        x.res = (0, 0, 0)
+    assert {x, elt(5, 3, 3, [1, 2])} == {x}
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert (y.p, y.prec, y.res) == (x.p, x.prec, x.res)
