@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .iwasawa import CharOfDelta, LambdaElt, halo_T_order, mlambda_order
+from .iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from .monoid_action import matrix_input_prec
 from .padic_core import (
     BadArgument,
@@ -49,10 +49,6 @@ class CharSeries:
 
     def to_json(self) -> dict:
         return {"r": self.r, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CharSeries":
-        return cls(tuple(LambdaElt.from_json(c) for c in obj["coeffs"]), int(obj["r"]))
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Margins of halo_T_order(c_n) over lambda(n); skipped = out of budget."""
+    """Margins of the halo order of c_n over lambda(n); skipped = out of budget."""
 
     checked: tuple  # (n, margin)
     skipped: tuple
@@ -277,7 +273,7 @@ def verify_char_bound(cs: CharSeries, lam: LambdaSeq) -> BoundReport:
         if target > c.prec:
             skipped.append(n)
             continue
-        order = halo_T_order(c)
+        order = mlambda_order(c)
         if order.certainly_at_least(target):
             checked.append((n, order.value - target))
         elif order.is_exact:

@@ -30,7 +30,7 @@ from .charpoly import (
     verify_char_bound,
 )
 from .checks import CHECKS
-from .iwasawa import CharOfDelta, halo_T_order, mlambda_order
+from .iwasawa import CharOfDelta, mlambda_order
 from .monoid_action import NotInMonoid
 from .padic_core import (
     BadArgument,
@@ -287,7 +287,7 @@ def cmd_charpoly(cfg: ExperimentConfig) -> int:
     )
     rows = []
     for n, c in enumerate(cs.coeffs):
-        order = halo_T_order(c)
+        order = mlambda_order(c)
         rows.append(
             (n, lam[n], order.value, int(order.is_exact), order.value - lam[n])
         )

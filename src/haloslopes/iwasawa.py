@@ -57,12 +57,6 @@ class CharOfDelta:
     def __post_init__(self):
         object.__setattr__(self, "exponent", self.exponent % phi_q(self.p))
 
-    def twist(self, k: int) -> "CharOfDelta":
-        return CharOfDelta(self.p, self.exponent + k)
-
-    def value_at(self, d0: PAdicNum) -> PAdicNum:
-        return d0 ** self.exponent
-
 
 class LambdaElt:
     """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^prec.
@@ -122,10 +116,6 @@ class LambdaElt:
     @classmethod
     def one(cls, p: int, n: int, trunc: int) -> "LambdaElt":
         return cls.from_ints(p, n, trunc, [1])
-
-    @classmethod
-    def t_power(cls, p: int, n: int, trunc: int, k: int) -> "LambdaElt":
-        return cls.from_ints(p, n, trunc, [0] * k + [1])
 
     # -- parameters --------------------------------------------------------
 
@@ -229,11 +219,6 @@ class LambdaElt:
             "coeffs": [str(c) for c in self.res],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LambdaElt":
-        p, n = int(obj["p"]), int(obj["N"])
-        return cls.from_ints(p, n, len(obj["coeffs"]), [int(s) for s in obj["coeffs"]])
-
 
 def _init(obj: LambdaElt, p: int, prec: int, res: tuple) -> None:
     object.__setattr__(obj, "p", p)
@@ -241,10 +226,15 @@ def _init(obj: LambdaElt, p: int, prec: int, res: tuple) -> None:
     object.__setattr__(obj, "res", res)
 
 
-def _order_from_contributions(x: LambdaElt) -> OrderBound:
-    # both ideal orders reduce to min_m (m + v(b_m)) over stored coefficients,
-    # where a zero residue only bounds v(b_m) below by prec.  Coefficient m
-    # contributes at least m, so past the minimum nothing can lower or tie it.
+def mlambda_order(x: LambdaElt) -> OrderBound:
+    """Largest r with x in (p, T)^r, i.e. v(b_m) >= r - m for all stored m.
+
+    This is also the halo T-order of x: membership in T^k * Z_p[[T, p/T]]
+    for an honest power series means v(b_m) >= k - m for every m.  The two
+    differ only on T-shifted values, which HaloElt handles.
+    """
+    # a zero residue only bounds v(b_m) below by prec; coefficient m
+    # contributes at least m, so past the minimum nothing can lower or tie it
     p, prec = x.p, x.prec
     best, best_exact = None, False
     for m, c in enumerate(x.res):
@@ -256,22 +246,6 @@ def _order_from_contributions(x: LambdaElt) -> OrderBound:
         elif contrib == best and c:
             best_exact = True
     return OrderBound(best, best_exact)
-
-
-def mlambda_order(x: LambdaElt) -> OrderBound:
-    """Largest r with x in (p, T)^r, i.e. v(b_m) >= r - m for all stored m."""
-    return _order_from_contributions(x)
-
-
-def halo_T_order(x: LambdaElt) -> OrderBound:
-    """Largest k with x in T^k * (outer-annulus ring), same coefficient test.
-
-    Membership in T^k * Z_p[[T, p/T]] for an honest power series means
-    v(b_m) >= k - m for every m, so on LambdaElt values this agrees with
-    mlambda_order; the two diverge on T-shifted values (see HaloElt) and in
-    what downstream claims they certify.
-    """
-    return _order_from_contributions(x)
 
 
 @dataclass(frozen=True)
@@ -286,7 +260,7 @@ class HaloElt:
     body: LambdaElt
 
     def halo_T_order(self) -> OrderBound:
-        inner = halo_T_order(self.body)
+        inner = mlambda_order(self.body)
         return OrderBound(inner.value + self.tshift, inner.is_exact)
 
     def to_json(self) -> dict:

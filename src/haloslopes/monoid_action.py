@@ -13,8 +13,9 @@ differences: P_{m,n} = m-th difference of h_n at 0.
 One packed kernel computes the residues: all T-coefficients of a sample
 sit in a single big integer, so the difference triangle runs in whole-row
 operations.  It backs both block assembly (`up_operator.assemble`) and the
-bound scan over large matrices; the per-entry PAdicNum/LambdaElt reference
-it is tested against lives with the test oracles.
+bound scan over large matrices, and takes its Teichmuller lifts, logs and
+binomials from `padic_core`; the per-entry reference it is tested against
+lives with the test oracles and uses none of them.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ from functools import lru_cache
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
-    NotAUnit,
     PAdicNum,
     PadicError,
     PrecisionTooLow,
-    _fact_unit,
-    _inv_mod,
-    _log_ratio_raw,
+    binomials,
+    log_cutoff,
+    log_ratio,
     q_for,
-    teichmuller,
+    torsion_residue,
     val_p_factorial,
-    val_p_int,
 )
 
 
@@ -97,40 +96,16 @@ def check_monoid(delta: DeltaMat) -> MonoidClass:
     return MonoidClass.M1
 
 
-def torsion_part(d: PAdicNum) -> PAdicNum:
-    """Torsion component of a unit: Teichmuller lift, or the sign mod 4."""
-    if d.p == 2:
-        if not d.is_unit():
-            raise NotAUnit(f"{d.residue} is even")
-        return PAdicNum(2, d.prec, 1 if d.residue % 4 == 1 else -1)
-    return teichmuller(d)
-
-
 # -- precision budgeting ---------------------------------------------------
-
-
-def _ilog(p: int, n: int) -> int:
-    e = 0
-    pk = p
-    while pk <= n:
-        e += 1
-        pk *= p
-    return e
 
 
 @lru_cache(maxsize=None)
 def log_input_prec(p: int, goal: int) -> int:
     """Smallest input precision certifying >= goal digits of log(u)/q."""
-    q = q_for(p)
-    vq = val_p_int(q, p)
-    w = goal + vq
-    while True:
-        k_max = 1
-        while k_max * vq - val_p_factorial(k_max, p) < w:
-            k_max += 1
-        if w - vq - _ilog(p, k_max) >= goal:
-            return w
+    w = goal
+    while w - log_cutoff(p, w)[1] < goal:
         w += 1
+    return w
 
 
 def column_input_prec(p: int, n: int, trunc: int, n_target: int) -> int:
@@ -151,16 +126,6 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
 # -- packed path -----------------------------------------------------------
 
 
-def _torsion_residue(d_res: int, p: int, prec: int) -> int:
-    mod = p**prec
-    if p == 2:
-        return 1 if d_res % 4 == 1 else mod - 1
-    x = d_res % mod
-    for _ in range(prec):
-        x = pow(x, p, mod)
-    return x
-
-
 def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
     """Yield (n, firsts, bias, width) per column; digits raw mod p^prec.
 
@@ -171,68 +136,37 @@ def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
     integer data congruent to the entry mod p^prec.
     """
     p, prec = delta.p, delta.prec
-    q = q_for(p)
     mod = p**prec
-    d0 = _torsion_residue(delta.d.residue, p, prec)
+    d0 = torsion_residue(delta.d.residue, p, prec)
     w_res = pow(d0, omega.exponent, mod)
-    inv_d0 = _inv_mod(d0, mod)
+    inv_d0 = pow(d0, -1, mod)
     a, b, c, d = (x.residue for x in (delta.a, delta.b, delta.c, delta.d))
 
     width = 2 * mod.bit_length() + size + 4
     bias = 1 << (width - 1)
 
-    fz = []
+    scalars = []
     packed_series = []
     for z in range(size):
         den = (c * z + d) % mod
-        inv_den = pow(den, -1, mod)
-        fz.append((a * z + b) * inv_den % mod)
-        g, _eff = _log_ratio_raw(den * inv_d0 % mod, p, q, prec)
+        fz = (a * z + b) * pow(den, -1, mod) % mod
+        # omega(d0) * C(f(z), n) for every column n
+        scalars.append([x * w_res % mod for x in binomials(fz, size, p, prec)])
+        g, _eff = log_ratio(den * inv_d0 % mod, p, prec)
         acc = 0
-        for binom in reversed(_series_binoms(g, trunc, p, mod)):
+        for binom in reversed(binomials(g, trunc, p, prec)):
             acc = (acc << width) | binom
         packed_series.append(acc)
 
     bc = _bias_block(bias, width, trunc)
-    ff_col = [1] * size
     for n in range(size):
-        if n:
-            for z in range(size):
-                ff_col[z] = ff_col[z] * (fz[z] - n + 1) % mod
-        vn = val_p_factorial(n, p)
-        pv = p**vn
-        inv_u = _inv_mod(_fact_unit(n, p, mod), mod)
-        rows = []
-        for z in range(size):
-            if ff_col[z] % pv:
-                raise PrecisionTooLow(
-                    f"residue for C(f({z}),{n}) not divisible by p^{vn}"
-                )
-            scal = (ff_col[z] // pv) * inv_u % mod * w_res % mod
-            rows.append(scal * packed_series[z])
+        rows = [scalars[z][n] * packed_series[z] for z in range(size)]
         firsts = [rows[0]]
         cur = rows
         for _level in range(1, size):
             cur = [cur[i + 1] - cur[i] + bc for i in range(len(cur) - 1)]
             firsts.append(cur[0])
         yield n, firsts, bias, width
-
-
-def _series_binoms(g: int, trunc: int, p: int, mod: int) -> list:
-    """C(g, r) for r < trunc as residues, from one running falling factorial.
-
-    Dividing the falling factorial by r! costs v_p(r!) digits of the mod
-    p^prec residue; the budget keeps those digits out of the target.
-    """
-    out = [1]
-    ff = 1
-    for r in range(1, trunc):
-        ff = ff * (g - r + 1) % mod
-        v = val_p_factorial(r, p)
-        if ff % p**v:
-            raise PrecisionTooLow(f"series binomial r={r} lost exact divisibility")
-        out.append((ff // p**v) * _inv_mod(_fact_unit(r, p, mod), mod) % mod)
-    return out
 
 
 def _bias_block(bias: int, width: int, trunc: int) -> int:

@@ -1,9 +1,10 @@
 """Exact arithmetic on p-adic integers truncated modulo p^N.
 
-Everything downstream is built on PAdicNum: a residue mod p^N together with
-the precision N it is known to.  Arithmetic keeps the minimum precision of
-its operands; division by p^k lowers precision by k.  Zero residues carry
-AtLeast valuations and are never treated as exactly infinite.
+PAdicNum is a residue mod p^N together with the precision N it is known
+to.  Arithmetic keeps the minimum precision of its operands.  Zero residues
+carry AtLeast valuations and are never treated as exactly infinite.  The
+primitives every operator entry is built from (Teichmuller lift, log(u)/q,
+binomials) take and return plain residues, with the precision they keep.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class Valuation:
     def certainly_at_least(self, r) -> bool:
         return self.bound >= r
 
-    def certainly_below(self, r) -> bool:
-        # only an exact valuation can witness being below a threshold
-        return self.is_exact and self.bound < r
-
     def __repr__(self):
         kind = "Exact" if self.is_exact else "AtLeast"
         return f"{kind}({self.bound})"
@@ -138,10 +135,6 @@ class PAdicNum:
         object.__setattr__(self, "residue", self.residue % self.p ** self.prec)
 
     # -- helpers ---------------------------------------------------------
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.prec
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
@@ -191,36 +184,9 @@ class PAdicNum:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.unit_inverse() ** (-e)
-        return PAdicNum(self.p, self.prec, pow(self.residue, e, self.modulus))
-
-    def unit_inverse(self) -> "PAdicNum":
-        if not self.is_unit():
-            raise NotAUnit(f"{self.residue} is not a unit mod {self.p}")
-        return PAdicNum(self.p, self.prec, pow(self.residue, -1, self.modulus))
-
-    def divide_unit(self, other: "PAdicNum") -> "PAdicNum":
-        n = self._join(other)
-        return self.with_prec(n) * other.unit_inverse().with_prec(n)
-
-    def divexact_p(self, k: int) -> "PAdicNum":
-        """Divide by p^k; residue must vanish mod p^k, precision drops by k."""
-        if k == 0:
-            return self
-        if k >= self.prec:
-            raise InsufficientPrecision(
-                f"division by p^{k} exhausts precision {self.prec}"
-            )
-        pk = self.p ** k
-        if self.residue % pk != 0:
-            raise BadArgument(f"residue {self.residue} not divisible by p^{k}")
-        return PAdicNum(self.p, self.prec - k, self.residue // pk)
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = PAdicNum(self.p, self.prec, other)
+        # ints are not accepted: no hash could agree with every int equal
+        # to the residue mod p^prec
         if not isinstance(other, PAdicNum):
             return NotImplemented
         # equality at the shared precision
@@ -245,120 +211,131 @@ def val_p(x: PAdicNum) -> Valuation:
     return Valuation.exact(val_p_int(x.residue, x.p))
 
 
-def teichmuller(d: PAdicNum) -> PAdicNum:
-    """The (p-1)-st root of unity congruent to d mod p, for odd p.
 
-    Fixed point of x -> x^p; prec iterations suffice since the iteration
-    contracts the distance to the root by a factor of p each time.
+
+# -- the primitives of every operator entry ----------------------------------
+#
+# The Teichmuller lift, log(u)/q and the binomials C(x, r), on residues mod
+# p^prec.  The Mahler kernel builds every entry from these; nothing else in
+# the package computes them.
+
+
+def torsion_residue(d: int, p: int, prec: int) -> int:
+    """Torsion component of the unit d, as a residue mod p^prec.
+
+    For odd p the Teichmuller lift, the (p-1)-st root of unity congruent to
+    d mod p: the fixed point of x -> x^p, which prec iterations reach since
+    each contracts the distance to it by a factor of p.  For p = 2 the sign,
+    1 or -1 as d is 1 or 3 mod 4.
     """
-    if d.p == 2:
-        raise BadArgument("for p=2 the torsion component is the sign mod 4")
-    if not d.is_unit():
-        raise NotAUnit(f"{d.residue} is divisible by {d.p}")
-    x = d.residue % d.modulus
-    for _ in range(d.prec):
-        x = pow(x, d.p, d.modulus)
-    return PAdicNum(d.p, d.prec, x)
+    if d % p == 0:
+        raise NotAUnit(f"{d} is divisible by {p}")
+    mod = p**prec
+    if p == 2:
+        return 1 if d % 4 == 1 else mod - 1
+    x = d % mod
+    for _ in range(prec):
+        x = pow(x, p, mod)
+    return x
 
 
 @lru_cache(maxsize=None)
-def _inv_mod(u: int, mod: int) -> int:
-    # units recur constantly (series indices, factorials); cache the pows
-    return pow(u, -1, mod)
+def log_cutoff(p: int, prec: int) -> tuple[int, int]:
+    """(k_max, lost) of log(u)/q summed mod p^prec.
 
-
-@lru_cache(maxsize=None)
-def _fact_unit(r: int, p: int, mod: int) -> int:
-    """Unit part of r! (all factors of p removed) as a residue."""
-    acc = 1
-    for u in range(2, r + 1):
-        while u % p == 0:
-            u //= p
-        acc = acc * u % mod
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _log_series_terms(p: int, vq: int, mod_exp: int) -> tuple:
-    """Per-term data of log(1+x) summed mod p^mod_exp, and the p-power lost.
-
-    The cutoff keeps every term up to the last that can still be nonzero
-    there: v(x^k / k) >= k*vq - v_p(k!) >= mod_exp for all later terms.
-    Term k is (p^v_p(k), inverse of the unit part of k, k even).
+    The series log(1+x), x = 0 mod q, keeps every term up to k_max, the last
+    that can still be nonzero there: v(x^k / k) >= k*v(q) - v_p(k!) >= prec
+    for all later terms.  Dividing term k by p^v_p(k) and the sum by q costs
+    lost = v(q) + max v_p(k) digits, so log(u)/q is certified to prec - lost.
     """
-    modulus = p**mod_exp
+    vq = val_p_int(q_for(p), p)
     k_max = 1
-    while k_max * vq - val_p_factorial(k_max, p) < mod_exp:
+    while k_max * vq - val_p_factorial(k_max, p) < prec:
         k_max += 1
+    lost, pk = vq, p
+    while pk <= k_max:
+        lost, pk = lost + 1, pk * p
+    return k_max, lost
+
+
+@lru_cache(maxsize=None)
+def _log_series_terms(p: int, prec: int) -> tuple:
+    # term k of log(1+x): (p^v_p(k), inverse of the unit part of k, k even)
+    k_max, _lost = log_cutoff(p, prec)
+    modulus = p**prec
     terms = []
-    max_div_loss = 0
     for k in range(1, k_max + 1):
-        vk = val_p_int(k, p) if k % p == 0 else 0
-        max_div_loss = max(max_div_loss, vk)
-        terms.append((p**vk, _inv_mod(k // p**vk, modulus), k % 2 == 0))
-    return tuple(terms), max_div_loss
+        pk = p ** val_p_int(k, p)
+        terms.append((pk, pow(k // pk, -1, modulus), k % 2 == 0))
+    return tuple(terms)
 
 
-def _log_ratio_raw(u: int, p: int, q: int, mod_exp: int) -> tuple[int, int]:
-    """log(u)/q for u = 1 mod q, as (residue, effective precision).
+def log_ratio(u: int, p: int, prec: int) -> tuple[int, int]:
+    """log(u)/q for u = 1 mod q, q = q_for(p), as (residue, precision).
 
-    Series log(1+x) = sum (-1)^(k+1) x^k / k summed mod p^mod_exp until the
-    remaining terms all vanish there; division by the p-part of k (and by q
-    at the end) is exact integer division, costing precision as returned.
+    Series log(1+x) = sum (-1)^(k+1) x^k / k summed mod p^prec up to the
+    cutoff; division by the p-part of k (and by q, a power of p, at the
+    end) is exact integer division, costing the digits log_cutoff counts.
     """
-    modulus = p ** mod_exp
+    q = q_for(p)
+    modulus = p**prec
     x = (u - 1) % modulus
-    vq = val_p_int(q, p)
     if x % q != 0:
         raise BadArgument(f"log argument {u} is not 1 mod {q}")
-    terms, max_div_loss = _log_series_terms(p, vq, mod_exp)
+    eff = prec - log_cutoff(p, prec)[1]
+    if eff <= 0:
+        raise InsufficientPrecision("log series exhausted the working precision")
     total = 0
     xk = 1
-    for pk, inv, even in terms:
+    for pk, inv, even in _log_series_terms(p, prec):
         xk = xk * x % modulus
         term = xk // pk * inv
         total = (total - term if even else total + term) % modulus
-    # divide by q: exact p-power division plus (for p=2, q=4) nothing else
-    eff = mod_exp - max_div_loss - vq
-    if eff <= 0:
-        raise InsufficientPrecision("log series exhausted the working precision")
-    total %= p ** (mod_exp - max_div_loss)
-    if total % p ** vq != 0:
+    total %= p**eff * q
+    if total % q != 0:
         raise BadArgument("log value not divisible by q; argument not 1 mod q?")
-    return (total // p ** vq) % p ** eff, eff
+    return total // q, eff
 
 
-def padic_log_ratio(u: PAdicNum, q: int) -> PAdicNum:
-    """log(u)/q as a p-adic integer, for u = 1 mod q.
+@lru_cache(maxsize=None)
+def _binom_divisors(p: int, count: int, prec: int) -> tuple:
+    # for r = 1..count-1: (p^v_p(r!), inverse of the unit part of r! mod p^prec)
+    mod = p**prec
+    pvs, units = [], []
+    v, unit = 0, 1
+    for r in range(1, count):
+        u = r
+        while u % p == 0:
+            u //= p
+            v += 1
+        if v >= prec:
+            raise InsufficientPrecision(
+                f"C(x, {r}) loses v_p({r}!) = {v} digits, have {prec}"
+            )
+        unit = unit * u % mod
+        pvs.append(p**v)
+        units.append(u)
+    # one inversion, then walk back: 1/unit(r-1)! = u_r / unit(r)!
+    inv = pow(unit, -1, mod)
+    invs = []
+    for u in reversed(units):
+        invs.append(inv)
+        inv = inv * u % mod
+    return tuple(zip(pvs, reversed(invs)))
 
-    Output precision is u.prec - v(q) - max divisor loss in the series
-    (at most floor(log_p of the cutoff)); callers pad up front.
+
+def binomials(x: int, count: int, p: int, prec: int) -> list:
+    """C(x, r) for r < count as residues mod p^prec, from one falling factorial.
+
+    The running product x(x-1)...(x-r+1) is r! times an integer, so its
+    residue mod p^prec stays divisible by p^v_p(r!); dividing that out
+    leaves C(x, r) certified to prec - v_p(r!) digits, which callers budget
+    for.  InsufficientPrecision if some v_p(r!) reaches prec.
     """
-    if q != q_for(u.p):
-        raise BadArgument(f"q must be {q_for(u.p)} for p={u.p}, got {q}")
-    residue, eff = _log_ratio_raw(u.residue, u.p, q, u.prec)
-    return PAdicNum(u.p, eff, residue)
-
-
-def binom_padic(u: PAdicNum, r: int) -> PAdicNum:
-    """Binomial coefficient u(u-1)...(u-r+1)/r! of a p-adic integer.
-
-    The falling factorial's residue is divisible by p^{v_p(r!)} because the
-    true value is r! times an integer; precision drops by exactly v_p(r!).
-    """
-    if r < 0:
-        raise BadArgument("binomial lower index must be nonnegative")
-    if r == 0:
-        return PAdicNum(u.p, u.prec, 1)
-    p, n, modulus = u.p, u.prec, u.modulus
+    mod = p**prec
+    out = [1]
     ff = 1
-    for i in range(r):
-        ff = ff * (u.residue - i) % modulus
-    vfact = val_p_factorial(r, p)
-    if vfact >= n:
-        raise InsufficientPrecision(
-            f"binomial with r={r} loses v_p(r!)={vfact} digits, have {n}"
-        )
-    # divide by r!: p-part exactly, unit part by modular inverse
-    ff //= p ** vfact
-    return PAdicNum(p, n - vfact, ff * _inv_mod(_fact_unit(r, p, modulus), modulus))
+    for r, (pv, inv) in enumerate(_binom_divisors(p, count, prec), 1):
+        ff = ff * (x - r + 1) % mod
+        out.append(ff // pv * inv % mod)
+    return out

@@ -111,7 +111,6 @@ def synth_up(
     N: int,
     M_T: int = DEFAULT_TRUNC,
     seed: int = 0,
-    arbitrary_det: bool = False,
 ) -> UpSpec:
     """Random operator data: p uniform permutations place one matrix each.
 
@@ -120,9 +119,9 @@ def synth_up(
     genuine operator do; without this the summed columns degenerate and the
     characteristic coefficients cancel far past their valuation floor.
 
-    Default determinants have valuation exactly 1; arbitrary_det allows any
-    nonvanishing determinant.  Either way N >= 2: p | a and q | c make every
-    determinant vanish mod p, so at one digit no matrix qualifies.
+    Determinants have valuation exactly 1.  N must be at least 2: p | a and
+    q | c make every determinant vanish mod p, so at one digit no matrix
+    qualifies.
     """
     if N < 2:
         raise BadArgument(f"synthetic operators need precision N >= 2, not {N}")
@@ -148,11 +147,8 @@ def synth_up(
                 if d % p == 0:
                     continue
                 delta = DeltaMat.from_ints(p, N, p * alpha, b, q * gamma, d)
-                det = delta.det().residue
-                if det == 0:
-                    continue
-                # p | a and q | c force v(det) >= 1; default keeps it exactly 1
-                if arbitrary_det or det % p**2 != 0:
+                # p | a and q | c force v(det) >= 1; keep it exactly 1
+                if delta.det().residue % p**2 != 0:
                     break
             cells.append((i, j, delta))
     cells.sort(key=lambda c: (c[0], c[1]))

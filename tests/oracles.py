@@ -2,12 +2,16 @@
 
 Each oracle deliberately uses a different algorithm from the library code
 (digit search instead of fixed-point iteration, exact fractions instead of
-modular series, direct alternating sums instead of difference tables,
-cofactor expansion instead of division-free recurrences, gift wrapping
-instead of a monotone chain, per-entry PAdicNum/LambdaElt arithmetic
-instead of the packed Mahler kernel, one PAdicNum per T-coefficient
-instead of LambdaElt's reduced integers).  The cofactor oracle lives in
-`haloslopes.checks`, whose `charpoly-oracle` check runs it too.
+modular series, integer binomials instead of a running falling factorial,
+direct alternating sums instead of difference tables, cofactor expansion
+instead of division-free recurrences, gift wrapping instead of a monotone
+chain, one PAdicNum per T-coefficient instead of LambdaElt's reduced
+integers).  The reference action path (`action_column`, `one_plus_T_pow`)
+builds each entry one by one from these oracles and plain `pow`, never from
+the Teichmuller, log or binomial code of `haloslopes.padic_core` or the
+packed Mahler kernel; `tests/test_oracles.py` checks that this file names
+none of them.  The cofactor oracle lives in `haloslopes.checks`, whose
+`charpoly-oracle` check runs it too.
 """
 
 from __future__ import annotations
@@ -18,14 +22,12 @@ from fractions import Fraction
 
 from haloslopes.checks import charpoly_cofactor_oracle  # noqa: F401
 from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, OrderBound
-from haloslopes.mahler import SampleVector, mahler_from_samples
 from haloslopes.monoid_action import (
     DeltaMat,
     MonoidClass,
     NotInMonoid,
     check_monoid,
     column_input_prec,
-    torsion_part,
 )
 from haloslopes.padic_core import (
     BadArgument,
@@ -33,11 +35,8 @@ from haloslopes.padic_core import (
     MismatchedParameters,
     PAdicNum,
     Valuation,
-    binom_padic,
-    padic_log_ratio,
     q_for,
     val_p,
-    val_p_factorial,
 )
 
 
@@ -132,13 +131,13 @@ def lower_hull_oracle(points):
 
 def one_plus_T_pow(g: PAdicNum, trunc: int, n_target: int) -> LambdaElt:
     """(1+T)^g as a truncated series: coefficients C(g, r) for r < trunc."""
-    need = n_target + val_p_factorial(trunc - 1, g.p)
+    need = n_target + val_int(math.factorial(trunc - 1), g.p)
     if g.prec < need:
         raise InsufficientPrecision(
             f"exponent needs precision >= {need} to certify {n_target} digits"
         )
-    coeffs = [binom_padic(g, r).with_prec(n_target) for r in range(trunc)]
-    return LambdaElt(tuple(coeffs))
+    coeffs = [binom_oracle(g.residue, r, g.p, n_target) for r in range(trunc)]
+    return LambdaElt.from_ints(g.p, n_target, trunc, coeffs)
 
 
 @dataclass(frozen=True)
@@ -157,10 +156,10 @@ def action_column(
     trunc: int = DEFAULT_TRUNC,
     n_target: int = 8,
 ) -> ActionColumn:
-    """Column n of the action matrix, entry by entry in PAdicNum/LambdaElt.
+    """Column n of the action matrix, entry by entry from the oracles above.
 
     Samples h_n(z) = C(f(z), n) * omega(d0) * (1+T)^{g(z)} at z = 0..m_max
-    as ring elements, then takes finite differences at 0.  The reference
+    as ring elements, then takes the alternating sums at 0.  The reference
     for the packed kernel behind `assemble` and `verify_entry_bounds`.
     """
     cls = check_monoid(delta)
@@ -172,18 +171,24 @@ def action_column(
             f"column {n} at target {n_target} needs entry precision {need}, "
             f"have {delta.prec}"
         )
-    q = q_for(delta.p)
-    d0 = torsion_part(delta.d)
-    w = omega.value_at(d0)
+    p, prec = delta.p, delta.prec
+    mod = p**prec
+    a, b, c, d = (x.residue for x in (delta.a, delta.b, delta.c, delta.d))
+    # torsion component of d: the sign mod 4 for p = 2
+    if p == 2:
+        d0 = 1 if d % 4 == 1 else mod - 1
+    else:
+        d0 = teichmuller_oracle(p, prec, d)
+    w = pow(d0, omega.exponent, mod)
+    g_prec = n_target + val_int(math.factorial(trunc - 1), p)
     samples = []
     for z in range(m_max + 1):
-        den = delta.c * z + delta.d
-        fz = (delta.a * z + delta.b).divide_unit(den)
-        scalar = (binom_padic(fz, n) * w).with_prec(n_target)
-        g = padic_log_ratio(den.divide_unit(d0), q)
-        samples.append(one_plus_T_pow(g, trunc, n_target) * scalar)
-    fn = mahler_from_samples(SampleVector(tuple(samples)), m_max + 1)
-    return ActionColumn(n, fn.coeffs)
+        den = (c * z + d) % mod
+        fz = (a * z + b) * pow(den, -1, mod) % mod
+        g = log_ratio_oracle(p, q_for(p), den * pow(d0, -1, mod) % mod, g_prec)
+        series = one_plus_T_pow(PAdicNum(p, g_prec, g), trunc, n_target)
+        samples.append(series * (binom_oracle(fz, n, p, n_target) * w))
+    return ActionColumn(n, tuple(mahler_coeff_oracle(samples, m) for m in range(m_max + 1)))
 
 
 @dataclass(frozen=True)

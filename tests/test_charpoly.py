@@ -267,12 +267,6 @@ def test_char_series_detects_unstable_tail():
         char_series(spec, 1, 1, triv(3))
 
 
-def test_char_series_json_roundtrip():
-    N = char_input_prec(3, 1, 1, 6, 2)
-    cs = char_series(synth_up(1, 3, N, 6, seed=3), 2, 1, triv(3))
-    assert CharSeries.from_json(cs.to_json()) == cs
-
-
 def test_char_series_rejects_bad_leading_coeff():
     with pytest.raises(BadArgument):
         CharSeries((LambdaElt.zero(3, 4, 4),), 1)

@@ -72,8 +72,7 @@ def test_difference_commutes_with_expansion(vals):
 def test_geometric_samples_have_pure_power_coeffs(p):
     # differences of (1+p)^z at 0 collapse to p^m by the binomial theorem
     prec = 12
-    base = PAdicNum(p, prec, 1 + p)
-    vals = [base**z for z in range(8)]
+    vals = [PAdicNum(p, prec, (1 + p) ** z) for z in range(8)]
     f = mahler_from_samples(SampleVector(tuple(vals)), 8)
     for m, a in enumerate(f.coeffs):
         assert a == PAdicNum(p, prec, p**m)

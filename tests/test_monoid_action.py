@@ -15,7 +15,6 @@ from haloslopes.monoid_action import (
     check_monoid,
     column_input_prec,
     matrix_input_prec,
-    torsion_part,
     verify_entry_bounds,
 )
 from haloslopes.padic_core import (
@@ -23,6 +22,7 @@ from haloslopes.padic_core import (
     PAdicNum,
     PrecisionTooLow,
     q_for,
+    torsion_residue,
     val_p,
 )
 
@@ -75,10 +75,9 @@ def test_classification_examples():
 
 
 def test_torsion_part_components():
-    assert torsion_part(PAdicNum(2, 8, 5)) == PAdicNum(2, 8, 1)
-    assert torsion_part(PAdicNum(2, 8, 3)) == PAdicNum(2, 8, -1)
-    t2 = torsion_part(PAdicNum(5, 12, 2))
-    assert t2.residue == teichmuller_oracle(5, 12, 2)
+    assert torsion_residue(5, 2, 8) == 1
+    assert torsion_residue(3, 2, 8) == 2**8 - 1
+    assert torsion_residue(2, 5, 12) == teichmuller_oracle(5, 12, 2)
 
 
 # -- single columns ---------------------------------------------------------
@@ -86,7 +85,7 @@ def test_torsion_part_components():
 
 def test_identity_column_is_basis_vector():
     delta = dm(3, 30, 1, 0, 0, 1)
-    col = action_column(delta, 4, triv(3), m_max=7, trunc=5, n_target=6)
+    col = columns(delta, 8, triv(3), 5, 6)[4]
     one = LambdaElt.one(3, 6, 5)
     zero = LambdaElt.zero(3, 6, 5)
     for m, e in enumerate(col.entries):
@@ -95,11 +94,11 @@ def test_identity_column_is_basis_vector():
 
 def test_scaling_matrix_columns():
     delta = dm(5, 30, 5, 0, 0, 1)
-    col1 = action_column(delta, 1, triv(5), m_max=4, trunc=4, n_target=6)
-    want = [0, 5, 0, 0, 0]
-    for m, e in enumerate(col1.entries):
+    cols = columns(delta, 6, triv(5), 4, 6)
+    want = [0, 5, 0, 0, 0, 0]
+    for m, e in enumerate(cols[1].entries):
         assert e == LambdaElt.from_ints(5, 6, 4, [want[m]])
-    col5 = action_column(delta, 5, triv(5), m_max=3, trunc=4, n_target=6)
+    col5 = cols[5]
     assert col5.entries[0] == LambdaElt.zero(5, 6, 4)
     assert col5.entries[1] == LambdaElt.one(5, 6, 4)
     # second difference of C(5z,5) at 0 is C(10,5) - 2C(5,5) = 250
@@ -117,7 +116,7 @@ def test_diagonal_torsion_pipeline_vs_oracles_odd():
     # delta = (1,0;0,2) at p=5: row 0 of column 0 is tau(2) * (1+T)^{log(2/tau(2))/5}
     p, w, nt, trunc = 5, 20, 6, 5
     delta = dm(p, w, 1, 0, 0, 2)
-    col = action_column(delta, 0, CharOfDelta(p, 1), m_max=0, trunc=trunc, n_target=nt)
+    col = columns(delta, 1, CharOfDelta(p, 1), trunc, nt)[0]
     tau = teichmuller_oracle(p, w, 2)
     u = 2 * pow(tau, -1, p**w) % p**w
     g = log_ratio_oracle(p, p, u, 10)
@@ -131,7 +130,7 @@ def test_diagonal_torsion_pipeline_vs_oracles_two():
     # is -(1+T)^{log(-3)/4}
     p, w, nt, trunc = 2, 26, 6, 4
     delta = dm(p, w, 1, 0, 0, 3)
-    col = action_column(delta, 0, CharOfDelta(p, 1), m_max=0, trunc=trunc, n_target=nt)
+    col = columns(delta, 1, CharOfDelta(p, 1), trunc, nt)[0]
     u = (p**w) - 3
     g = log_ratio_oracle(p, 4, u, 14)
     for r in range(trunc):
@@ -288,7 +287,7 @@ def test_summed_scaling_column_not_divisible_by_p_squared():
     prec = column_input_prec(p, 9, 4, nt) + 2
     acc = None
     for i in range(p):
-        col = action_column(dm(p, prec, p, i, 0, 1), 9, triv(p), 3, 4, nt)
+        col = columns(dm(p, prec, p, i, 0, 1), 10, triv(p), 4, nt)[9]
         acc = col.entries[3] if acc is None else acc + col.entries[3]
     assert acc.coeffs[0] == PAdicNum(p, nt, 66)
     v = val_p(acc.coeffs[0])
