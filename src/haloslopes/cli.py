@@ -88,6 +88,11 @@ class ExperimentConfig:
         return q_for(self.p)
 
     def __post_init__(self):
+        # every radius names its own output files and rigidity column
+        if not self.vT:
+            raise BadArgument("vT must list at least one radius")
+        if len(set(self.vT)) != len(self.vT):
+            raise BadArgument(f"vT lists a radius twice: {[str(v) for v in self.vT]}")
         for v in self.vT:
             if not 0 < v < 1:
                 raise BadArgument(f"vT = {v} is outside (0,1)")

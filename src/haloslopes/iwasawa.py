@@ -44,7 +44,7 @@ class OrderBound:
         return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharOfDelta:
     """A character of the torsion subgroup, as a power of the inclusion.
 

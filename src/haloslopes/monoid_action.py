@@ -16,6 +16,16 @@ operations.  It backs both block assembly (`up_operator.assemble`) and the
 bound scan over large matrices, and takes its Teichmuller lifts, logs and
 binomials from `padic_core`; the per-entry reference it is tested against
 lives with the test oracles and uses none of them.
+
+The triangle (`difference_triangle`) subtracts whole rows as signed
+integers and adds the bias block, 2^(width-1) in every digit, once to each
+first difference.  A row digit is a product of two residues, below
+p^(2 prec); an m-th difference digit is below 2^m times that in absolute
+value.  The width 2 * bits(p^prec) + size + 4 keeps every such digit
+inside [-2^(width-1), 2^(width-1)), so after the bias each digit is a
+nonnegative field of the packed value and unpacks to the exact integer
+difference.  The same function gives the Mahler coefficients of plain
+integer samples with a zero bias.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul, sub
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
@@ -48,7 +59,7 @@ class MonoidClass(enum.Enum):
     Neither = "Neither"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaMat:
     """Entries a, b, c, d as PAdicNum sharing one (p, precision)."""
 
@@ -159,14 +170,24 @@ def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
         packed_series.append(acc)
 
     bc = _bias_block(bias, width, trunc)
-    for n in range(size):
-        rows = [scalars[z][n] * packed_series[z] for z in range(size)]
-        firsts = [rows[0]]
-        cur = rows
-        for _level in range(1, size):
-            cur = [cur[i + 1] - cur[i] + bc for i in range(len(cur) - 1)]
-            firsts.append(cur[0])
-        yield n, firsts, bias, width
+    for n, column in enumerate(zip(*scalars)):
+        rows = list(map(mul, column, packed_series))
+        yield n, difference_triangle(rows, bc), bias, width
+
+
+def difference_triangle(rows: list, bc: int) -> list:
+    """Forward differences at 0: [rows[0], D^1 rows + bc, D^2 rows + bc, ...].
+
+    Levels are signed, so a negative digit borrows from the one above it;
+    bc, added once per first difference, pays every borrow back as long as
+    each digit of D^m lies in [-bias, bias).  bc = 0 on plain integers.
+    """
+    firsts = [rows[0]]
+    cur = rows
+    for _level in range(1, len(rows)):
+        cur = list(map(sub, cur[1:], cur))
+        firsts.append(cur[0] + bc)
+    return firsts
 
 
 def _bias_block(bias: int, width: int, trunc: int) -> int:
@@ -230,8 +251,9 @@ def verify_entry_bounds(
     else:
         required = lambda m, n: m - n + raise_by
 
-    mod = p**delta.prec
-    pk = [p**k for k in range(size + raise_by + 1)]
+    # p^r divides p^prec up to r = prec, and above it divisibility of the
+    # integer digit by p^prec is what the residue mod p^prec can certify
+    pk = [p ** min(k, delta.prec) for k in range(size + raise_by + 1)]
     violations = []
     for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc):
         mask = (1 << width) - 1
@@ -243,7 +265,7 @@ def verify_entry_bounds(
             off = bias if m >= 1 else 0
             for s in range(min(r, trunc)):
                 digit = (packed >> (width * s)) & mask
-                if (digit - off) % mod % pk[r - s]:
+                if (digit - off) % pk[r - s]:
                     digits = _unbiased(packed, m, bias, width, trunc)
                     entry = LambdaElt.from_ints(p, n_target, trunc, digits)
                     violations.append((m, n, mlambda_order(entry)))

@@ -121,7 +121,7 @@ class Valuation:
         return f"{kind}({self.bound})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PAdicNum:
     """Residue mod p^prec with tracked precision."""
 

@@ -91,8 +91,13 @@ def test_load_config_missing_field(tmp_path):
         {"p": "4"},
         {"vT": [0.25]},
         {"D": "-1"},
+        {"vT": []},
+        {"vT": ["1/3", "2/6"]},
     ],
-    ids=["p-x", "vT-abc", "vT-string", "p-1", "p-4", "vT-float", "D-negative"],
+    ids=[
+        "p-x", "vT-abc", "vT-string", "p-1", "p-4", "vT-float", "D-negative",
+        "vT-empty", "vT-duplicate",
+    ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, override):
     cfg = write_config(tmp_path, **override)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -56,6 +58,35 @@ def columns(delta, size, omega, trunc, nt):
 def oracle_columns(delta, size, omega, trunc, nt):
     """Reference columns 0..size-1 from the per-entry object path."""
     return [action_column(delta, n, omega, size - 1, trunc, nt) for n in range(size)]
+
+
+# -- value types ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value, same",
+    [
+        (PAdicNum(3, 5, 246), PAdicNum(3, 3, 3)),
+        (dm(3, 10, 3, 1, 3, 2), dm(3, 10, 3 + 3**10, 1, 3, 2)),
+        (CharOfDelta(5, 7), CharOfDelta(5, 3)),
+    ],
+    ids=["PAdicNum", "DeltaMat", "CharOfDelta"],
+)
+def test_value_types_are_slotted_frozen_and_keep_equality(value, same):
+    # slotted: no per-instance dict; frozen: no field or new attribute set
+    assert not hasattr(value, "__dict__")
+    name = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, getattr(value, name))
+    # a new name is refused too; Python 3.11 raises TypeError from the
+    # frozen __setattr__ of a slotted class instead of FrozenInstanceError
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    assert value == same and hash(value) == hash(same)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value and hash(copy) == hash(value)
+    assert dataclasses.astuple(copy) == dataclasses.astuple(value)
 
 
 # -- classification ---------------------------------------------------------
@@ -156,17 +187,20 @@ def rand_delta(rng, p, prec, up: bool):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("up", [True, False])
 def test_packed_matches_object_path(p, up):
-    # with slack, and at the exact budget where assemble runs its entries
-    size, trunc, nt = 8, 5, 8
-    for slack in (2, 0):
-        prec = matrix_input_prec(p, size, trunc, nt) + slack
-        rng = random.Random(90_000 + 10 * p + up)
-        for _ in range(3):
-            delta = rand_delta(rng, p, prec, up)
-            omega = CharOfDelta(p, rng.randrange(4))
-            ref = oracle_columns(delta, size, omega, trunc, nt)
-            fast = columns(delta, size, omega, trunc, nt)
-            assert ref == fast
+    # with slack, and at the exact budget where assemble runs its entries;
+    # sizes 1 and 2 leave the triangle no level or a single one
+    trunc, nt = 5, 8
+    for size in (8, 2, 1):
+        for slack in (2, 0):
+            prec = matrix_input_prec(p, size, trunc, nt) + slack
+            rng = random.Random(90_000 + 10 * p + up)
+            for _ in range(3):
+                delta = rand_delta(rng, p, prec, up)
+                omega = CharOfDelta(p, rng.randrange(4))
+                ref = oracle_columns(delta, size, omega, trunc, nt)
+                fast = columns(delta, size, omega, trunc, nt)
+                assert len(fast) == size
+                assert ref == fast
 
 
 # -- entry bounds -----------------------------------------------------------

@@ -14,3 +14,97 @@ def test_bound_sweep_smoke(tmp_path):
     assert len(rows) == 6
     assert all(r["violations"] == "0" for r in rows)
     assert all(r["lambda_identity_ok"] == "1" and r["gap_matches"] == "1" for r in rows)
+
+
+BENCH_PAIRS = runpy.run_path(str(SCRIPTS / "bench_pairs.py"), run_name="bench_pairs")
+END_TO_END = [
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+    {"name": "latency_p90_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+]
+
+
+def synthetic_pairs(parent, change, rss=(24.0, 24.0), failed=0):
+    """Pairs of run results with the given p90 values and a flat setup time."""
+    pairs = []
+    for k, (p90_p, p90_c) in enumerate(zip(parent, change)):
+        pair = {"seed": 100 + k, "first": "parent" if k % 2 == 0 else "change"}
+        for side, p90, mb in (("parent", p90_p, rss[0]), ("change", p90_c, rss[1])):
+            pair[side] = {
+                "attempted": 300,
+                "failed": failed if side == "change" else 0,
+                "src_sha256": side,
+                "metrics": {
+                    "setup_s": {"value": 0.4, "unit": "s"},
+                    "latency_p90_s": {"value": p90, "unit": "s"},
+                    "peak_rss_mb": {"value": mb, "unit": "MB"},
+                },
+            }
+        pairs.append(pair)
+    return pairs
+
+
+def test_bench_pairs_quartiles_match_the_inclusive_method():
+    q = BENCH_PAIRS["quartiles"]([0.1804, 0.1871, 0.1839, 0.1894, 0.2028])
+    assert (q["q1"], q["median"], q["q3"]) == (0.1839, 0.1871, 0.1894)
+    assert BENCH_PAIRS["quartiles"]([2.0]) == {
+        "median": 2.0, "q1": 2.0, "q3": 2.0, "by_seed": [2.0]
+    }
+
+
+def test_bench_pairs_claim_needs_nine_tenths_of_pairs_and_a_gap_beyond_spread():
+    parent = [0.155, 0.160, 0.158, 0.150, 0.162, 0.157, 0.159, 0.161, 0.154, 0.156]
+    change = [0.120, 0.118, 0.125, 0.121, 0.119, 0.122, 0.117, 0.123, 0.124, 0.120]
+    w = BENCH_PAIRS["summarise_workload"](
+        synthetic_pairs(parent, change), END_TO_END, "latency_p90_s"
+    )
+    entry = w["metrics"]["latency_p90_s"]
+    assert entry["change_better_pairs"] == "10/10"
+    assert entry["verdict"] == "improved"
+    assert entry["claim"]["met"] and entry["claim"]["median_gap"] > 0.03
+    assert w["seeds"] == list(range(100, 110))
+    assert w["first_side"][:2] == ["parent", "change"]
+    assert w["src_sha256"] == {"parent": ["parent"], "change": ["change"]}
+    # a flat metric is unchanged; ties count for neither side
+    assert w["metrics"]["setup_s"]["verdict"] == "within bound"
+    assert w["metrics"]["setup_s"]["change_better_pairs"] == "0/10"
+    verdict = BENCH_PAIRS["overall_verdict"]({"entry-bounds": w}, ("entry-bounds", "latency_p90_s"))
+    assert verdict["met"] and verdict["claim"]["metric"] == "entry-bounds latency_p90_s"
+
+    # eight wins of ten is not enough, however large the gap
+    eight = change[:8] + [0.170, 0.170]
+    w = BENCH_PAIRS["summarise_workload"](
+        synthetic_pairs(parent, eight), END_TO_END, "latency_p90_s"
+    )
+    assert w["metrics"]["latency_p90_s"]["verdict"] == "not shown"
+    assert not BENCH_PAIRS["overall_verdict"]({"e": w}, ("e", "latency_p90_s"))["met"]
+
+    # nine wins whose median gap stays inside the parent's quartile spread
+    parent = [0.10, 0.20, 0.10, 0.20, 0.10, 0.20, 0.10, 0.20, 0.10, 0.20]
+    close = [v - 0.01 for v in parent[:9]] + [0.30]
+    test = BENCH_PAIRS["claim_met"](parent, close, "lower")
+    assert test["change_better_pairs"] == "9/10" and not test["met"]
+
+
+def test_bench_pairs_bound_verdicts():
+    verdict = BENCH_PAIRS["bound_verdict"]
+    flat = [1.0, 1.01, 0.99, 1.0]
+    assert verdict(flat, [1.02, 1.03, 1.01, 1.02], "lower", 0.05) == "within bound"
+    assert verdict(flat, [1.10, 1.11, 1.09, 1.10], "lower", 0.05) == "regressed"
+    assert verdict(flat, [0.5, 0.6, 0.55, 0.52], "lower", 0.05) == "better in every run"
+    noisy = [1.0, 1.5, 0.7, 1.3]
+    assert verdict(noisy, [1.1, 1.2, 1.0, 1.4], "lower", 0.05) == "unresolved"
+    assert verdict(flat, [1.10, 1.11, 1.09, 1.10], "higher", 0.05) == "better in every run"
+
+
+def test_bench_pairs_overall_verdict_collects_regressions_and_failures():
+    p90 = [0.15] * 4
+    w = BENCH_PAIRS["summarise_workload"](
+        synthetic_pairs(p90, p90, rss=(22.0, 23.5), failed=1), END_TO_END
+    )
+    assert w["metrics"]["peak_rss_mb"]["verdict"] == "regressed"
+    assert w["failed"]["change"] == [1, 1, 1, 1]
+    verdict = BENCH_PAIRS["overall_verdict"]({"cli-session": w})
+    assert verdict["regressed"] == ["cli-session peak_rss_mb"]
+    assert verdict["failed_runs"] == 4 and verdict["claim"] is None
+    assert not verdict["met"]
