@@ -2,16 +2,17 @@
 
 Usage:
     python3 scripts/bench_pairs.py --base REV --run entry-bounds=1301 \\
-        --run cli-session=1401 --pairs 10 --seconds 50 \\
-        --claim entry-bounds:latency_p90_s --change "what the change does" \\
-        --out BENCH_7.json
+        --run cli-session=1401 --claim entry-bounds:latency_p90_s \\
+        --change "what the change does" --out BENCH_7.json
 
-The parent side runs from a temporary `git worktree` of REV, removed at the
-end, or from an existing checkout of REV given by --parent-dir.  The change
-side runs from this checkout.  `--run W=S` runs workload W on seeds S, S+1,
-..., one pair per seed; pair k runs the parent first when k is even.  Every
-run is `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
-inside its own checkout, and its last stdout line is the result.
+Each side runs in a fresh directory holding the committed files of one
+revision, extracted with `git archive`: the parent side from REV, the change
+side from HEAD, so each run's source digest is that of committed source.
+Both directories are removed at the end.  `--run W=S` runs workload W on
+seeds S, S+1, ..., S+9, one pair per seed; pair k runs the parent first when
+k is even.  Every run is `python3 bench/run.py --workload W --seed S
+--seconds T --trace 0` inside its own directory, with T the run_seconds of
+BENCHMARK.json, and its last stdout line is the result.
 
 For each end-to-end metric of BENCHMARK.json the file holds each side's
 median, quartiles and per-seed values, and the number of pairs the change
@@ -22,7 +23,8 @@ quartile spread.  Every other metric is "better in every run" when each
 change run beats each parent run, else "unresolved" when either side's
 quartile spread, relative to its median, is wider than the metric's bound,
 else "regressed" when the change's median is worse by more than the bound,
-else "within bound".
+else "within bound".  The overall verdict is met only when the claim holds
+and no metric is regressed or unresolved and no run failed an item.
 """
 
 from __future__ import annotations
@@ -30,38 +32,40 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import io
 import os
 import platform
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def parse_args(argv):
+def parse_args(argv, spec: dict):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the parent side")
-    ap.add_argument("--parent-dir", help="an existing checkout of --base to run instead")
     ap.add_argument("--run", action="append", required=True, metavar="WORKLOAD=SEED",
                     help="workload and first seed; repeat for more workloads")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the metric claimed to improve")
     ap.add_argument("--change", default="", help="one line on what the change does")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
     runs = []
     for item in args.run:
         name, sep, seed = item.partition("=")
         if not sep or not seed.isdigit():
             ap.error(f"--run takes WORKLOAD=SEED, not {item!r}")
+        if name not in workloads:
+            ap.error(f"--run names {name!r}; BENCHMARK.json has {', '.join(workloads)}")
         runs.append((name, int(seed)))
     args.run = runs
     if args.claim is not None:
@@ -70,6 +74,8 @@ def parse_args(argv):
             ap.error(f"--claim takes WORKLOAD:METRIC, not {args.claim!r}")
         if name not in dict(runs):
             ap.error(f"--claim names {name!r}, which no --run runs")
+        if metric not in metrics:
+            ap.error(f"--claim names {metric!r}; BENCHMARK.json has {', '.join(metrics)}")
         args.claim = (name, metric)
     return args
 
@@ -162,6 +168,7 @@ def overall_verdict(workloads: dict, claim=None) -> dict:
     verdict["met"] = (
         (verdict["claim"] is None or verdict["claim"]["met"])
         and not verdict["regressed"]
+        and not verdict["unresolved"]
         and not verdict["failed_runs"]
     )
     return verdict
@@ -180,24 +187,29 @@ def _rounded(obj):
 # -- running -------------------------------------------------------------------
 
 
+def resolve(repo: Path, rev: str) -> str:
+    proc = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench_pairs: no commit {rev!r} in {repo}")
+    return proc.stdout.strip()
+
+
+def extract(repo: Path, commit: str, dest: Path) -> Path:
+    """The committed files of `commit` in `repo`, written under `dest`."""
+    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", commit],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest
+
+
 @contextlib.contextmanager
-def parent_checkout(args):
-    if args.parent_dir is not None:
-        yield Path(args.parent_dir).resolve()
-        return
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-    path = tmp / "parent"
-    subprocess.run(
-        ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(path), args.base],
-        check=True, capture_output=True,
-    )
+def checkouts(repo: Path, commits: dict):
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        yield path
+        yield {side: extract(repo, commit, tmp / side) for side, commit in commits.items()}
     finally:
-        subprocess.run(
-            ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(path)],
-            capture_output=True,
-        )
         shutil.rmtree(tmp, ignore_errors=True)
 
 
@@ -216,9 +228,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def run_pairs(dirs: dict, workload: str, first_seed: int, n_pairs: int, seconds: float):
+def run_pairs(dirs: dict, workload: str, first_seed: int, seconds: float):
     pairs = []
-    for k in range(n_pairs):
+    for k in range(PAIRS):
         seed = first_seed + k
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
@@ -232,16 +244,16 @@ def run_pairs(dirs: dict, workload: str, first_seed: int, n_pairs: int, seconds:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    end_to_end = spec["end_to_end"]
+    args = parse_args(argv, spec)
+    seconds = spec["run_seconds"]
+    commits = {"parent": resolve(ROOT, args.base), "change": resolve(ROOT, "HEAD")}
     workloads = {}
-    with parent_checkout(args) as parent_dir:
-        dirs = {"parent": parent_dir, "change": ROOT}
+    with checkouts(ROOT, commits) as dirs:
         for workload, first_seed in args.run:
-            pairs = run_pairs(dirs, workload, first_seed, args.pairs, args.seconds)
+            pairs = run_pairs(dirs, workload, first_seed, seconds)
             claimed = args.claim[1] if args.claim and args.claim[0] == workload else None
-            workloads[workload] = summarise_workload(pairs, end_to_end, claimed)
+            workloads[workload] = summarise_workload(pairs, spec["end_to_end"], claimed)
     record = {
         "change": args.change,
         "machine": {
@@ -250,10 +262,10 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "method": (
-            f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} "
-            f"--trace 0, run by scripts/bench_pairs.py in a checkout of the parent "
-            f"({args.base}) and in this checkout; pairs alternate which side runs "
-            f"first (parent first on even pairs)"
+            f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
+            f"run by scripts/bench_pairs.py in git-archive extracts of the parent "
+            f"({commits['parent'][:7]}) and of the change ({commits['change'][:7]}); "
+            f"pairs alternate which side runs first (parent first on even pairs)"
         ),
         "workloads": workloads,
     }

@@ -1,6 +1,9 @@
 import csv
 import runpy
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -108,3 +111,53 @@ def test_bench_pairs_overall_verdict_collects_regressions_and_failures():
     assert verdict["regressed"] == ["cli-session peak_rss_mb"]
     assert verdict["failed_runs"] == 4 and verdict["claim"] is None
     assert not verdict["met"]
+
+
+def test_bench_pairs_unresolved_metric_leaves_the_verdict_unmet():
+    parent = [0.155, 0.160, 0.158, 0.150, 0.162, 0.157, 0.159, 0.161, 0.154, 0.156]
+    change = [0.120, 0.118, 0.125, 0.121, 0.119, 0.122, 0.117, 0.123, 0.124, 0.120]
+    w = BENCH_PAIRS["summarise_workload"](
+        synthetic_pairs(parent, change, rss=(24.0, 24.0)), END_TO_END, "latency_p90_s"
+    )
+    w["metrics"]["setup_s"]["verdict"] = "unresolved"
+    verdict = BENCH_PAIRS["overall_verdict"]({"entry-bounds": w}, ("entry-bounds", "latency_p90_s"))
+    assert verdict["claim"]["met"] and verdict["unresolved"] == ["entry-bounds setup_s"]
+    assert not verdict["met"]
+
+
+SPEC = {
+    "workloads": [{"name": "entry-bounds"}, {"name": "cli-session"}],
+    "end_to_end": END_TO_END,
+}
+
+
+def test_bench_pairs_rejects_unknown_names_before_any_run():
+    parse = BENCH_PAIRS["parse_args"]
+    base = ["--base", "HEAD~1", "--out", "x.json", "--run", "entry-bounds=1"]
+    args = parse(base + ["--claim", "entry-bounds:latency_p90_s"], SPEC)
+    assert args.run == [("entry-bounds", 1)] and args.claim == ("entry-bounds", "latency_p90_s")
+    for extra in (["--claim", "entry-bounds:latency_p90"], ["--claim", "cli-session:setup_s"],
+                  ["--run", "entry-bound=5"], ["--run", "cli-session"]):
+        with pytest.raises(SystemExit) as exc:
+            parse(base + extra, SPEC)
+        assert exc.value.code == 2
+
+
+def test_bench_pairs_extracts_committed_files_only(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "bench" / "run.py").write_text("committed\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "one"], check=True)
+    (repo / "bench" / "run.py").write_text("edited\n")
+    (repo / "untracked.txt").write_text("x\n")
+    commit = BENCH_PAIRS["resolve"](repo, "HEAD")
+    with BENCH_PAIRS["checkouts"](repo, {"change": commit}) as dirs:
+        out = dirs["change"]
+        assert (out / "bench" / "run.py").read_text() == "committed\n"
+        assert sorted(p.name for p in out.iterdir()) == ["bench"]
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        BENCH_PAIRS["resolve"](repo, "no-such-rev")
