@@ -44,7 +44,6 @@ from .padic_core import (
 from .polygon import (
     AssertionFailure,
     LengthMismatch,
-    MissingCharacterTable,
     UncertifiedHull,
     lower_bound_polygon,
     max_vertical_gap,
@@ -421,7 +420,6 @@ def main(argv=None) -> int:
         BadArgument,
         MismatchedParameters,
         LengthMismatch,
-        MissingCharacterTable,
         OSError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)

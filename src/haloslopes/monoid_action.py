@@ -17,15 +17,42 @@ bound scan over large matrices, and takes its Teichmuller lifts, logs and
 binomials from `padic_core`; the per-entry reference it is tested against
 lives with the test oracles and uses none of them.
 
-The triangle (`difference_triangle`) subtracts whole rows as signed
-integers and adds the bias block, 2^(width-1) in every digit, once to each
-first difference.  A row digit is a product of two residues, below
-p^(2 prec); an m-th difference digit is below 2^m times that in absolute
-value.  The width 2 * bits(p^prec) + size + 4 keeps every such digit
-inside [-2^(width-1), 2^(width-1)), so after the bias each digit is a
+The kernel reduces the scalars C(f(z), n) * omega(d0) and the series
+digits mod p^n_target, the precision its caller certifies, and may scale
+the digit at T^s by t_scale^s.  The triangle (`difference_triangle`) is an
+integer combination of rows, so every digit of its output is congruent mod
+p^n_target to t_scale^s times the T-coefficient of P_{m,n}.  A row digit
+is below p^n_target * p^n_target * t_scale^(trunc-1); an m-th difference
+digit is below 2^m times that in absolute value.  The width
+
+    2 * bits(p^n_target) + bits(t_scale^(trunc-1)) + size + 4
+
+therefore keeps every digit d of the triangle at |d| < 2^(width-5).
+
+`assemble` runs at t_scale 1 and adds the bias block, 2^(width-1) in
+every digit, once to each first difference; each digit is then a
 nonnegative field of the packed value and unpacks to the exact integer
 difference.  The same function gives the Mahler coefficients of plain
 integer samples with a zero bias.
+
+`verify_entry_bounds` runs at t_scale p with a zero bias and tests each
+entry X = sum_s d_s 2^(width s) at once.  An entry sum_s b_s T^s lies in
+(p, T)^r exactly when v(b_s) >= r - s for all s, that is, when p^r divides
+every d_s = p^s b_s: the order `mlambda_order` computes is the p-adic
+order of the image under T -> pT.  Let pi = p^r, L = bits(pi - 1),
+k = width - 1 - L, K the block with 2^k in every digit and M the block with
+bits k+1 .. width-1 of every digit set, together with every bit from
+width * trunc up.  X passes when X % pi == 0 and (X // pi + K) & M == 0.
+This is exact, because a representation sum_s e_s 2^(width s) with every
+e_s in [-2^(width-1), 2^(width-1)) is unique.  If pi divides every d_s,
+then X // pi has the digits d_s / pi, and |d_s / pi| < 2^(width-5) / 2^(L-1)
+<= 2^k, so adding K leaves every field in [0, 2^(k+1)) and the AND is 0.
+Conversely, if the AND is 0, then X // pi + K has fields f_s in
+[0, 2^(k+1)) and nothing above them, so X = sum_s pi (f_s - 2^k)
+2^(width s), and pi <= 2^L puts every pi (f_s - 2^k) in
+[-2^(width-1), 2^(width-1)); by uniqueness d_s = pi (f_s - 2^k), which pi
+divides.  The demanded order never exceeds n_target = size, where the
+digits are certified.
 """
 
 from __future__ import annotations
@@ -37,12 +64,13 @@ from operator import mul, sub
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
+    BadArgument,
     PAdicNum,
     PadicError,
     PrecisionTooLow,
     binomials,
     log_cutoff,
-    log_ratio,
+    log_line,
     q_for,
     torsion_residue,
     val_p_factorial,
@@ -61,48 +89,66 @@ class MonoidClass(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class DeltaMat:
-    """Entries a, b, c, d as PAdicNum sharing one (p, precision)."""
+    """Entries a, b, c, d as residues mod p^prec; .a to .d read as PAdicNum."""
 
-    a: PAdicNum
-    b: PAdicNum
-    c: PAdicNum
-    d: PAdicNum
+    p: int
+    prec: int
+    a_res: int
+    b_res: int
+    c_res: int
+    d_res: int
 
     def __post_init__(self):
-        ps = {x.p for x in (self.a, self.b, self.c, self.d)}
-        ns = {x.prec for x in (self.a, self.b, self.c, self.d)}
-        if len(ps) != 1 or len(ns) != 1:
-            raise NotInMonoid(f"entries disagree on (p, precision): {ps}, {ns}")
+        if self.prec <= 0:
+            raise BadArgument(f"precision must be positive, got {self.prec}")
+        mod = self.p**self.prec
+        for name in ("a_res", "b_res", "c_res", "d_res"):
+            object.__setattr__(self, name, getattr(self, name) % mod)
 
     @classmethod
     def from_ints(cls, p: int, prec: int, a: int, b: int, c: int, d: int):
-        return cls(*(PAdicNum(p, prec, x) for x in (a, b, c, d)))
+        return cls(p, prec, a, b, c, d)
 
     @property
-    def p(self) -> int:
-        return self.a.p
+    def residues(self) -> tuple:
+        return self.a_res, self.b_res, self.c_res, self.d_res
 
     @property
-    def prec(self) -> int:
-        return self.a.prec
+    def a(self) -> PAdicNum:
+        return PAdicNum(self.p, self.prec, self.a_res)
+
+    @property
+    def b(self) -> PAdicNum:
+        return PAdicNum(self.p, self.prec, self.b_res)
+
+    @property
+    def c(self) -> PAdicNum:
+        return PAdicNum(self.p, self.prec, self.c_res)
+
+    @property
+    def d(self) -> PAdicNum:
+        return PAdicNum(self.p, self.prec, self.d_res)
 
     def det(self) -> PAdicNum:
-        return self.a * self.d - self.b * self.c
+        return PAdicNum(
+            self.p, self.prec, self.a_res * self.d_res - self.b_res * self.c_res
+        )
 
     def to_json(self) -> dict:
-        return {k: str(getattr(self, k).residue) for k in ("a", "b", "c", "d")}
+        return dict(zip("abcd", map(str, self.residues)))
 
 
 def check_monoid(delta: DeltaMat) -> MonoidClass:
     """q | c, d a unit, det nonzero at working precision; p | a refines."""
-    q = q_for(delta.p)
-    if delta.c.residue % q != 0:
+    p = delta.p
+    a, b, c, d = delta.residues
+    if c % q_for(p) != 0:
         return MonoidClass.Neither
-    if not delta.d.is_unit():
+    if d % p == 0:
         return MonoidClass.Neither
-    if delta.det().residue == 0:
+    if (a * d - b * c) % p**delta.prec == 0:
         return MonoidClass.Neither
-    if delta.a.residue % delta.p == 0:
+    if a % p == 0:
         return MonoidClass.UpMonoid
     return MonoidClass.M1
 
@@ -137,42 +183,49 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
 # -- packed path -----------------------------------------------------------
 
 
-def _kernel_columns(delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int):
-    """Yield (n, firsts, bias, width) per column; digits raw mod p^prec.
+def _kernel_columns(
+    delta: DeltaMat,
+    size: int,
+    omega: CharOfDelta,
+    trunc: int,
+    n_target: int,
+    t_scale: int = 1,
+):
+    """Yield (n, rows, width) per column: the packed samples h_n(z), z < size.
 
-    firsts[m] is the packed value of row m: T-coefficient s of P_{m,n} sits
-    in bits [width*s, width*(s+1)), offset by bias for m >= 1.  Digits are
-    never reduced during the difference triangle; the packing width leaves
-    room for the 2^m growth of m-fold differences, so each digit is exact
-    integer data congruent to the entry mod p^prec.
+    rows[z] holds the T-coefficients of h_n(z) reduced mod p^n_target, the
+    one at T^s multiplied by t_scale^s, in bits [width*s, width*(s+1)).
+    Any integer combination of the rows, the difference triangle included,
+    is then congruent mod p^n_target to the same combination of the true
+    samples; the width leaves room for the 2^m growth of m-fold
+    differences, so every digit stays exact integer data.
     """
     p, prec = delta.p, delta.prec
     mod = p**prec
-    d0 = torsion_residue(delta.d.residue, p, prec)
-    w_res = pow(d0, omega.exponent, mod)
-    inv_d0 = pow(d0, -1, mod)
-    a, b, c, d = (x.residue for x in (delta.a, delta.b, delta.c, delta.d))
+    target = p**n_target
+    d0 = torsion_residue(delta.d_res, p, prec)
+    w_res = pow(d0, omega.exponent, target)
+    a, b, c, d = delta.residues
 
-    width = 2 * mod.bit_length() + size + 4
-    bias = 1 << (width - 1)
+    width = 2 * target.bit_length() + (t_scale ** (trunc - 1)).bit_length() + size + 4
+    scales = [t_scale**s for s in range(trunc)][::-1]
 
+    # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
+    inv_d = pow(d, -1, mod)
+    gs, _eff = log_line(d * pow(d0, -1, mod) % mod, c * inv_d % mod, size, p, prec)
     scalars = []
     packed_series = []
-    for z in range(size):
-        den = (c * z + d) % mod
-        fz = (a * z + b) * pow(den, -1, mod) % mod
+    for z, g in enumerate(gs):
+        fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
         # omega(d0) * C(f(z), n) for every column n
-        scalars.append([x * w_res % mod for x in binomials(fz, size, p, prec)])
-        g, _eff = log_ratio(den * inv_d0 % mod, p, prec)
+        scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
         acc = 0
-        for binom in reversed(binomials(g, trunc, p, prec)):
-            acc = (acc << width) | binom
+        for scale, binom in zip(scales, reversed(binomials(g, trunc, p, prec))):
+            acc = (acc << width) | binom % target * scale
         packed_series.append(acc)
 
-    bc = _bias_block(bias, width, trunc)
     for n, column in enumerate(zip(*scalars)):
-        rows = list(map(mul, column, packed_series))
-        yield n, difference_triangle(rows, bc), bias, width
+        yield n, list(map(mul, column, packed_series)), width
 
 
 def difference_triangle(rows: list, bc: int) -> list:
@@ -180,7 +233,8 @@ def difference_triangle(rows: list, bc: int) -> list:
 
     Levels are signed, so a negative digit borrows from the one above it;
     bc, added once per first difference, pays every borrow back as long as
-    each digit of D^m lies in [-bias, bias).  bc = 0 on plain integers.
+    each digit of D^m lies in [-bias, bias).  bc = 0 leaves the signed
+    differences themselves.
     """
     firsts = [rows[0]]
     cur = rows
@@ -190,6 +244,7 @@ def difference_triangle(rows: list, bc: int) -> list:
     return firsts
 
 
+@lru_cache(maxsize=None)
 def _bias_block(bias: int, width: int, trunc: int) -> int:
     acc = 0
     for _ in range(trunc):
@@ -218,6 +273,30 @@ class BoundReport:
         return not self.violations
 
 
+@lru_cache(maxsize=None)
+def _order_tests(p: int, width: int, trunc: int, top: int) -> tuple:
+    """(p^r, K, M) for r = 1..top at index r: the one-entry test of (p, T)^r.
+
+    A signed packed value X passes for r when X % p^r == 0 and
+    (X // p^r + K) & M == 0; see the module docstring.
+    """
+    ones = _bias_block(1, width, trunc)
+    field = (1 << width) - 1
+    above = -(1 << (width * trunc))
+    tests = [None]
+    for r in range(1, top + 1):
+        pi = p**r
+        k = width - 1 - (pi - 1).bit_length()
+        tests.append((pi, ones << k, (field ^ ((2 << k) - 1)) * ones | above))
+    return tuple(tests)
+
+
+def _divisible(packed: int, pi: int, fill: int, mask: int) -> bool:
+    """Whether pi divides every balanced digit of packed (one _order_tests row)."""
+    quo, rem = divmod(packed, pi)
+    return not rem and not (quo + fill) & mask
+
+
 def verify_entry_bounds(
     delta: DeltaMat,
     size: int,
@@ -231,10 +310,16 @@ def verify_entry_bounds(
     the rest of the monoid it is max(m - n, 0).  Certification needs every
     entry known to n_target = size digits, so the input precision must
     cover the budget; short inputs fail fast rather than mislabel AtLeast
-    coefficients as violations.  raise_by > 0 demands that much more than
-    the claim wherever it is nonnegative, a claim that must fail (P_{0,0}
-    is a unit); the acceptance checks use it to show they detect faults.
+    coefficients as violations.  raise_by = 1 demands one more than the
+    claim wherever it is nonnegative, a claim that must fail (P_{0,0} is a
+    unit); the acceptance checks use it to show they detect faults.  A
+    larger raise_by would demand orders past the n_target certified digits
+    and is refused.
     """
+    if raise_by > 1:
+        raise BadArgument(
+            f"raise_by {raise_by} demands orders past the {size} certified digits"
+        )
     cls = check_monoid(delta)
     if cls is MonoidClass.Neither:
         raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
@@ -246,28 +331,24 @@ def verify_entry_bounds(
             f"size {size} needs entry precision {need} to certify all "
             f"bounds, have {delta.prec}"
         )
-    if cls is MonoidClass.UpMonoid:
-        required = lambda m, n: m - n // p + raise_by
-    else:
-        required = lambda m, n: m - n + raise_by
-
-    # p^r divides p^prec up to r = prec, and above it divisibility of the
-    # integer digit by p^prec is what the residue mod p^prec can certify
-    pk = [p ** min(k, delta.prec) for k in range(size + raise_by + 1)]
+    # column n demands order m - shift of row m, at most size - 1 + raise_by
+    step = p if cls is MonoidClass.UpMonoid else 1
     violations = []
-    for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc):
-        mask = (1 << width) - 1
-        for m in range(size):
-            r = required(m, n)
-            if r <= 0:
-                continue
-            packed = firsts[m]
-            off = bias if m >= 1 else 0
-            for s in range(min(r, trunc)):
-                digit = (packed >> (width * s)) & mask
-                if (digit - off) % pk[r - s]:
-                    digits = _unbiased(packed, m, bias, width, trunc)
-                    entry = LambdaElt.from_ints(p, n_target, trunc, digits)
-                    violations.append((m, n, mlambda_order(entry)))
-                    break
+    columns = _kernel_columns(delta, size, omega, trunc, n_target, t_scale=p)
+    for n, rows, width in columns:
+        tests = _order_tests(p, width, trunc, n_target)
+        shift = n // step - raise_by
+        start = max(shift + 1, 0)
+        if start >= size:
+            continue
+        firsts = difference_triangle(rows, 0)
+        for m in range(start, size):
+            if not _divisible(firsts[m], *tests[m - shift]):
+                # bias the signed row like a first difference to read it
+                half = 1 << (width - 1)
+                packed = firsts[m] + _bias_block(half, width, trunc)
+                digits = _unbiased(packed, 1, half, width, trunc)
+                digits = [d // p**s for s, d in enumerate(digits)]
+                entry = LambdaElt.from_ints(p, n_target, trunc, digits)
+                violations.append((m, n, mlambda_order(entry)))
     return BoundReport(cls, size, tuple(violations))

@@ -270,31 +270,59 @@ def _log_series_terms(p: int, prec: int) -> tuple:
     return tuple(terms)
 
 
-def log_ratio(u: int, p: int, prec: int) -> tuple[int, int]:
-    """log(u)/q for u = 1 mod q, q = q_for(p), as (residue, precision).
-
-    Series log(1+x) = sum (-1)^(k+1) x^k / k summed mod p^prec up to the
-    cutoff; division by the p-part of k (and by q, a power of p, at the
-    end) is exact integer division, costing the digits log_cutoff counts.
-    """
-    q = q_for(p)
+def _log_coeffs(x: int, p: int, prec: int, top: int) -> list:
+    # (-1)^(k+1) x^k / k mod top for k = 1..k_max: log(1 + x z) as a
+    # polynomial in z; x^k is reduced mod p^prec before the exact division
+    # by the p-part of k, which top (a divisor of p^prec / p^v_p(k)) absorbs
     modulus = p**prec
-    x = (u - 1) % modulus
-    if x % q != 0:
-        raise BadArgument(f"log argument {u} is not 1 mod {q}")
-    eff = prec - log_cutoff(p, prec)[1]
-    if eff <= 0:
-        raise InsufficientPrecision("log series exhausted the working precision")
-    total = 0
+    out = []
     xk = 1
     for pk, inv, even in _log_series_terms(p, prec):
         xk = xk * x % modulus
         term = xk // pk * inv
-        total = (total - term if even else total + term) % modulus
-    total %= p**eff * q
-    if total % q != 0:
-        raise BadArgument("log value not divisible by q; argument not 1 mod q?")
-    return total // q, eff
+        out.append(-term % top if even else term % top)
+    return out
+
+
+def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
+    """log(v (1 + u z))/q for z < count, q = q_for(p), as (residues, precision).
+
+    v = 1 mod q and u = 0 mod q.  The logarithm splits as log(v) + log(1+uz).
+    The series log(1+x) = sum (-1)^(k+1) x^k / k, summed up to the cutoff,
+    gives log(v) at x = v - 1; its coefficients at x = u, computed once, make
+    log(1 + uz) a polynomial in z, evaluated at each z by Horner's rule.
+    Division by the p-part of k (and by q, a power of p, at the end) is
+    exact integer division, costing the digits log_cutoff counts.
+    """
+    q = q_for(p)
+    modulus = p**prec
+    x = (v - 1) % modulus
+    if x % q != 0:
+        raise BadArgument(f"log argument {v} is not 1 mod {q}")
+    if u % q != 0:
+        raise BadArgument(f"log line slope {u} is not 0 mod {q}")
+    eff = prec - log_cutoff(p, prec)[1]
+    if eff <= 0:
+        raise InsufficientPrecision("log series exhausted the working precision")
+    top = p**eff * q
+    base = sum(_log_coeffs(x, p, prec, top))
+    coeffs = _log_coeffs(u % modulus, p, prec, top)[::-1]
+    out = []
+    for z in range(count):
+        acc = 0
+        for c in coeffs:
+            acc = (acc + c) * z % top
+        total = (base + acc) % top
+        if total % q != 0:
+            raise BadArgument("log value not divisible by q; argument not 1 mod q?")
+        out.append(total // q)
+    return out, eff
+
+
+def log_ratio(u: int, p: int, prec: int) -> tuple[int, int]:
+    """log(u)/q for u = 1 mod q, as (residue, precision): log_line at one point."""
+    (value,), eff = log_line(u, 0, 1, p, prec)
+    return value, eff
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,8 @@ Certified polygons are exact functions of x even when some interior
 points are only bounded.
 
 Slope checkers compare observed slope multisets against the closed-form
-degree, pairing, progression and transfer predictions.  Ordinary-rank
-tables and weight-2 slope tables are inputs, never computed here.
+degree, pairing and progression predictions.  Ordinary-rank tables and
+slope tables are inputs, never computed here.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class AssertionFailure(PadicError):
 
 
 class LengthMismatch(PadicError):
-    pass
-
-
-class MissingCharacterTable(PadicError):
     pass
 
 
@@ -418,60 +414,3 @@ def progression_check(alpha: dict, M: int, p: int, q: int, t: int) -> CheckResul
                 )
             )
     return CheckResult("slope progressions", tuple(rows))
-
-
-def classical_bounds(p: int, q: int, m: int, t: int, k: int) -> tuple:
-    """Weight-independent bounds (q^2/p^m) (floor(n/qt), floor(n/qt)+1)."""
-    num = p**m * (k + 1) * t
-    if num % q:
-        raise BadArgument(f"p^m (k+1) t = {num} is not divisible by q = {q}")
-    base = Fraction(q * q, p**m)
-    out = []
-    for n in range(num // q):
-        step = n // (q * t)
-        out.append((base * step, base * (step + 1)))
-    return tuple(out)
-
-
-def slope_transfer(beta: dict, M: int, m: int, k: int, p: int, q: int, t: int,
-                   psi_exponent: int = 0) -> tuple:
-    """Predicted slopes at level p^m from weight-2 slopes at level p^M.
-
-    Union over n < p^(m-M) (k+1) of p^(M-m) (beta_i(character n) + n) with
-    i below the level dimension; the character at block n has exponent
-    psi_exponent + k - 2n.
-    """
-    if m < M:
-        raise BadArgument(f"target level exponent {m} below base level {M}")
-    num = p**M * t
-    if num % q:
-        raise BadArgument(f"p^M t = {num} is not divisible by q = {q}")
-    inner = num // q
-    phi = _phi(q)
-    scale = Fraction(1, p ** (m - M))
-    out = []
-    for n in range(p ** (m - M) * (k + 1)):
-        key = (psi_exponent + k - 2 * n) % phi
-        if key not in beta:
-            raise MissingCharacterTable(f"no weight-2 slope table for exponent {key}")
-        seq = beta[key]
-        if len(seq) < inner:
-            raise LengthMismatch(f"table for exponent {key} has {len(seq)} < {inner} slopes")
-        out.extend(scale * (Fraction(b) + n) for b in seq[:inner])
-    return tuple(sorted(out))
-
-
-# -- table ingestion ----------------------------------------------------------
-
-
-def r_ord_from_json(obj) -> dict:
-    """[{"omega_exponent": e, "r_ord": n}, ...] to an exponent table."""
-    out = {}
-    for row in obj:
-        out[int(row["omega_exponent"])] = int(row["r_ord"])
-    return out
-
-
-def beta_from_json(obj: dict) -> dict:
-    """{"e": ["1/2", ...]} to Fraction slope lists keyed by exponent."""
-    return {int(e): tuple(Fraction(s) for s in seq) for e, seq in obj.items()}

@@ -19,9 +19,11 @@ from .monoid_action import (
     DeltaMat,
     MonoidClass,
     NotInMonoid,
+    _bias_block,
     _kernel_columns,
     _unbiased,
     check_monoid,
+    difference_triangle,
     matrix_input_prec,
 )
 from .padic_core import (
@@ -269,7 +271,9 @@ def assemble(
                 f"{n_blocks} basis blocks need entry precision {need}, "
                 f"have {delta.prec}"
             )
-        for n, firsts, bias, width in _kernel_columns(delta, n_blocks, omega, trunc):
+        for n, rows, width in _kernel_columns(delta, n_blocks, omega, trunc, n_target):
+            bias = 1 << (width - 1)
+            firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
             for m, packed in enumerate(firsts):
                 acc = grid[m * t + i][n * t + j]
                 for s, digit in enumerate(_unbiased(packed, m, bias, width, trunc)):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import (
@@ -12,20 +14,26 @@ from haloslopes.monoid_action import (
     DeltaMat,
     MonoidClass,
     NotInMonoid,
+    _bias_block,
+    _divisible,
     _kernel_columns,
+    _order_tests,
     _unbiased,
     check_monoid,
     column_input_prec,
+    difference_triangle,
     matrix_input_prec,
     verify_entry_bounds,
 )
 from haloslopes.padic_core import (
+    BadArgument,
     InsufficientPrecision,
     PAdicNum,
     PrecisionTooLow,
     q_for,
     torsion_residue,
     val_p,
+    val_p_int,
 )
 
 from oracles import ActionColumn, action_column, log_ratio_oracle, teichmuller_oracle
@@ -41,18 +49,16 @@ def triv(p):
 
 def columns(delta, size, omega, trunc, nt):
     """Packed-kernel columns 0..size-1, each with rows 0..size-1, at nt digits."""
-    return [
-        ActionColumn(
-            n,
-            tuple(
-                LambdaElt.from_ints(
-                    delta.p, nt, trunc, _unbiased(packed, m, bias, width, trunc)
-                )
-                for m, packed in enumerate(firsts)
-            ),
+    out = []
+    for n, rows, width in _kernel_columns(delta, size, omega, trunc, nt):
+        bias = 1 << (width - 1)
+        firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
+        entries = tuple(
+            LambdaElt.from_ints(delta.p, nt, trunc, _unbiased(packed, m, bias, width, trunc))
+            for m, packed in enumerate(firsts)
         )
-        for n, firsts, bias, width in _kernel_columns(delta, size, omega, trunc)
-    ]
+        out.append(ActionColumn(n, entries))
+    return out
 
 
 def oracle_columns(delta, size, omega, trunc, nt):
@@ -229,17 +235,36 @@ def test_bounds_m1_class_does_not_assert_up_shape():
     assert report.monoid_class is MonoidClass.M1
 
 
-def test_bounds_report_violation_orders_of_the_reference_path():
-    # a bound raised by one must fail at the unit P_{0,0}; every reported
-    # order is read from kernel digits and must match the object path
-    p, size, trunc = 3, 10, 6
-    delta = dm(p, matrix_input_prec(p, size, trunc, size), 3, 1, 3, 2)
-    report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=1)
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+def test_bounds_report_violation_orders_of_the_reference_path(p, up):
+    # a bound raised by one must fail at the unit P_{0,0}; the reported
+    # entries are exactly those whose reference order misses the raised
+    # claim, and every reported order matches the object path
+    size, trunc = 10, 6
+    rng = random.Random(70_000 + 10 * p + up)
+    delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
+    omega = CharOfDelta(p, rng.randrange(4))
+    report = verify_entry_bounds(delta, size, omega, trunc, raise_by=1)
+    assert report.monoid_class is (MonoidClass.UpMonoid if up else MonoidClass.M1)
     assert report.violations[0][:2] == (0, 0)
-    ref = oracle_columns(delta, size, triv(p), trunc, size)
-    for m, n, order in report.violations:
-        assert order == mlambda_order(ref[n].entries[m])
-        assert not order.certainly_at_least(max(m - n // p, 0) + 1)
+    step = p if up else 1
+    ref = oracle_columns(delta, size, omega, trunc, size)
+    want = [
+        (m, n, mlambda_order(ref[n].entries[m]))
+        for n in range(size)
+        for m in range(size)
+        if m - n // step + 1 > 0
+        and not mlambda_order(ref[n].entries[m]).certainly_at_least(m - n // step + 1)
+    ]
+    assert list(report.violations) == want
+
+
+def test_bounds_refuse_orders_past_the_certified_digits():
+    delta = dm(3, matrix_input_prec(3, 10, 6, 10), 3, 1, 3, 2)
+    assert verify_entry_bounds(delta, 10, triv(3), 6, raise_by=1).violations
+    with pytest.raises(BadArgument):
+        verify_entry_bounds(delta, 10, triv(3), 6, raise_by=2)
 
 
 def test_bounds_need_enough_precision():
@@ -250,6 +275,60 @@ def test_bounds_need_enough_precision():
 def test_bounds_reject_non_monoid():
     with pytest.raises(NotInMonoid):
         verify_entry_bounds(dm(3, 40, 1, 0, 1, 1), 5, triv(3))
+
+
+@st.composite
+def packed_entries(draw):
+    # an entry at the bound scan's width: digits anywhere in the certified
+    # range, at its ends, zero, or multiples of the tested p^r
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    size = draw(st.integers(1, 14))
+    trunc = draw(st.integers(1, 8))
+    r = draw(st.integers(1, size))
+    width = 2 * (p**size).bit_length() + (p ** (trunc - 1)).bit_length() + size + 4
+    top = (1 << (width - 5)) - 1
+    pi = p**r
+    digit = st.one_of(
+        st.sampled_from([top, -top, 0]),
+        st.integers(-(top // pi), top // pi).map(lambda k: k * pi),
+        st.integers(-top, top),
+    )
+    digits = draw(st.lists(digit, min_size=trunc, max_size=trunc))
+    return p, size, trunc, r, width, digits
+
+
+def pack(digits, width):
+    return sum(d << (width * s) for s, d in enumerate(digits))
+
+
+@given(packed_entries())
+def test_order_test_matches_digitwise_divisibility(case):
+    p, size, trunc, r, width, digits = case
+    tests = _order_tests(p, width, trunc, size)
+    assert _divisible(pack(digits, width), *tests[r]) == all(
+        d % p**r == 0 for d in digits
+    )
+
+
+@given(packed_entries(), st.data())
+def test_order_test_finds_the_one_short_coefficient(case, data):
+    # kernel form d_s = p^s b_s: in (p, T)^r iff v(b_s) >= r - s for s < r
+    p, size, trunc, r, width, _digits = case
+    tests = _order_tests(p, width, trunc, size)
+    top = (1 << (width - 5)) - 1
+    # room for the one-coefficient change below
+    cap = [(top - p**r) // p ** max(r, s) for s in range(trunc)]
+    good = [p ** max(r - s, 0) * data.draw(st.integers(-c, c)) for s, c in enumerate(cap)]
+    assert _divisible(pack([p**s * b for s, b in enumerate(good)], width), *tests[r])
+    assert _divisible(0, *tests[r])
+    for s in range(min(r, trunc)):
+        unit = data.draw(st.integers(1, p - 1)) * data.draw(st.sampled_from([1, -1]))
+        bad = list(good)
+        bad[s] = good[s] + unit * p ** (r - s - 1)
+        assert val_p_int(bad[s], p) == r - s - 1
+        digits = [p**j * b for j, b in enumerate(bad)]
+        assert max(map(abs, digits)) <= top
+        assert not _divisible(pack(digits, width), *tests[r])
 
 
 def test_column_support_shape():
@@ -297,12 +376,8 @@ def test_composition_matches_product(p, d1, d2):
     omega = CharOfDelta(p, 1)
     delta1 = dm(p, prec, *d1)
     delta2 = dm(p, prec, *d2)
-    both = DeltaMat(
-        delta1.a * delta2.a + delta1.b * delta2.c,
-        delta1.a * delta2.b + delta1.b * delta2.d,
-        delta1.c * delta2.a + delta1.d * delta2.c,
-        delta1.c * delta2.b + delta1.d * delta2.d,
-    )
+    (a, b, c, d), (e, f, g, h) = d1, d2
+    both = DeltaMat(p, prec, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
     cols1 = columns(delta1, size, omega, trunc, nt)
     cols2 = columns(delta2, size, omega, trunc, nt)
     cols12 = columns(both, size, omega, trunc, nt)

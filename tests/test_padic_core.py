@@ -9,6 +9,7 @@ from haloslopes.padic_core import (
     PAdicNum,
     Valuation,
     binomials,
+    log_line,
     log_ratio,
     phi_q,
     q_for,
@@ -118,6 +119,37 @@ def test_log_ratio_is_a_homomorphism(p, a, b):
     lv, _ = log_ratio(v, p, n)
     luv, _ = log_ratio(u * v, p, n)
     assert (luv - lu - lv) % p**eff == 0
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(8, 40),
+    st.integers(0, 10**9),
+    st.integers(0, 10**9),
+    st.integers(0, 40),
+)
+def test_log_line_is_log_ratio_at_every_point(p, prec, c, d, count):
+    # the kernel's line: g(z) = log((cz + d)/d0)/q with q | c, d a unit
+    q, mod = q_for(p), p**prec
+    c, d = q * c, d * p + 1 + d % (p - 1)
+    d0 = torsion_residue(d, p, prec)
+    inv_d0 = pow(d0, -1, mod)
+    line, eff = log_line(d * inv_d0 % mod, c * pow(d, -1, mod) % mod, count, p, prec)
+    assert len(line) == count
+    digits = min(eff, 4)
+    for z, g in enumerate(line):
+        u = (c * z + d) * inv_d0 % mod
+        assert (g, eff) == log_ratio(u, p, prec)
+        assert g % p**digits == log_ratio_oracle(p, q, u, digits)
+
+
+def test_log_line_rejects_bad_arguments():
+    with pytest.raises(BadArgument):
+        log_line(7, 0, 3, 5, 10)
+    with pytest.raises(BadArgument):
+        log_line(1, 2, 3, 2, 10)
+    with pytest.raises(InsufficientPrecision):
+        log_line(6, 5, 3, 5, 1)
 
 
 def test_binom_examples():

@@ -13,23 +13,18 @@ from haloslopes.padic_core import BadArgument, Valuation
 from haloslopes.polygon import (
     AssertionFailure,
     LengthMismatch,
-    MissingCharacterTable,
     NewtonPolygon,
     PolyPoint,
     UncertifiedHull,
     atkin_lehner_check,
-    beta_from_json,
-    classical_bounds,
     degree_formula_check,
     dominates,
     lower_bound_polygon,
     max_vertical_gap,
     newton_polygon,
     progression_check,
-    r_ord_from_json,
     series_points,
     slope_report,
-    slope_transfer,
     upper_bound_polygon,
 )
 from haloslopes.up_operator import synth_up
@@ -297,14 +292,6 @@ def test_degree_formula_check_flags_rank_mismatch():
     assert any(r.label == "deg X_[0,0]" for r in result.failures())
 
 
-def test_degree_formula_check_r_ord_loader():
-    table = r_ord_from_json([
-        {"omega_exponent": 0, "r_ord": 0},
-        {"omega_exponent": 1, "r_ord": 2},
-    ])
-    assert table == {0: 0, 1: 2}
-
-
 # -- involution pairing -------------------------------------------------------
 
 
@@ -353,45 +340,3 @@ def test_progression_check_perturbed_fails():
     result = progression_check({0: seq}, 2, 3, 3, 1)
     bad = [r.label for r in result.failures()]
     assert "omega^0 j=1 step" in bad
-
-
-# -- classical bounds and slope transfer --------------------------------------
-
-
-def test_classical_bounds_first_block():
-    table = classical_bounds(5, 5, 2, 1, 0)
-    assert len(table) == 5
-    assert all(row == (0, 1) for row in table)
-
-
-def test_classical_bounds_second_block_lower():
-    table = classical_bounds(5, 5, 2, 1, 1)
-    assert len(table) == 10
-    assert table[5] == (1, 2)  # lower bound q^2 / p^m at n = qt
-
-
-def test_slope_transfer_identity_at_base_level():
-    beta = {0: (F(0), F(1, 3), F(1, 2))}
-    got = slope_transfer(beta, 1, 1, 0, 3, 3, 3)
-    assert got == (F(0), F(1, 3), F(1, 2))
-
-
-def test_slope_transfer_ladder():
-    beta = {0: (F(0), F(0), F(0)), 1: (F(0), F(0), F(0))}
-    got = slope_transfer(beta, 1, 2, 0, 3, 3, 3)
-    assert got == (0, 0, 0, F(1, 3), F(1, 3), F(1, 3), F(2, 3), F(2, 3), F(2, 3))
-
-
-def test_slope_transfer_missing_character():
-    with pytest.raises(MissingCharacterTable):
-        slope_transfer({0: (F(0), F(0), F(0))}, 1, 1, 1, 3, 3, 3)
-
-
-def test_slope_transfer_short_table():
-    with pytest.raises(LengthMismatch):
-        slope_transfer({0: (F(0),)}, 1, 1, 0, 3, 3, 3)
-
-
-def test_beta_loader_parses_fractions():
-    beta = beta_from_json({"0": ["1/2", "0.25", "3"]})
-    assert beta == {0: (F(1, 2), F(1, 4), F(3))}
