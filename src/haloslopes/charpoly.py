@@ -14,12 +14,13 @@ triangular mod m^r, so coefficients stabilize once the minor is inside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from .monoid_action import matrix_input_prec
 from .padic_core import (
     BadArgument,
+    Frozen,
     MismatchedParameters,
     PadicError,
     PrecisionTooLow,
@@ -30,18 +31,23 @@ from .up_operator import UpSpec, assemble, attainable_target
 class StabilityFailure(PadicError):
     """Two truncation sizes disagreed where the convergence lemma forbids it."""
 
+    exit_code = 3
 
-@dataclass(frozen=True)
-class CharSeries:
+
+class CharSeries(Frozen):
     """Coefficients c_0..c_D of det(I - X M), correct modulo m_Lambda^r."""
 
-    coeffs: tuple
-    r: int
+    __slots__ = ("coeffs", "r")
 
-    def __post_init__(self):
-        c0 = self.coeffs[0]
+    def __init__(self, coeffs: tuple, r: int):
+        c0 = coeffs[0]
         if c0 != LambdaElt.one(c0.p, c0.prec, c0.trunc):
             raise BadArgument("a characteristic series must start at 1")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "r", r)
+
+    def _key(self) -> tuple:
+        return self.coeffs, self.r
 
     @property
     def degree(self) -> int:
@@ -51,13 +57,18 @@ class CharSeries:
         return {"r": self.r, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
-@dataclass(frozen=True)
-class LambdaSeq:
+class LambdaSeq(Frozen):
     """lambda(0..n_max) with increments floor(i/t) - floor(i/pt)."""
 
-    p: int
-    t: int
-    values: tuple
+    __slots__ = ("p", "t", "values")
+
+    def __init__(self, p: int, t: int, values: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "values", values)
+
+    def _key(self) -> tuple:
+        return self.p, self.t, self.values
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]
@@ -245,8 +256,7 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
 # -- coefficient bound -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Margins of the halo order of c_n over lambda(n); skipped = out of budget."""
 
     checked: tuple  # (n, margin)

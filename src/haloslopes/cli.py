@@ -18,12 +18,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .charpoly import (
-    StabilityFailure,
     char_series,
     lambda_seq,
     truncation_size,
@@ -31,20 +29,8 @@ from .charpoly import (
 )
 from .checks import CHECKS
 from .iwasawa import CharOfDelta, mlambda_order
-from .monoid_action import NotInMonoid
-from .padic_core import (
-    BadArgument,
-    InsufficientPrecision,
-    MismatchedParameters,
-    NotAUnit,
-    PrecisionTooLow,
-    is_prime,
-    q_for,
-)
+from .padic_core import BadArgument, Frozen, PadicError, is_prime, q_for
 from .polygon import (
-    AssertionFailure,
-    LengthMismatch,
-    UncertifiedHull,
     lower_bound_polygon,
     max_vertical_gap,
     newton_polygon,
@@ -54,8 +40,6 @@ from .polygon import (
 )
 from .up_operator import (
     Ingested,
-    InvariantViolation,
-    NegativePowerUncertified,
     ParseError,
     Synthetic,
     UpSpec,
@@ -66,37 +50,61 @@ from .up_operator import (
     verify_block_bounds,
 )
 
+# the message prefix of each exit code a PadicError carries
+_EXIT_PREFIX = {1: "check failure", 2: "input error", 3: "precision exhausted"}
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    p: int
-    t: int
-    N: int
-    M_T: int
-    r: int
-    D: int
-    omega_exponent: int
-    vT: tuple  # Fractions in (0,1)
-    source: object  # Synthetic(seed) | Ingested(file)
-    out_dir: str
-    checks: tuple
-    scale: str  # "full" | "smoke"
+
+class ExperimentConfig(Frozen):
+    __slots__ = (
+        "p",
+        "t",
+        "N",
+        "M_T",
+        "r",
+        "D",
+        "omega_exponent",
+        "vT",  # Fractions in (0,1)
+        "source",  # Synthetic(seed) | Ingested(file)
+        "out_dir",
+        "checks",
+        "scale",  # "full" | "smoke"
+    )
+
+    def __init__(
+        self,
+        p: int,
+        t: int,
+        N: int,
+        M_T: int,
+        r: int,
+        D: int,
+        omega_exponent: int,
+        vT: tuple,
+        source: object,
+        out_dir: str,
+        checks: tuple,
+        scale: str,
+    ):
+        # every radius names its own output files and rigidity column
+        if not vT:
+            raise BadArgument("vT must list at least one radius")
+        if len(set(vT)) != len(vT):
+            raise BadArgument(f"vT lists a radius twice: {[str(v) for v in vT]}")
+        for v in vT:
+            if not 0 < v < 1:
+                raise BadArgument(f"vT = {v} is outside (0,1)")
+        if scale not in ("full", "smoke"):
+            raise BadArgument(f"scale must be full or smoke, not {scale!r}")
+        fields = (p, t, N, M_T, r, D, omega_exponent, vT, source, out_dir, checks, scale)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def q(self) -> int:
         return q_for(self.p)
-
-    def __post_init__(self):
-        # every radius names its own output files and rigidity column
-        if not self.vT:
-            raise BadArgument("vT must list at least one radius")
-        if len(set(self.vT)) != len(self.vT):
-            raise BadArgument(f"vT lists a radius twice: {[str(v) for v in self.vT]}")
-        for v in self.vT:
-            if not 0 < v < 1:
-                raise BadArgument(f"vT = {v} is outside (0,1)")
-        if self.scale not in ("full", "smoke"):
-            raise BadArgument(f"scale must be full or smoke, not {self.scale!r}")
 
 
 def _int_field(obj: dict, key: str, default=None, least=None) -> int:
@@ -412,30 +420,12 @@ def main(argv=None) -> int:
             return cmd_polygon(cfg)
         only = args.only.split(",") if args.only else None
         return cmd_verify(cfg, only=only, inject_fault=args.inject_fault)
-    except (
-        ParseError,
-        InvariantViolation,
-        NotInMonoid,
-        NotAUnit,
-        BadArgument,
-        MismatchedParameters,
-        LengthMismatch,
-        OSError,
-    ) as exc:
+    except PadicError as exc:
+        print(f"{_EXIT_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (
-        InsufficientPrecision,
-        PrecisionTooLow,
-        StabilityFailure,
-        NegativePowerUncertified,
-        UncertifiedHull,
-    ) as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
-    except AssertionFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

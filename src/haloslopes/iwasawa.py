@@ -10,11 +10,12 @@ flagging anything a zero residue leaves undecidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .padic_core import (
     BadArgument,
+    Frozen,
     InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
@@ -26,8 +27,7 @@ from .padic_core import (
 DEFAULT_TRUNC = 24
 
 
-@dataclass(frozen=True)
-class OrderBound:
+class OrderBound(NamedTuple):
     """An ideal-membership order, exact or precision-limited.
 
     When is_exact is False the true order is at least `value`; the deciding
@@ -44,21 +44,23 @@ class OrderBound:
         return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
 
 
-@dataclass(frozen=True, slots=True)
-class CharOfDelta:
+class CharOfDelta(Frozen):
     """A character of the torsion subgroup, as a power of the inclusion.
 
     exponent is reduced mod phi(q): p-1 choices for odd p, 2 for p=2.
     """
 
-    p: int
-    exponent: int
+    __slots__ = ("p", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % phi_q(self.p))
+    def __init__(self, p: int, exponent: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "exponent", exponent % phi_q(p))
+
+    def _key(self) -> tuple:
+        return self.p, self.exponent
 
 
-class LambdaElt:
+class LambdaElt(Frozen):
     """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^prec.
 
     Holds p, prec and res, the T-coefficients as residues already reduced
@@ -77,12 +79,6 @@ class LambdaElt:
             if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
                 raise MismatchedParameters("coefficients must share (p, N)")
         _init(self, c0.p, c0.prec, tuple(c.residue for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"LambdaElt is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"LambdaElt is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return LambdaElt._raw, (self.p, self.prec, self.res)
@@ -248,8 +244,7 @@ def mlambda_order(x: LambdaElt) -> OrderBound:
     return OrderBound(best, best_exact)
 
 
-@dataclass(frozen=True)
-class HaloElt:
+class HaloElt(NamedTuple):
     """A T-shifted ring element T^tshift * body, tshift possibly negative.
 
     Appears only as an entry of the rescaled block operator, where honest

@@ -58,13 +58,14 @@ digits are certified.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
+from typing import NamedTuple
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
 from .padic_core import (
     BadArgument,
+    Frozen,
     PAdicNum,
     PadicError,
     PrecisionTooLow,
@@ -87,23 +88,26 @@ class MonoidClass(enum.Enum):
     Neither = "Neither"
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaMat:
+class DeltaMat(Frozen):
     """Entries a, b, c, d as residues mod p^prec; .a to .d read as PAdicNum."""
 
-    p: int
-    prec: int
-    a_res: int
-    b_res: int
-    c_res: int
-    d_res: int
+    __slots__ = ("p", "prec", "a_res", "b_res", "c_res", "d_res")
 
-    def __post_init__(self):
-        if self.prec <= 0:
-            raise BadArgument(f"precision must be positive, got {self.prec}")
-        mod = self.p**self.prec
-        for name in ("a_res", "b_res", "c_res", "d_res"):
-            object.__setattr__(self, name, getattr(self, name) % mod)
+    def __init__(
+        self, p: int, prec: int, a_res: int, b_res: int, c_res: int, d_res: int
+    ):
+        if prec <= 0:
+            raise BadArgument(f"precision must be positive, got {prec}")
+        mod = p**prec
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "a_res", a_res % mod)
+        object.__setattr__(self, "b_res", b_res % mod)
+        object.__setattr__(self, "c_res", c_res % mod)
+        object.__setattr__(self, "d_res", d_res % mod)
+
+    def _key(self) -> tuple:
+        return self.p, self.prec, self.a_res, self.b_res, self.c_res, self.d_res
 
     @classmethod
     def from_ints(cls, p: int, prec: int, a: int, b: int, c: int, d: int):
@@ -262,8 +266,7 @@ def _unbiased(packed: int, m: int, bias: int, width: int, trunc: int) -> list:
 # -- bound verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     monoid_class: MonoidClass
     size: int
     violations: tuple  # (m, n, observed OrderBound)

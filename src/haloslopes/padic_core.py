@@ -9,13 +9,19 @@ binomials) take and return plain residues, with the precision they keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class PadicError(Exception):
-    """Base class for arithmetic-layer errors."""
+    """Base class for arithmetic-layer errors.
+
+    exit_code is the CLI's exit status for the error: 2 for bad input, 3
+    for a precision shortfall, 1 for a failed check.
+    """
+
+    exit_code = 2
 
 
 class NotAUnit(PadicError):
@@ -29,9 +35,13 @@ class BadArgument(PadicError):
 class InsufficientPrecision(PadicError):
     """An operation would leave no certified digits (caller must re-pad)."""
 
+    exit_code = 3
+
 
 class PrecisionTooLow(PadicError):
     """AtLeast flags prevent certification at the required order."""
+
+    exit_code = 3
 
 
 class MismatchedParameters(PadicError):
@@ -94,8 +104,40 @@ def val_p_factorial(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Frozen:
+    """Base of the package's immutable slotted values.
+
+    A subclass names its fields in __slots__, in constructor order, sets
+    them in __init__ through object.__setattr__ and returns them in that
+    order from _key, which equality, hashing, repr and pickling read unless
+    the subclass defines its own.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Valuation(NamedTuple):
     """Either the exact p-adic valuation or a certified lower bound.
 
     AtLeast arises when a residue is 0 mod p^N: the true valuation is >= N
@@ -121,18 +163,20 @@ class Valuation:
         return f"{kind}({self.bound})"
 
 
-@dataclass(frozen=True, slots=True)
-class PAdicNum:
+class PAdicNum(Frozen):
     """Residue mod p^prec with tracked precision."""
 
-    p: int
-    prec: int
-    residue: int
+    __slots__ = ("p", "prec", "residue")
 
-    def __post_init__(self):
-        if self.prec <= 0:
-            raise BadArgument(f"precision must be positive, got {self.prec}")
-        object.__setattr__(self, "residue", self.residue % self.p ** self.prec)
+    def __init__(self, p: int, prec: int, residue: int):
+        if prec <= 0:
+            raise BadArgument(f"precision must be positive, got {prec}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "residue", residue % p**prec)
+
+    def _key(self) -> tuple:
+        return self.p, self.prec, self.residue
 
     # -- helpers ---------------------------------------------------------
 
@@ -317,12 +361,6 @@ def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
             raise BadArgument("log value not divisible by q; argument not 1 mod q?")
         out.append(total // q)
     return out, eff
-
-
-def log_ratio(u: int, p: int, prec: int) -> tuple[int, int]:
-    """log(u)/q for u = 1 mod q, as (residue, precision): log_line at one point."""
-    (value,), eff = log_line(u, 0, 1, p, prec)
-    return value, eff
 
 
 @lru_cache(maxsize=None)

@@ -17,20 +17,24 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .charpoly import CharSeries, lambda_seq
 from .iwasawa import eval_valuation
-from .padic_core import BadArgument, PadicError, Valuation
+from .padic_core import BadArgument, Frozen, PadicError, Valuation
 
 
 class UncertifiedHull(PadicError):
     """An AtLeast point could dip below the hull of the Exact points."""
 
+    exit_code = 3
+
 
 class AssertionFailure(PadicError):
     """A closed-form identity failed; signals an implementation fault."""
+
+    exit_code = 1
 
 
 class LengthMismatch(PadicError):
@@ -41,27 +45,29 @@ def _phi(q: int) -> int:
     return 2 if q == 4 else q - 1
 
 
-@dataclass(frozen=True)
-class PolyPoint:
+class PolyPoint(NamedTuple):
     x: int
     y: Valuation
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Frozen):
     """Piecewise-linear lower hull; vertices (x, y) with x strictly increasing."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple):
+        if not vertices:
             raise BadArgument("a polygon needs at least one vertex")
-        xs = [x for x, _ in self.vertices]
+        xs = [x for x, _ in vertices]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise BadArgument("vertex x-values must increase strictly")
+        object.__setattr__(self, "vertices", vertices)
         seg = self.segment_slopes
         if any(b < a for a, b in zip(seg, seg[1:])):
             raise BadArgument("vertices are not convex from below")
+
+    def _key(self) -> tuple:
+        return (self.vertices,)
 
     @property
     def segment_slopes(self) -> tuple:
@@ -195,8 +201,7 @@ def max_vertical_gap(p: int, q: int, t: int, vT) -> Fraction:
 # -- slope reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlopeRow:
+class SlopeRow(NamedTuple):
     n: int
     slope: Fraction
     ratio: Fraction
@@ -204,8 +209,7 @@ class SlopeRow:
     exact: bool
 
 
-@dataclass(frozen=True)
-class SlopeReport:
+class SlopeReport(NamedTuple):
     vT: Fraction
     q: int
     omega_exponent: int
@@ -256,16 +260,14 @@ def slope_report(np: NewtonPolygon, vT, q: int, points=None, omega_exponent: int
 # -- structural checkers ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     label: str
     ok: bool
     observed: object
     predicted: object
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     rows: tuple
 

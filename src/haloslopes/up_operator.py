@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, HaloElt, LambdaElt, mlambda_order
 from .monoid_action import (
@@ -47,19 +47,18 @@ class InvariantViolation(PadicError):
 class NegativePowerUncertified(PadicError):
     """A rescaled entry's certified T-order fell below its required shift."""
 
+    exit_code = 3
 
-@dataclass(frozen=True)
-class Synthetic:
+
+class Synthetic(NamedTuple):
     seed: int
 
 
-@dataclass(frozen=True)
-class Ingested:
+class Ingested(NamedTuple):
     file: str
 
 
-@dataclass(frozen=True)
-class UpSpec:
+class UpSpec(NamedTuple):
     """t x t cells of monoid matrices, p per block row and block column."""
 
     t: int
@@ -207,8 +206,7 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
+class BlockMatrix(NamedTuple):
     """Square matrix over the coefficient ring, rows/cols indexed m*t + i."""
 
     t: int

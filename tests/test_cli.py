@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -9,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haloslopes import checks
+from haloslopes import checks, cli
 from haloslopes.charpoly import CharSeries
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
-from haloslopes.padic_core import BadArgument
+from haloslopes.padic_core import BadArgument, PadicError
 from haloslopes.up_operator import Ingested, Synthetic, save_up, synth_up
 
 BASE = {
@@ -253,6 +256,60 @@ def test_injected_fault_exits_1(tmp_path, capsys):
     code = main(args + ["--only", "vertical-gap", "--inject-fault", "vertical-gap"])
     assert code == 1
     assert "FAIL vertical-gap" in capsys.readouterr().out
+
+
+def package_errors(cls=PadicError):
+    """PadicError and every subclass the package defines."""
+    out = [cls]
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("haloslopes."):
+            out += package_errors(sub)
+    return out
+
+
+# the README's exit codes: 3 for a precision shortfall, 1 for a failed
+# check, 2 for every other error of the package
+PRECISION_ERRORS = {
+    "InsufficientPrecision",
+    "PrecisionTooLow",
+    "StabilityFailure",
+    "NegativePowerUncertified",
+    "UncertifiedHull",
+}
+
+
+@pytest.mark.parametrize("error", package_errors(), ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_with_its_readme_code(tmp_path, capsys, monkeypatch, error):
+    if error.__name__ in PRECISION_ERRORS:
+        code, prefix = 3, "precision exhausted"
+    elif error.__name__ == "AssertionFailure":
+        code, prefix = 1, "check failure"
+    else:
+        code, prefix = 2, "input error"
+
+    def raising(cfg, rescale=False):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_matrix", raising)
+    assert main(["matrix", "--config", write_config(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every subcommand is a fresh interpreter that pays for this import
+    probe = (
+        "import sys; bare = set(sys.modules); import haloslopes.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    added = proc.stdout.split()
+    assert "haloslopes.cli" in added
+    assert "dataclasses" not in added
 
 
 # -- matrix -------------------------------------------------------------------

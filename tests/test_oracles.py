@@ -31,7 +31,7 @@ def test_oracles_name_no_primitive_of_padic_core():
         and getattr(obj, "__module__", None) == padic_core.__name__
         and re.search(r"torsion|teich|log|binom", name)
     }
-    assert {"torsion_residue", "log_ratio", "log_line", "binomials"} <= primitives
+    assert {"torsion_residue", "log_line", "binomials"} <= primitives
     named = set()
     for node in ast.walk(oracle_tree()):
         if isinstance(node, ast.Name):
