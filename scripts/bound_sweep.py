@@ -19,7 +19,6 @@ import csv
 import random
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,34 +30,17 @@ from haloslopes.padic_core import phi_q, q_for
 from haloslopes.polygon import max_vertical_gap
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    primes: tuple = (2, 3, 5)
-    ts: tuple = (1, 2)
-    size: int = 20
-    trunc: int = 8
-    count: int = 40
-    seed: int = 0
-    vT: Fraction = Fraction(1, 3)
-    out: str = "runs/sweep.csv"
-
-
-def parse_args(argv) -> SweepConfig:
-    base = SweepConfig()
+def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--primes", type=int, nargs="+", default=list(base.primes))
-    ap.add_argument("--ts", type=int, nargs="+", default=list(base.ts))
-    ap.add_argument("--size", type=int, default=base.size)
-    ap.add_argument("--trunc", type=int, default=base.trunc)
-    ap.add_argument("--count", type=int, default=base.count)
-    ap.add_argument("--seed", type=int, default=base.seed)
-    ap.add_argument("--vT", default="1/3")
-    ap.add_argument("--out", default=base.out)
-    ns = ap.parse_args(argv)
-    return SweepConfig(
-        tuple(ns.primes), tuple(ns.ts), ns.size, ns.trunc, ns.count,
-        ns.seed, Fraction(ns.vT), ns.out,
-    )
+    ap.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
+    ap.add_argument("--ts", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--size", type=int, default=20)
+    ap.add_argument("--trunc", type=int, default=8)
+    ap.add_argument("--count", type=int, default=40)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--vT", type=Fraction, default=Fraction(1, 3))
+    ap.add_argument("--out", default="runs/sweep.csv")
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -57,31 +57,12 @@ class CharSeries(Frozen):
         return {"r": self.r, "coeffs": [c.to_json() for c in self.coeffs]}
 
 
-class LambdaSeq(Frozen):
+def lambda_seq(p: int, t: int, n_max: int) -> tuple:
     """lambda(0..n_max) with increments floor(i/t) - floor(i/pt)."""
-
-    __slots__ = ("p", "t", "values")
-
-    def __init__(self, p: int, t: int, values: tuple):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "values", values)
-
-    def _key(self) -> tuple:
-        return self.p, self.t, self.values
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def lambda_seq(p: int, t: int, n_max: int) -> LambdaSeq:
     vals = [0]
     for i in range(n_max):
         vals.append(vals[-1] + i // t - i // (p * t))
-    return LambdaSeq(p, t, tuple(vals))
+    return tuple(vals)
 
 
 def truncation_size(r: int, p: int, t: int) -> int:
@@ -262,13 +243,14 @@ class BoundReport(NamedTuple):
     checked: tuple  # (n, margin)
     skipped: tuple
     violations: tuple  # (n, observed OrderBound)
+    orders: tuple  # OrderBound of every c_n, skipped ones included
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_char_bound(cs: CharSeries, lam: LambdaSeq) -> BoundReport:
+def verify_char_bound(cs: CharSeries, lam: tuple) -> BoundReport:
     """Certify c_n in T^{lambda(n)} * (halo ring) wherever precision allows.
 
     A zero coefficient at precision N witnesses halo order N at most, so
@@ -278,13 +260,12 @@ def verify_char_bound(cs: CharSeries, lam: LambdaSeq) -> BoundReport:
     if len(lam) <= cs.degree:
         raise BadArgument(f"lambda sequence stops at {len(lam) - 1} < {cs.degree}")
     checked, skipped, violations = [], [], []
-    for n, c in enumerate(cs.coeffs):
+    orders = tuple(mlambda_order(c) for c in cs.coeffs)
+    for n, (c, order) in enumerate(zip(cs.coeffs, orders)):
         target = lam[n]
         if target > c.prec:
             skipped.append(n)
-            continue
-        order = mlambda_order(c)
-        if order.certainly_at_least(target):
+        elif order.certainly_at_least(target):
             checked.append((n, order.value - target))
         elif order.is_exact:
             violations.append((n, order))
@@ -293,4 +274,4 @@ def verify_char_bound(cs: CharSeries, lam: LambdaSeq) -> BoundReport:
                 f"c_{n}: certified halo order {order.value} below lambda(n)="
                 f"{target} but not exact"
             )
-    return BoundReport(tuple(checked), tuple(skipped), tuple(violations))
+    return BoundReport(tuple(checked), tuple(skipped), tuple(violations), orders)

@@ -21,7 +21,6 @@ from .charpoly import (
     char_input_prec,
     char_series,
     lambda_seq,
-    truncation_size,
     verify_char_bound,
     window_blocks,
 )
@@ -43,10 +42,11 @@ from .polygon import (
     max_vertical_gap,
     newton_polygon,
     progression_check,
+    ratio_table,
     series_points,
     slope_report,
 )
-from .up_operator import assemble, rescale_halo_basis, synth_up
+from .up_operator import assemble, halo_bounds, rescale_halo_basis, synth_up
 
 
 class Scale(NamedTuple):
@@ -128,7 +128,8 @@ def random_monoid_matrix(rng, p: int, N: int, p_divides_a: bool) -> DeltaMat:
             p, N, a, rng.randrange(span), q * rng.randrange(span),
             rng.randrange(1, span),
         )
-        if delta.d.is_unit() and delta.det().residue != 0:
+        a, b, c, d = delta.residues
+        if d % p and (a * d - b * c) % p**N:
             return delta
 
 
@@ -202,7 +203,7 @@ def char_series_bound(scale, fault=False):
             return False, f"(p,t)=({p},{t}) stable only mod m^{cs.r}, below m^4"
         lam = lambda_seq(p, t, D)
         if fault:
-            lam = type(lam)(p, t, tuple(v + 1 for v in lam.values))
+            lam = tuple(v + 1 for v in lam)
         report = verify_char_bound(cs, lam)
         if report.violations:
             n, order = report.violations[0]
@@ -310,17 +311,14 @@ def truncation_stability(scale, fault=False):
     return True, f"{n} series stable between truncation sizes S and S+t mod m^r"
 
 
-def _ratio_table(cs, vT) -> dict:
-    pts = series_points(cs, vT)
-    poly = newton_polygon(pts)
-    return {x: y / vT for x, y in poly.vertices if pts[x].y.is_exact}
-
-
 def ratio_rigidity(scale, fault=False):
     radii = (Fraction(1, 3), Fraction(1, 4))
     vertices = 0
     for p, t, D, _spec, cs in fixture_series(scale):
-        tables = [_ratio_table(cs, vT) for vT in radii]
+        tables = []
+        for vT in radii:
+            pts = series_points(cs, vT)
+            tables.append(ratio_table(pts, newton_polygon(pts), vT))
         common = sorted(set(tables[0]) & set(tables[1]))
         if not common:
             return False, f"(p,t)=({p},{t}) has no common flagged vertices"
@@ -352,20 +350,15 @@ def lower_bound_sandwich(scale, fault=False):
 def rescaled_columns(scale, fault=False):
     checked = 0
     for p, t, D, spec, _cs in fixture_series(scale):
-        n_blocks = max(-(-truncation_size(4, p, t) // t), 1)
-        mat = rescale_halo_basis(assemble(spec, n_blocks, CharOfDelta(p, 0)), t, p)
-        for col in range(mat.size):
-            need = col // t - col // (p * t)
-            if fault:
-                need += 1
-            for row in range(mat.size):
-                order = mat.entry(row, col).halo_T_order()
-                if not order.certainly_at_least(need):
-                    return False, (
-                        f"(p,t)=({p},{t}) entry ({row},{col}) order "
-                        f"{order.value} < {need}"
-                    )
-                checked += 1
+        mat = assemble(spec, window_blocks(p, t, 4, 0), CharOfDelta(p, 0))
+        for row, col, need, order in halo_bounds(rescale_halo_basis(mat, t, p), p):
+            need += int(fault)
+            if not order.certainly_at_least(need):
+                return False, (
+                    f"(p,t)=({p},{t}) entry ({row},{col}) order "
+                    f"{order.value} < {need}"
+                )
+            checked += 1
     return True, f"{checked} rescaled entries meet the column bound"
 
 

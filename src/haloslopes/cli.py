@@ -20,20 +20,17 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from .charpoly import (
-    char_series,
-    lambda_seq,
-    truncation_size,
-    verify_char_bound,
-)
+from .charpoly import char_series, lambda_seq, verify_char_bound, window_blocks
 from .checks import CHECKS
-from .iwasawa import CharOfDelta, mlambda_order
-from .padic_core import BadArgument, Frozen, PadicError, is_prime, q_for
+from .iwasawa import CharOfDelta
+from .padic_core import BadArgument, PadicError, is_prime, q_for
 from .polygon import (
     lower_bound_polygon,
     max_vertical_gap,
     newton_polygon,
+    ratio_table,
     series_points,
     slope_report,
     upper_bound_polygon,
@@ -44,6 +41,7 @@ from .up_operator import (
     Synthetic,
     UpSpec,
     assemble,
+    halo_bounds,
     load_up,
     rescale_halo_basis,
     synth_up,
@@ -54,53 +52,21 @@ from .up_operator import (
 _EXIT_PREFIX = {1: "check failure", 2: "input error", 3: "precision exhausted"}
 
 
-class ExperimentConfig(Frozen):
-    __slots__ = (
-        "p",
-        "t",
-        "N",
-        "M_T",
-        "r",
-        "D",
-        "omega_exponent",
-        "vT",  # Fractions in (0,1)
-        "source",  # Synthetic(seed) | Ingested(file)
-        "out_dir",
-        "checks",
-        "scale",  # "full" | "smoke"
-    )
+class ExperimentConfig(NamedTuple):
+    """A config as load_config validated it."""
 
-    def __init__(
-        self,
-        p: int,
-        t: int,
-        N: int,
-        M_T: int,
-        r: int,
-        D: int,
-        omega_exponent: int,
-        vT: tuple,
-        source: object,
-        out_dir: str,
-        checks: tuple,
-        scale: str,
-    ):
-        # every radius names its own output files and rigidity column
-        if not vT:
-            raise BadArgument("vT must list at least one radius")
-        if len(set(vT)) != len(vT):
-            raise BadArgument(f"vT lists a radius twice: {[str(v) for v in vT]}")
-        for v in vT:
-            if not 0 < v < 1:
-                raise BadArgument(f"vT = {v} is outside (0,1)")
-        if scale not in ("full", "smoke"):
-            raise BadArgument(f"scale must be full or smoke, not {scale!r}")
-        fields = (p, t, N, M_T, r, D, omega_exponent, vT, source, out_dir, checks, scale)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    p: int
+    t: int
+    N: int
+    M_T: int
+    r: int
+    D: int
+    omega_exponent: int
+    vT: tuple  # distinct Fractions in (0,1)
+    source: object  # Synthetic(seed) | Ingested(file)
+    out_dir: str
+    checks: tuple
+    scale: str  # "full" | "smoke"
 
     @property
     def q(self) -> int:
@@ -167,7 +133,7 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     scale = obj.get("scale", "smoke")
     if not isinstance(scale, str):
         raise BadArgument("config field 'scale' must be a string")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         p=p,
         t=_int_field(obj, "t", least=1),
         N=_int_field(obj, "N", least=1),
@@ -181,6 +147,17 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
         checks=tuple(_str_list(obj, "checks", [])),
         scale=scale,
     )
+    # every radius names its own output files and rigidity column
+    if not cfg.vT:
+        raise BadArgument("vT must list at least one radius")
+    if len(set(cfg.vT)) != len(cfg.vT):
+        raise BadArgument(f"vT lists a radius twice: {[str(v) for v in cfg.vT]}")
+    for v in cfg.vT:
+        if not 0 < v < 1:
+            raise BadArgument(f"vT = {v} is outside (0,1)")
+    if scale not in ("full", "smoke"):
+        raise BadArgument(f"scale must be full or smoke, not {scale!r}")
+    return cfg
 
 
 def _spec_for(cfg: ExperimentConfig) -> UpSpec:
@@ -232,33 +209,19 @@ def _source_tag(source) -> str:
 def cmd_matrix(cfg: ExperimentConfig, rescale: bool = False) -> int:
     spec = _spec_for(cfg)
     omega = CharOfDelta(cfg.p, cfg.omega_exponent)
-    n_blocks = max(-(-truncation_size(cfg.r, cfg.p, cfg.t) // cfg.t), 1)
-    mat = assemble(spec, n_blocks, omega)
-    rows = []
+    mat = assemble(spec, window_blocks(cfg.p, cfg.t, cfg.r, 0), omega)
     if rescale:
         mat = rescale_halo_basis(mat, cfg.t, cfg.p)
-        for col in range(mat.size):
-            need = col // cfg.t - col // (cfg.p * cfg.t)
-            for row in range(mat.size):
-                order = mat.entry(row, col).halo_T_order()
-                rows.append(
-                    (row, col, need, order.value, int(order.is_exact),
-                     int(order.certainly_at_least(need)))
-                )
+        table = halo_bounds(mat, cfg.p)
     else:
-        violations = verify_block_bounds(mat, cfg.p)
-        if violations:
-            row, col, order = violations[0]
+        table = verify_block_bounds(mat, cfg.p)
+    rows = []
+    for row, col, need, order in table:
+        ok = order.certainly_at_least(need)
+        if not ok:
             print(f"entry bound violated at ({row},{col}): {order}", file=sys.stderr)
             return 1
-        for row in range(mat.size):
-            for col in range(mat.size):
-                need = max(row // cfg.t - col // (cfg.p * cfg.t), 0)
-                order = mlambda_order(mat.entry(row, col))
-                rows.append(
-                    (row, col, need, order.value, int(order.is_exact),
-                     int(order.certainly_at_least(need)))
-                )
+        rows.append((row, col, need, order.value, int(order.is_exact), int(ok)))
     out = Path(cfg.out_dir)
     _write_json(
         out / "matrix.json",
@@ -297,12 +260,10 @@ def cmd_charpoly(cfg: ExperimentConfig) -> int:
             "series": cs.to_json(),
         },
     )
-    rows = []
-    for n, c in enumerate(cs.coeffs):
-        order = mlambda_order(c)
-        rows.append(
-            (n, lam[n], order.value, int(order.is_exact), order.value - lam[n])
-        )
+    rows = [
+        (n, lam[n], order.value, int(order.is_exact), order.value - lam[n])
+        for n, order in enumerate(report.orders)
+    ]
     _write_text(
         out / "charbound.csv",
         _csv_text(["n", "lambda", "halo_order", "exact", "margin"], rows),
@@ -334,7 +295,13 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
         )
         report = slope_report(poly, vT, q, points=pts,
                               omega_exponent=cfg.omega_exponent)
-        _write_text(out / f"slopes_{slug}.csv", report.to_csv())
+        _write_text(
+            out / f"slopes_{slug}.csv",
+            _csv_text(
+                ["n", "slope", "ratio", "interval", "exact_flag"],
+                [(r.n, r.slope, r.ratio, r.interval, int(r.exact)) for r in report.rows],
+            ),
+        )
         lower = lower_bound_polygon(cfg.p, cfg.t, vT, cfg.D)
         upper = upper_bound_polygon(cfg.p, q, cfg.t, vT,
                                     max(-(-cfg.D // (q * cfg.t)), 1))
@@ -350,9 +317,7 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
             ),
         )
         gap_rows.append((vT, max_vertical_gap(cfg.p, q, cfg.t, vT)))
-        ratios[vT] = {
-            x: y / vT for x, y in poly.vertices if pts[x].y.is_exact
-        }
+        ratios[vT] = ratio_table(pts, poly, vT)
     _write_text(out / "gap.csv", _csv_text(["vT", "max_gap"], gap_rows))
     if len(cfg.vT) >= 2:
         common = sorted(set.intersection(*(set(ratios[vT]) for vT in cfg.vT)))

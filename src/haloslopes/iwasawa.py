@@ -262,8 +262,8 @@ class HaloElt(NamedTuple):
         return {"tshift": str(self.tshift), "elt": self.body.to_json()}
 
 
-def eval_valuation(x: LambdaElt, vT: Fraction) -> tuple[Valuation, bool]:
-    """Valuation of x(T) at a point with v(T) = vT, with honesty flag.
+def eval_valuation(x: LambdaElt, vT: Fraction) -> Valuation:
+    """Valuation of x(T) at a point with v(T) = vT.
 
     The value is min_m (v(b_m) + m*vT); it is the exact valuation iff a
     unique m attains the minimum and that coefficient's valuation is exact.
@@ -287,6 +287,4 @@ def eval_valuation(x: LambdaElt, vT: Fraction) -> tuple[Valuation, bool]:
             best, best_exact, tie = contrib, bool(c), False
         elif contrib == best:
             tie = True
-    exact = best_exact and not tie
-    value = Fraction(best, den)
-    return (Valuation.exact(value) if exact else Valuation.at_least(value)), exact
+    return Valuation(Fraction(best, den), best_exact and not tie)

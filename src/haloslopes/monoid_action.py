@@ -89,7 +89,11 @@ class MonoidClass(enum.Enum):
 
 
 class DeltaMat(Frozen):
-    """Entries a, b, c, d as residues mod p^prec; .a to .d read as PAdicNum."""
+    """Entries a, b, c, d as residues mod p^prec.
+
+    The package reads `residues` alone; .a to .d and det() give PAdicNum
+    values for the benchmark's own matrix generator, their last reader.
+    """
 
     __slots__ = ("p", "prec", "a_res", "b_res", "c_res", "d_res")
 
@@ -246,6 +250,23 @@ def difference_triangle(rows: list, bc: int) -> list:
         cur = list(map(sub, cur[1:], cur))
         firsts.append(cur[0] + bc)
     return firsts
+
+
+def action_digits(
+    delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int, n_target: int
+):
+    """Yield (m, n, digits) for all m, n < size, column by column.
+
+    digits are trunc integers congruent mod p^n_target to the
+    T-coefficients of P_{m,n}(delta): the biased triangle of each packed
+    column, unpacked.  Sums of them stay congruent, so callers may add
+    digits of several matrices before one reduction.
+    """
+    for n, rows, width in _kernel_columns(delta, size, omega, trunc, n_target):
+        bias = 1 << (width - 1)
+        firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
+        for m, packed in enumerate(firsts):
+            yield m, n, _unbiased(packed, m, bias, width, trunc)
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,6 @@ slope tables are inputs, never computed here.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -152,7 +150,17 @@ def newton_polygon(points) -> NewtonPolygon:
 def series_points(cs: CharSeries, vT) -> list:
     """Points (n, v(c_n(T))) at a weight with v(T) = vT, flags carried."""
     vT = Fraction(vT)
-    return [PolyPoint(n, eval_valuation(c, vT)[0]) for n, c in enumerate(cs.coeffs)]
+    return [PolyPoint(n, eval_valuation(c, vT)) for n, c in enumerate(cs.coeffs)]
+
+
+def ratio_table(pts, poly: NewtonPolygon, vT) -> dict:
+    """Vertex x -> ordinate / vT over the vertices whose point is Exact.
+
+    Near the boundary of weight space these ratios do not depend on the
+    radius (the paper's rigidity claim), so tables at two radii agree on
+    their common vertices.
+    """
+    return {x: y / vT for x, y in poly.vertices if pts[x].y.is_exact}
 
 
 def lower_bound_polygon(p: int, t: int, vT, n_max: int) -> NewtonPolygon:
@@ -217,17 +225,6 @@ class SlopeReport(NamedTuple):
 
     def degrees(self) -> dict:
         return dict(Counter(row.interval for row in self.rows))
-
-    def degree(self, interval: str) -> int:
-        return sum(1 for row in self.rows if row.interval == interval)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "slope", "ratio", "interval", "exact_flag"])
-        for row in self.rows:
-            w.writerow([row.n, row.slope, row.ratio, row.interval, int(row.exact)])
-        return buf.getvalue()
 
 
 def interval_label(ratio: Fraction) -> str:

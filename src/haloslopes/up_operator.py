@@ -19,11 +19,8 @@ from .monoid_action import (
     DeltaMat,
     MonoidClass,
     NotInMonoid,
-    _bias_block,
-    _kernel_columns,
-    _unbiased,
+    action_digits,
     check_monoid,
-    difference_triangle,
     matrix_input_prec,
 )
 from .padic_core import (
@@ -67,9 +64,6 @@ class UpSpec(NamedTuple):
     M_T: int
     cells: tuple  # ((i, j, DeltaMat), ...) in a fixed order
     provenance: object
-
-    def cell(self, i: int, j: int) -> tuple:
-        return tuple(d for (ci, cj, d) in self.cells if (ci, cj) == (i, j))
 
     def validate(self) -> None:
         rows = [0] * self.t
@@ -148,8 +142,9 @@ def synth_up(
                 if d % p == 0:
                     continue
                 delta = DeltaMat.from_ints(p, N, p * alpha, b, q * gamma, d)
+                a, b, c, d = delta.residues
                 # p | a and q | c force v(det) >= 1; keep it exactly 1
-                if delta.det().residue % p**2 != 0:
+                if (a * d - b * c) % p**2 != 0:
                     break
             cells.append((i, j, delta))
     cells.sort(key=lambda c: (c[0], c[1]))
@@ -269,13 +264,10 @@ def assemble(
                 f"{n_blocks} basis blocks need entry precision {need}, "
                 f"have {delta.prec}"
             )
-        for n, rows, width in _kernel_columns(delta, n_blocks, omega, trunc, n_target):
-            bias = 1 << (width - 1)
-            firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
-            for m, packed in enumerate(firsts):
-                acc = grid[m * t + i][n * t + j]
-                for s, digit in enumerate(_unbiased(packed, m, bias, width, trunc)):
-                    acc[s] += digit
+        for m, n, digits in action_digits(delta, n_blocks, omega, trunc, n_target):
+            acc = grid[m * t + i][n * t + j]
+            for s, digit in enumerate(digits):
+                acc[s] += digit
     return BlockMatrix(
         t,
         tuple(
@@ -290,37 +282,48 @@ def block_bound(row: int, col: int, t: int, p: int) -> int:
 
 
 def verify_block_bounds(mat: BlockMatrix, p: int) -> tuple:
-    """Certify the block-level entry bound; returns violations as a tuple.
+    """(row, col, required, OrderBound) of every entry, row by row.
 
-    Entries whose order can neither be certified nor refuted (zero residues
-    at too low a precision) raise rather than mislabel.
+    Entry (row, col) must have order at least block_bound(row, col); the
+    caller compares.  Entries whose order can neither be certified nor
+    refuted (zero residues at too low a precision) raise rather than
+    mislabel.
     """
     t = mat.t
-    violations = []
+    table = []
     for row in range(mat.size):
         for col in range(mat.size):
             need = block_bound(row, col, t, p)
-            if need == 0:
-                continue
             order = mlambda_order(mat.entry(row, col))
-            if order.certainly_at_least(need):
-                continue
-            if order.is_exact:
-                violations.append((row, col, order))
-            else:
+            if not (order.certainly_at_least(need) or order.is_exact):
                 raise PrecisionTooLow(
                     f"entry ({row},{col}) certifies only order {order.value}, "
                     f"bound {need} undecidable"
                 )
-    return tuple(violations)
+            table.append((row, col, need, order))
+    return tuple(table)
+
+
+def halo_bound(col: int, t: int, p: int) -> int:
+    """Halo T-order every entry of column col of the rescaled matrix meets."""
+    return col // t - col // (p * t)
+
+
+def halo_bounds(mat: BlockMatrix, p: int) -> tuple:
+    """(row, col, required, OrderBound) of a rescaled matrix, column by column."""
+    return tuple(
+        (row, col, halo_bound(col, mat.t, p), mat.entry(row, col).halo_T_order())
+        for col in range(mat.size)
+        for row in range(mat.size)
+    )
 
 
 def rescale_halo_basis(mat: BlockMatrix, t: int, p: int) -> BlockMatrix:
     """Conjugate by diag(T^{floor(row/t)}); entries become shifted elements.
 
     Column col of the result must consist of elements of halo T-order at
-    least floor(col/t) - floor(col/pt); entries whose certified order falls
-    short (a precision failure, the mathematics guarantees the bound) raise
+    least halo_bound(col, t, p); entries whose certified order falls short
+    (a precision failure, the mathematics guarantees the bound) raise
     NegativePowerUncertified.
     """
     out = []
@@ -328,7 +331,7 @@ def rescale_halo_basis(mat: BlockMatrix, t: int, p: int) -> BlockMatrix:
         line = []
         for col in range(mat.size):
             shifted = HaloElt(col // t - row // t, mat.entry(row, col))
-            need = col // t - col // (p * t)
+            need = halo_bound(col, t, p)
             if not shifted.halo_T_order().certainly_at_least(need):
                 raise NegativePowerUncertified(
                     f"entry ({row},{col}) certifies halo order "

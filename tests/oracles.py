@@ -173,7 +173,7 @@ def action_column(
         )
     p, prec = delta.p, delta.prec
     mod = p**prec
-    a, b, c, d = (x.residue for x in (delta.a, delta.b, delta.c, delta.d))
+    a, b, c, d = delta.residues
     # torsion component of d: the sign mod 4 for p = 2
     if p == 2:
         d0 = 1 if d % 4 == 1 else mod - 1
@@ -261,10 +261,9 @@ def order_oracle(x: CoeffLambda) -> OrderBound:
     return OrderBound(best, any(exact for v, exact in contribs if v == best))
 
 
-def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> tuple:
+def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> Valuation:
     """min over every m of v(b_m) + m*vT, exact iff one exact term attains it."""
     contribs = [(val_p(c).bound + m * vT, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
     best = min(v for v, _ in contribs)
     winners = [exact for v, exact in contribs if v == best]
-    exact = winners == [True]
-    return (Valuation.exact(best) if exact else Valuation.at_least(best)), exact
+    return Valuation.exact(best) if winners == [True] else Valuation.at_least(best)

@@ -18,7 +18,7 @@ from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
 from haloslopes.padic_core import BadArgument, PadicError
-from haloslopes.up_operator import Ingested, Synthetic, save_up, synth_up
+from haloslopes.up_operator import BlockMatrix, Ingested, Synthetic, save_up, synth_up
 
 BASE = {
     "p": "3",
@@ -205,11 +205,10 @@ def test_fuzzed_config_exits_0_or_2(obj):
         assert main(args + ["--only", "lambda-closed-form"]) in (0, 2)
 
 
-def test_config_rejects_vt_outside_unit_interval():
-    with pytest.raises(BadArgument):
-        ExperimentConfig(
-            3, 1, 40, 20, 5, 6, 0, (Fraction(3, 2),), Synthetic(1), "o", (), "smoke"
-        )
+def test_config_rejects_vt_outside_unit_interval(tmp_path):
+    for radius in ("3/2", "1", "0", "-1/5"):
+        with pytest.raises(BadArgument, match=r"is outside \(0,1\)"):
+            load_config(write_config(tmp_path, vT=["1/3", radius]))
 
 
 def test_q_derivation():
@@ -324,6 +323,17 @@ def test_matrix_writes_certified_bounds(tmp_path):
     blob = json.loads((out / "matrix.json").read_text())
     assert blob["rescaled"] is False
     assert int(blob["size"]) ** 2 == len(rows)
+
+
+def test_matrix_entry_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # exact units miss the bound of entry (1,0) first, row by row
+    one = LambdaElt.one(3, 4, 4)
+    units = BlockMatrix(1, tuple(tuple(one for _ in range(3)) for _ in range(3)))
+    monkeypatch.setattr(cli, "assemble", lambda *args: units)
+    out = tmp_path / "m"
+    assert main(["matrix", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "entry bound violated at (1,0): OrderBound(=0)\n"
+    assert not out.exists()
 
 
 def test_matrix_rescale_flag(tmp_path):
@@ -513,6 +523,38 @@ def test_smoke_output_tree_matches_golden_digest(tmp_path, command):
     name, *flags = command.split()
     assert main([name, "--config", cfg, "--out", str(out), *flags]) == 0
     assert tree_digest(out) == GOLDEN_TREES[command]
+
+
+# a t = 2 shape, where row // t and row // (p*t) differ, with a nonzero
+# character exponent and three radii; same digest as GOLDEN_TREES
+T2_CONFIG = {
+    "p": "5",
+    "t": "2",
+    "N": "30",
+    "M_T": "14",
+    "r": "4",
+    "D": "6",
+    "omega_exponent": "1",
+    "vT": ["1/2", "1/3", "1/4"],
+    "source": {"seed": "2"},
+    "scale": "smoke",
+}
+GOLDEN_TREES_T2 = {
+    "matrix": "68c23a51fe8531d5f0705eebc57d8ec2235031b5f6a70e66b21833bce84a46b5",
+    "matrix --rescale": "2ae0ff7882c18bbcf2d8b3f7e8812f844499e2515cb664470d89a86ac1ce9119",
+    "charpoly": "d40e8dbff48447d5ff3e28916de835b2d054a6b0b2c271e85905e3be119467aa",
+    "polygon": "f19a5b648cf02e341cfd9f7ab3fdbf19a546c5f9342ad02f0bcae44881e6c838",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_TREES_T2))
+def test_t2_output_tree_matches_golden_digest(tmp_path, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(T2_CONFIG))
+    out = tmp_path / "out"
+    name, *flags = command.split()
+    assert main([name, "--config", str(cfg), "--out", str(out), *flags]) == 0
+    assert tree_digest(out) == GOLDEN_TREES_T2[command]
 
 
 def test_every_check_has_a_detectable_fault(tmp_path, capsys):

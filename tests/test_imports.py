@@ -1,0 +1,29 @@
+"""Each module of the package keeps its underscore names to itself."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "haloslopes"
+
+
+def private_imports(root):
+    """'module.py: source.name' for every _name imported from the package."""
+    found = []
+    paths = sorted(root.glob("*.py"))
+    assert len(paths) >= 9, f"no package sources under {root}"
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "haloslopes":
+                found += [
+                    f"{path.name}: {module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    return found
+
+
+def test_package_imports_no_private_name_of_another_module():
+    assert private_imports(PACKAGE) == []

@@ -13,14 +13,11 @@ from haloslopes.monoid_action import (
     DeltaMat,
     MonoidClass,
     NotInMonoid,
-    _bias_block,
     _divisible,
-    _kernel_columns,
     _order_tests,
-    _unbiased,
+    action_digits,
     check_monoid,
     column_input_prec,
-    difference_triangle,
     matrix_input_prec,
     verify_entry_bounds,
 )
@@ -50,16 +47,11 @@ def triv(p):
 
 def columns(delta, size, omega, trunc, nt):
     """Packed-kernel columns 0..size-1, each with rows 0..size-1, at nt digits."""
-    out = []
-    for n, rows, width in _kernel_columns(delta, size, omega, trunc, nt):
-        bias = 1 << (width - 1)
-        firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
-        entries = tuple(
-            LambdaElt.from_ints(delta.p, nt, trunc, _unbiased(packed, m, bias, width, trunc))
-            for m, packed in enumerate(firsts)
-        )
-        out.append(ActionColumn(n, entries))
-    return out
+    entries = [[] for _ in range(size)]
+    for m, n, digits in action_digits(delta, size, omega, trunc, nt):
+        assert m == len(entries[n])
+        entries[n].append(LambdaElt.from_ints(delta.p, nt, trunc, digits))
+    return [ActionColumn(n, tuple(col)) for n, col in enumerate(entries)]
 
 
 def oracle_columns(delta, size, omega, trunc, nt):

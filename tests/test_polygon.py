@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from haloslopes import cli
 from haloslopes.charpoly import char_input_prec, char_series
 from haloslopes.iwasawa import CharOfDelta
 from haloslopes.padic_core import BadArgument, Valuation
@@ -23,11 +24,12 @@ from haloslopes.polygon import (
     max_vertical_gap,
     newton_polygon,
     progression_check,
+    ratio_table,
     series_points,
     slope_report,
     upper_bound_polygon,
 )
-from haloslopes.up_operator import synth_up
+from haloslopes.up_operator import Synthetic, synth_up
 
 from oracles import lower_hull_oracle
 
@@ -222,6 +224,7 @@ def test_chord_ratio_rigidity_between_radii():
         ratios[vT] = {
             x: poly.value_at(x) / vT for x, _ in poly.vertices if x in exact_at
         }
+        assert ratio_table(pts, poly, vT) == ratios[vT]
     assert ratios[F(1, 3)] == ratios[F(1, 4)]
     # this seed attains the valuation floor at every flagged vertex
     assert ratios[F(1, 3)] == {
@@ -236,9 +239,8 @@ def test_slope_report_classifies_intervals():
     np = newton_polygon([pt(0, 0), pt(2, 0), pt(3, F(1, 2))])
     report = slope_report(np, F(1, 4), 3)  # phi(q) vT = 1/2
     assert [r.ratio for r in report.rows] == [0, 0, 1]
-    assert report.degree("[0,0]") == 2
-    assert report.degree("[1,1]") == 1
-    assert report.degree("[5,5]") == 0
+    assert report.degrees() == {"[0,0]": 2, "[1,1]": 1}
+    assert report.degrees().get("[5,5]", 0) == 0
 
 
 def test_slope_report_fractional_ratio():
@@ -257,10 +259,17 @@ def test_slope_report_exact_flags_from_points():
     assert [r.exact for r in bare.rows] == [True, True]
 
 
-def test_slope_report_csv_frozen():
-    np = newton_polygon([pt(0, 0), pt(1, F(1, 3))])
-    got = slope_report(np, F(1, 4), 3).to_csv()
-    assert got == 'n,slope,ratio,interval,exact_flag\n0,1/3,2/3,"(0,1)",1\n'
+def test_slope_report_csv_frozen(tmp_path, monkeypatch):
+    # the polygon subcommand's slopes file for the points (0, 0), (1, 1/3)
+    monkeypatch.setattr(cli, "_spec_for", lambda cfg: None)
+    monkeypatch.setattr(cli, "char_series", lambda *args: None)
+    monkeypatch.setattr(cli, "series_points", lambda cs, vT: [pt(0, 0), pt(1, F(1, 3))])
+    cfg = cli.ExperimentConfig(
+        3, 1, 40, 20, 5, 1, 0, (F(1, 4),), Synthetic(1), str(tmp_path), (), "smoke"
+    )
+    assert cli.cmd_polygon(cfg) == 0
+    got = (tmp_path / "slopes_1_4.csv").read_bytes()
+    assert got == b'n,slope,ratio,interval,exact_flag\n0,1/3,2/3,"(0,1)",1\n'
 
 
 # -- degree formulas ----------------------------------------------------------

@@ -19,6 +19,15 @@ def test_bound_sweep_smoke(tmp_path):
     assert all(r["lambda_identity_ok"] == "1" and r["gap_matches"] == "1" for r in rows)
 
 
+def test_bound_sweep_rejects_a_non_rational_radius(tmp_path, capsys):
+    sweep = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
+    with pytest.raises(SystemExit) as exc:
+        sweep["main"](["--vT", "x", "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert "argument --vT: invalid Fraction value: 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 BENCH_PAIRS = runpy.run_path(str(SCRIPTS / "bench_pairs.py"), run_name="bench_pairs")
 END_TO_END = [
     {"name": "setup_s", "better": "lower", "bound": 0.25},

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, mlambda_order
+from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, OrderBound, mlambda_order
 from haloslopes.monoid_action import DeltaMat, NotInMonoid, matrix_input_prec
 from haloslopes.padic_core import (
     BadArgument,
@@ -21,6 +21,8 @@ from haloslopes.up_operator import (
     assemble,
     attainable_target,
     block_bound,
+    halo_bound,
+    halo_bounds,
     load_up,
     rescale_halo_basis,
     save_up,
@@ -68,7 +70,8 @@ def test_synth_determinant_valuations():
     for p in (2, 3, 5):
         spec = synth_up(2, p, 16, seed=9)
         for _, _, delta in spec.cells:
-            assert val_p_int(delta.det().residue, p) == 1
+            a, b, c, d = delta.residues
+            assert val_p_int((a * d - b * c) % p**delta.prec, p) == 1
 
 
 def test_synth_rejects_single_digit_precision():
@@ -247,12 +250,39 @@ def test_block_bound_formula():
     assert block_bound(1, 8, 2, 3) == 0
 
 
+def test_halo_bound_formula():
+    # t = 2, p = 3: floor(col/2) - floor(col/6)
+    assert [halo_bound(col, 2, 3) for col in range(8)] == [0, 0, 1, 1, 2, 2, 2, 2]
+    assert halo_bound(12, 2, 3) == 6 - 2
+
+
 def test_assembled_bounds_hold():
     p, t, nb = 3, 2, 4
     n = matrix_input_prec(p, nb, 6, 12) + 1
     spec = synth_up(t, p, n, M_T=6, seed=13)
     mat = assemble(spec, nb, triv(p))
-    assert verify_block_bounds(mat, p) == ()
+    table = verify_block_bounds(mat, p)
+    # one row per entry, row by row, each meeting its block bound
+    cells = [(row, col) for row in range(t * nb) for col in range(t * nb)]
+    assert [(row, col) for row, col, _need, _order in table] == cells
+    for row, col, need, order in table:
+        assert need == block_bound(row, col, t, p)
+        assert order == mlambda_order(mat.entry(row, col))
+        assert order.certainly_at_least(need)
+
+
+def test_block_bounds_report_exact_violations():
+    # exact units miss every positive bound (rows 1 and 2 need order row - 0);
+    # the table reports them rather than raising
+    one = LambdaElt.one(3, 4, 4)
+    mat = BlockMatrix(1, tuple(tuple(one for _ in range(3)) for _ in range(3)))
+    short = [
+        (row, col, need, order)
+        for row, col, need, order in verify_block_bounds(mat, 3)
+        if not order.certainly_at_least(need)
+    ]
+    unit = OrderBound(0, True)
+    assert short == [(row, col, row, unit) for row in (1, 2) for col in range(3)]
 
 
 def test_block_bounds_undecidable_raises():
@@ -311,10 +341,14 @@ def test_rescale_synthetic_column_bound():
     spec = synth_up(t, p, n, M_T=8, seed=3)
     mat = assemble(spec, nb, triv(p))
     out = rescale_halo_basis(mat, t, p)
+    want = []
     for col in range(out.size):
         need = col // t - col // (p * t)
         for row in range(out.size):
-            assert out.entry(row, col).halo_T_order().certainly_at_least(need)
+            order = out.entry(row, col).halo_T_order()
+            assert order.certainly_at_least(need)
+            want.append((row, col, need, order))
+    assert halo_bounds(out, p) == tuple(want)
 
 
 def test_rescale_uncertified_negative_power():
