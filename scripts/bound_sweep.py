@@ -30,6 +30,17 @@ from haloslopes.padic_core import phi_q, q_for
 from haloslopes.polygon import max_vertical_gap
 
 
+def radius(text: str) -> Fraction:
+    """A --vT value: a rational strictly between 0 and 1."""
+    try:
+        vT = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    if not 0 < vT < 1:
+        raise argparse.ArgumentTypeError(f"vT = {vT} is outside (0,1)")
+    return vT
+
+
 def parse_args(argv) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--primes", type=int, nargs="+", default=[2, 3, 5])
@@ -38,7 +49,7 @@ def parse_args(argv) -> argparse.Namespace:
     ap.add_argument("--trunc", type=int, default=8)
     ap.add_argument("--count", type=int, default=40)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--vT", type=Fraction, default=Fraction(1, 3))
+    ap.add_argument("--vT", type=radius, default=Fraction(1, 3))
     ap.add_argument("--out", default="runs/sweep.csv")
     return ap.parse_args(argv)
 

@@ -4,7 +4,8 @@ Each check takes a scale ("full" or "smoke") and a fault flag and returns
 (ok, detail).  The fault flag perturbs one input or expectation so the
 check must report FAIL, which proves it can detect a fault at all.  Full
 scale is the pinned acceptance contract; smoke scale draws prefixes of the
-same seeded streams on smaller fixtures.
+same seeded streams on smaller fixtures.  `run_checks` runs a selection
+for `verify` and returns its rows in registry order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,7 +36,7 @@ from .monoid_action import (
     matrix_input_prec,
     verify_entry_bounds,
 )
-from .padic_core import Valuation, phi_q, q_for, val_p_int
+from .padic_core import BadArgument, PadicError, Valuation, phi_q, q_for, val_p_int
 from .polygon import (
     NewtonPolygon,
     PolyPoint,
@@ -151,19 +156,22 @@ def charpoly_cofactor_oracle(mat, one, zero) -> tuple:
                 out[i + j] = prod if out[i + j] is None else out[i + j] + prod
         return out
 
-    def det(rows, cols):
+    # a minor on columns `cols` always spans the last len(cols) rows, so the
+    # column tuple names it and each minor is expanded once
+    @functools.lru_cache(maxsize=None)
+    def det(cols):
+        r = n - len(cols)
         if len(cols) == 1:
-            return poly[rows[0]][cols[0]]
-        r = rows[0]
+            return poly[r][cols[0]]
         acc = None
         for idx, c in enumerate(cols):
-            term = pmul(poly[r][c], det(rows[1:], cols[:idx] + cols[idx + 1 :]))
+            term = pmul(poly[r][c], det(cols[:idx] + cols[idx + 1 :]))
             if idx % 2 == 1:
                 term = [-t for t in term]
             acc = term if acc is None else [a + b for a, b in zip(acc, term)]
         return acc
 
-    return tuple(det(list(range(n)), list(range(n)))[: n + 1])
+    return tuple(det(tuple(range(n)))[: n + 1])
 
 
 # -- checks ----------------------------------------------------------------------
@@ -457,3 +465,116 @@ CHECKS = (
     ("checker-fault-detection", checker_fault_detection),
     ("deterministic-export", deterministic_export),
 )
+
+# The checks that build characteristic series.  `run_checks` keeps them in
+# the calling process, so the memoised fixture series is built once.
+SERIES_CHECKS = frozenset({
+    "char-series-bound",
+    "truncation-stability",
+    "ratio-rigidity",
+    "lower-bound-sandwich",
+    "rescaled-columns",
+    "deterministic-export",
+})
+
+
+class CheckWorkerLost(PadicError):
+    """The forked check worker ended without sending its results."""
+
+    exit_code = 1
+
+
+def run_checks(names, scale: str, inject_fault=None) -> list:
+    """(name, ok, detail) for the named checks, or all when none are named.
+
+    Rows come in registry order.  `inject_fault` names the check whose fault
+    flag is set.  When the process can fork, has two usable CPUs and runs no
+    other thread, the SERIES_CHECKS run here while one forked child runs the
+    rest; otherwise one loop runs them all here.  The rows are the same either
+    way, and so is the error raised: that of the first check, in registry
+    order, that raised one.
+    """
+    known = [name for name, _fn in CHECKS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise BadArgument(f"unknown checks: {', '.join(unknown)}")
+    if inject_fault is not None and inject_fault not in known:
+        raise BadArgument(f"unknown check: {inject_fault}")
+    chosen = [(name, fn) for name, fn in CHECKS if not names or name in names]
+    here = [check for check in chosen if check[0] in SERIES_CHECKS]
+    there = [check for check in chosen if check[0] not in SERIES_CHECKS]
+    outcomes = None
+    if here and there and _fork_pays():
+        outcomes = _fan_out(here, there, scale, inject_fault)
+    if outcomes is None:
+        outcomes = _run(chosen, scale, inject_fault)
+    rows = []
+    for name, _fn in chosen:
+        outcome = outcomes[name]
+        if isinstance(outcome, Exception):
+            raise outcome
+        rows.append((name, *outcome))
+    return rows
+
+
+def _fork_pays() -> bool:
+    # a forked child inherits the imported package, so it starts in a few ms;
+    # it gains nothing on one CPU, and forking beside other threads is unsafe
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _run(checks, scale: str, inject_fault) -> dict:
+    """name -> (ok, detail); a check that raises maps to its exception and
+    ends the run."""
+    outcomes = {}
+    for name, fn in checks:
+        try:
+            outcomes[name] = fn(scale, fault=(name == inject_fault))
+        except Exception as exc:
+            outcomes[name] = exc
+            break
+    return outcomes
+
+
+def _fan_out(here, there, scale: str, inject_fault):
+    """Outcomes of `here`, run in this process, and of `there`, run in one
+    forked child that pickles them back over a pipe; None if fork fails."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        # leave through os._exit: no exit handlers, no flush of buffers the
+        # parent still owns, nothing printed
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run(there, scale, inject_fault)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)
+    with open(rfd, "rb") as pipe:
+        try:
+            outcomes = _run(here, scale, inject_fault)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise CheckWorkerLost(f"the check worker {how} before sending its results")
+    outcomes.update(pickle.loads(data))
+    return outcomes

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .charpoly import char_series, lambda_seq, verify_char_bound, window_blocks
-from .checks import CHECKS
 from .iwasawa import CharOfDelta
 from .padic_core import BadArgument, PadicError, is_prime, q_for
 from .polygon import (
@@ -333,22 +332,13 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, only=None, inject_fault=None) -> int:
-    names = [name for name, _fn in CHECKS]
-    wanted = list(only) if only else (list(cfg.checks) or names)
-    unknown = [w for w in wanted if w not in names]
-    if unknown:
-        raise BadArgument(f"unknown checks: {', '.join(unknown)}")
-    if inject_fault is not None and inject_fault not in names:
-        raise BadArgument(f"unknown check: {inject_fault}")
-    lines = []
-    failures = 0
-    for name, fn in CHECKS:
-        if name not in wanted:
-            continue
-        ok, detail = fn(cfg.scale, fault=(name == inject_fault))
-        failures += 0 if ok else 1
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    lines.append(f"result: {len(lines) - failures}/{len(lines)} checks passed")
+    # the check registry is imported here, so only verify pays to compile it
+    from .checks import run_checks
+
+    rows = run_checks(only or cfg.checks, cfg.scale, inject_fault)
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in rows]
+    failures = sum(not ok for _name, ok, _detail in rows)
+    lines.append(f"result: {len(rows) - failures}/{len(rows)} checks passed")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     _write_text(Path(cfg.out_dir) / "verify.txt", text)

@@ -277,14 +277,21 @@ PRECISION_ERRORS = {
 }
 
 
+CHECK_ERRORS = {"AssertionFailure", "CheckWorkerLost"}
+
+
+def readme_exit(error):
+    """(exit code, stderr prefix) the README gives for a package error."""
+    if error.__name__ in PRECISION_ERRORS:
+        return 3, "precision exhausted"
+    if error.__name__ in CHECK_ERRORS:
+        return 1, "check failure"
+    return 2, "input error"
+
+
 @pytest.mark.parametrize("error", package_errors(), ids=lambda cls: cls.__name__)
 def test_every_package_error_exits_with_its_readme_code(tmp_path, capsys, monkeypatch, error):
-    if error.__name__ in PRECISION_ERRORS:
-        code, prefix = 3, "precision exhausted"
-    elif error.__name__ == "AssertionFailure":
-        code, prefix = 1, "check failure"
-    else:
-        code, prefix = 2, "input error"
+    code, prefix = readme_exit(error)
 
     def raising(cfg, rescale=False):
         raise error("boom")
@@ -295,7 +302,8 @@ def test_every_package_error_exits_with_its_readme_code(tmp_path, capsys, monkey
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # every subcommand is a fresh interpreter that pays for this import
+    # every subcommand is a fresh interpreter that pays for this import;
+    # only verify needs the check registry, and imports it itself
     probe = (
         "import sys; bare = set(sys.modules); import haloslopes.cli; "
         "print(*sorted(set(sys.modules) - bare))"
@@ -309,6 +317,7 @@ def test_cli_import_leaves_dataclasses_unloaded():
     added = proc.stdout.split()
     assert "haloslopes.cli" in added
     assert "dataclasses" not in added
+    assert "haloslopes.checks" not in added
 
 
 # -- matrix -------------------------------------------------------------------
@@ -583,3 +592,119 @@ def test_truncation_stability_recomputes_size_s_plus_t(monkeypatch):
 def test_check_registry_names_are_unique():
     names = [name for name, _fn in CHECKS]
     assert len(names) == len(set(names)) == 14
+
+
+# -- verify's forked worker -----------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork; two usable CPUs whatever the host has."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+def replace_check(monkeypatch, name, fn):
+    monkeypatch.setattr(
+        checks, "CHECKS", tuple((n, fn if n == name else f) for n, f in CHECKS)
+    )
+
+
+def test_every_series_building_check_runs_in_the_calling_process(monkeypatch):
+    # a check that built characteristic series in the forked worker would
+    # build the memoised fixture series a second time
+    running = [None]
+    builders = set()
+    for attr in ("fixture_series", "char_series"):
+        def record(*args, _real=getattr(checks, attr), **kwargs):
+            builders.add(running[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, attr, record)
+    for name, fn in CHECKS:
+        running[0] = name
+        fn("smoke")
+    assert builders == checks.SERIES_CHECKS
+
+
+@pytest.mark.parametrize("error", package_errors(), ids=lambda cls: cls.__name__)
+def test_forked_check_error_exits_with_its_readme_code(tmp_path, capsys, monkeypatch, forks, error):
+    code, prefix = readme_exit(error)
+
+    def raising(scale, fault=False):
+        raise error("boom")
+
+    replace_check(monkeypatch, "vertical-gap", raising)
+    args = ["verify", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(args + ["--only", "vertical-gap,ratio-rigidity"]) == code
+    assert len(forks) == 1
+    assert capsys.readouterr() == ("", f"{prefix}: boom\n")
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+def test_first_error_in_registry_order_wins(tmp_path, capsys, monkeypatch, fork):
+    # entry-bounds-up runs in the worker and precedes char-series-bound
+    from haloslopes.padic_core import InsufficientPrecision
+
+    def first(scale, fault=False):
+        raise InsufficientPrecision("first")
+
+    def later(scale, fault=False):
+        raise BadArgument("later")
+
+    replace_check(monkeypatch, "entry-bounds-up", first)
+    monkeypatch.setattr(checks, "CHECKS", tuple(
+        (n, later if n == "char-series-bound" else f) for n, f in checks.CHECKS
+    ))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if fork else 1)),
+                        raising=False)
+    args = ["verify", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(args + ["--only", "char-series-bound,entry-bounds-up"]) == 3
+    assert capsys.readouterr().err == "precision exhausted: first\n"
+
+
+def test_injected_fault_in_forked_check_exits_1(tmp_path, capsys, forks):
+    args = ["verify", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    only = ["--only", "vertical-gap,ratio-rigidity"]
+    assert main(args + only + ["--inject-fault", "vertical-gap"]) == 1
+    assert len(forks) == 1
+    lines = (tmp_path / "o" / "verify.txt").read_text().splitlines()
+    assert lines[0].startswith("FAIL vertical-gap: ")
+    assert lines[1].startswith("PASS ratio-rigidity: ")
+    assert lines[2] == "result: 1/2 checks passed"
+
+
+def test_lost_check_worker_is_one_line(tmp_path, capsys, monkeypatch, forks):
+    caller = os.getpid()
+
+    def vanish(scale, fault=False):
+        if os.getpid() == caller:  # never end the test process itself
+            raise AssertionError("vertical-gap ran in the calling process")
+        os._exit(7)
+
+    replace_check(monkeypatch, "vertical-gap", vanish)
+    args = ["verify", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(args + ["--only", "vertical-gap,ratio-rigidity"]) == 1
+    assert capsys.readouterr() == (
+        "", "check failure: the check worker exited with status 7 before sending its results\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_without_fork_prints_the_golden_ledger(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+    assert (out / "verify.txt").read_text() == SMOKE_LEDGER == capsys.readouterr().out

@@ -28,6 +28,20 @@ def test_bound_sweep_rejects_a_non_rational_radius(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1/0", "invalid Fraction value: '1/0'"),
+    ("0", "vT = 0 is outside (0,1)"),
+    ("2", "vT = 2 is outside (0,1)"),
+])
+def test_bound_sweep_rejects_a_radius_outside_the_unit_interval(tmp_path, capsys, text, message):
+    sweep = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
+    with pytest.raises(SystemExit) as exc:
+        sweep["main"](["--vT", text, "--out", str(tmp_path / "sweep.csv")])
+    assert exc.value.code == 2
+    assert f"argument --vT: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 BENCH_PAIRS = runpy.run_path(str(SCRIPTS / "bench_pairs.py"), run_name="bench_pairs")
 END_TO_END = [
     {"name": "setup_s", "better": "lower", "bound": 0.25},
