@@ -17,7 +17,7 @@ from haloslopes.charpoly import CharSeries
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
-from haloslopes.padic_core import BadArgument, PadicError
+from haloslopes.padic_core import BadArgument, InsufficientPrecision, PadicError
 from haloslopes.up_operator import BlockMatrix, Ingested, Synthetic, save_up, synth_up
 
 BASE = {
@@ -614,7 +614,7 @@ def forks(monkeypatch):
 
 def replace_check(monkeypatch, name, fn):
     monkeypatch.setattr(
-        checks, "CHECKS", tuple((n, fn if n == name else f) for n, f in CHECKS)
+        checks, "CHECKS", tuple((n, fn if n == name else f) for n, f in checks.CHECKS)
     )
 
 
@@ -649,11 +649,9 @@ def test_forked_check_error_exits_with_its_readme_code(tmp_path, capsys, monkeyp
     assert capsys.readouterr() == ("", f"{prefix}: boom\n")
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
-def test_first_error_in_registry_order_wins(tmp_path, capsys, monkeypatch, fork):
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in-process"])
+def test_first_error_in_registry_order_wins(tmp_path, capsys, monkeypatch, forks, cpus):
     # entry-bounds-up runs in the worker and precedes char-series-bound
-    from haloslopes.padic_core import InsufficientPrecision
-
     def first(scale, fault=False):
         raise InsufficientPrecision("first")
 
@@ -661,13 +659,11 @@ def test_first_error_in_registry_order_wins(tmp_path, capsys, monkeypatch, fork)
         raise BadArgument("later")
 
     replace_check(monkeypatch, "entry-bounds-up", first)
-    monkeypatch.setattr(checks, "CHECKS", tuple(
-        (n, later if n == "char-series-bound" else f) for n, f in checks.CHECKS
-    ))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(2 if fork else 1)),
-                        raising=False)
+    replace_check(monkeypatch, "char-series-bound", later)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     args = ["verify", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
     assert main(args + ["--only", "char-series-bound,entry-bounds-up"]) == 3
+    assert len(forks) == cpus - 1
     assert capsys.readouterr().err == "precision exhausted: first\n"
 
 
