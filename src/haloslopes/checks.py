@@ -359,7 +359,7 @@ def rescaled_columns(scale, fault=False):
     checked = 0
     for p, t, D, spec, _cs in fixture_series(scale):
         mat = assemble(spec, window_blocks(p, t, 4, 0), CharOfDelta(p, 0))
-        for row, col, need, order in halo_bounds(rescale_halo_basis(mat, t, p), p):
+        for row, col, need, order in halo_bounds(rescale_halo_basis(mat), p):
             need += int(fault)
             if not order.certainly_at_least(need):
                 return False, (

@@ -210,7 +210,7 @@ def cmd_matrix(cfg: ExperimentConfig, rescale: bool = False) -> int:
     omega = CharOfDelta(cfg.p, cfg.omega_exponent)
     mat = assemble(spec, window_blocks(cfg.p, cfg.t, cfg.r, 0), omega)
     if rescale:
-        mat = rescale_halo_basis(mat, cfg.t, cfg.p)
+        mat = rescale_halo_basis(mat)
         table = halo_bounds(mat, cfg.p)
     else:
         table = verify_block_bounds(mat, cfg.p)

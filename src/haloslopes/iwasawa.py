@@ -19,6 +19,7 @@ from .padic_core import (
     InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
+    PrecisionTooLow,
     Valuation,
     phi_q,
     val_p_int,
@@ -39,6 +40,19 @@ class OrderBound(NamedTuple):
 
     def certainly_at_least(self, r: int) -> bool:
         return self.value >= r
+
+    def meets(self, need: int, where: str) -> bool:
+        """Whether the order reaches need; an AtLeast shortfall is undecidable.
+
+        That case raises PrecisionTooLow, so no claim rests on an AtLeast value.
+        """
+        if self.value >= need:
+            return True
+        if self.is_exact:
+            return False
+        raise PrecisionTooLow(
+            f"{where} certifies only order {self.value}, bound {need} undecidable"
+        )
 
     def __repr__(self):
         return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
@@ -65,7 +79,8 @@ class LambdaElt(Frozen):
 
     Holds p, prec and res, the T-coefficients as residues already reduced
     mod p^prec.  LambdaElt(coeffs) takes PAdicNum sharing (p, prec) and
-    .coeffs gives them back; everything else works on the integers.
+    .coeffs gives them back, for the benchmark and the test oracles;
+    everything else, scalars included, works on the integers.
     """
 
     __slots__ = ("p", "prec", "res")
@@ -153,25 +168,21 @@ class LambdaElt(Frozen):
 
     def __mul__(self, other):
         if isinstance(other, int):
-            n, k = self.prec, other
-        elif isinstance(other, PAdicNum):
-            if other.p != self.p:
-                raise MismatchedParameters(f"primes differ: {self.p} vs {other.p}")
-            n, k = min(self.prec, other.prec), other.residue
-        else:
-            n = self._join(other)
-            mt = len(self.res)
-            b = other.res
-            out = [0] * mt
-            for i, ai in enumerate(self.res):
-                if ai == 0:
-                    continue
-                for j in range(mt - i):
-                    out[i + j] += ai * b[j]
-            mod = self.p**n
-            return LambdaElt._raw(self.p, n, tuple(c % mod for c in out))
+            mod = self.p**self.prec
+            return LambdaElt._raw(
+                self.p, self.prec, tuple(a * other % mod for a in self.res)
+            )
+        n = self._join(other)
+        mt = len(self.res)
+        b = other.res
+        out = [0] * mt
+        for i, ai in enumerate(self.res):
+            if ai == 0:
+                continue
+            for j in range(mt - i):
+                out[i + j] += ai * b[j]
         mod = self.p**n
-        return LambdaElt._raw(self.p, n, tuple(a * k % mod for a in self.res))
+        return LambdaElt._raw(self.p, n, tuple(c % mod for c in out))
 
     __rmul__ = __mul__
 

@@ -91,8 +91,8 @@ class MonoidClass(enum.Enum):
 class DeltaMat(Frozen):
     """Entries a, b, c, d as residues mod p^prec.
 
-    The package reads `residues` alone; .a to .d and det() give PAdicNum
-    values for the benchmark's own matrix generator, their last reader.
+    The package reads `residues` alone; .d and det() give PAdicNum values
+    for the benchmark's own matrix generator, their last reader.
     """
 
     __slots__ = ("p", "prec", "a_res", "b_res", "c_res", "d_res")
@@ -120,18 +120,6 @@ class DeltaMat(Frozen):
     @property
     def residues(self) -> tuple:
         return self.a_res, self.b_res, self.c_res, self.d_res
-
-    @property
-    def a(self) -> PAdicNum:
-        return PAdicNum(self.p, self.prec, self.a_res)
-
-    @property
-    def b(self) -> PAdicNum:
-        return PAdicNum(self.p, self.prec, self.b_res)
-
-    @property
-    def c(self) -> PAdicNum:
-        return PAdicNum(self.p, self.prec, self.c_res)
 
     @property
     def d(self) -> PAdicNum:

@@ -27,7 +27,6 @@ from .padic_core import (
     BadArgument,
     InsufficientPrecision,
     PadicError,
-    PrecisionTooLow,
     is_prime,
     q_for,
 )
@@ -39,12 +38,6 @@ class ParseError(PadicError):
 
 class InvariantViolation(PadicError):
     pass
-
-
-class NegativePowerUncertified(PadicError):
-    """A rescaled entry's certified T-order fell below its required shift."""
-
-    exit_code = 3
 
 
 class Synthetic(NamedTuple):
@@ -66,6 +59,11 @@ class UpSpec(NamedTuple):
     provenance: object
 
     def validate(self) -> None:
+        # count first: a huge t must not size the tallies below
+        if len(self.cells) != self.p * self.t:
+            raise InvariantViolation(
+                f"expected {self.p * self.t} matrices, found {len(self.cells)}"
+            )
         rows = [0] * self.t
         cols = [0] * self.t
         for i, j, delta in self.cells:
@@ -78,10 +76,6 @@ class UpSpec(NamedTuple):
                 )
             rows[i] += 1
             cols[j] += 1
-        if len(self.cells) != self.p * self.t:
-            raise InvariantViolation(
-                f"expected {self.p * self.t} matrices, found {len(self.cells)}"
-            )
         for i, count in enumerate(rows):
             if count != self.p:
                 raise InvariantViolation(f"block row {i} holds {count} != p matrices")
@@ -281,27 +275,28 @@ def block_bound(row: int, col: int, t: int, p: int) -> int:
     return max(row // t - col // (p * t), 0)
 
 
+def _decided(table: tuple) -> tuple:
+    # meets raises where a zero residue leaves an order undecidable; exact
+    # shortfalls stay in the table for the caller to report
+    for row, col, need, order in table:
+        order.meets(need, f"entry ({row},{col})")
+    return table
+
+
 def verify_block_bounds(mat: BlockMatrix, p: int) -> tuple:
     """(row, col, required, OrderBound) of every entry, row by row.
 
     Entry (row, col) must have order at least block_bound(row, col); the
-    caller compares.  Entries whose order can neither be certified nor
-    refuted (zero residues at too low a precision) raise rather than
-    mislabel.
+    caller compares.
     """
-    t = mat.t
-    table = []
-    for row in range(mat.size):
-        for col in range(mat.size):
-            need = block_bound(row, col, t, p)
-            order = mlambda_order(mat.entry(row, col))
-            if not (order.certainly_at_least(need) or order.is_exact):
-                raise PrecisionTooLow(
-                    f"entry ({row},{col}) certifies only order {order.value}, "
-                    f"bound {need} undecidable"
-                )
-            table.append((row, col, need, order))
-    return tuple(table)
+    t, size = mat.t, mat.size
+    return _decided(
+        tuple(
+            (row, col, block_bound(row, col, t, p), mlambda_order(mat.entry(row, col)))
+            for row in range(size)
+            for col in range(size)
+        )
+    )
 
 
 def halo_bound(col: int, t: int, p: int) -> int:
@@ -310,33 +305,31 @@ def halo_bound(col: int, t: int, p: int) -> int:
 
 
 def halo_bounds(mat: BlockMatrix, p: int) -> tuple:
-    """(row, col, required, OrderBound) of a rescaled matrix, column by column."""
-    return tuple(
-        (row, col, halo_bound(col, mat.t, p), mat.entry(row, col).halo_T_order())
-        for col in range(mat.size)
-        for row in range(mat.size)
+    """(row, col, required, OrderBound) of a rescaled matrix, column by column.
+
+    A rescaled entry meets halo_bound exactly when the entry before
+    rescaling meets block_bound, so both tables decide every entry alike.
+    """
+    t, size = mat.t, mat.size
+    return _decided(
+        tuple(
+            (row, col, halo_bound(col, t, p), mat.entry(row, col).halo_T_order())
+            for col in range(size)
+            for row in range(size)
+        )
     )
 
 
-def rescale_halo_basis(mat: BlockMatrix, t: int, p: int) -> BlockMatrix:
+def rescale_halo_basis(mat: BlockMatrix) -> BlockMatrix:
     """Conjugate by diag(T^{floor(row/t)}); entries become shifted elements.
 
-    Column col of the result must consist of elements of halo T-order at
-    least halo_bound(col, t, p); entries whose certified order falls short
-    (a precision failure, the mathematics guarantees the bound) raise
-    NegativePowerUncertified.
+    Nothing is checked here; halo_bounds decides each entry's column floor.
     """
-    out = []
-    for row in range(mat.size):
-        line = []
-        for col in range(mat.size):
-            shifted = HaloElt(col // t - row // t, mat.entry(row, col))
-            need = halo_bound(col, t, p)
-            if not shifted.halo_T_order().certainly_at_least(need):
-                raise NegativePowerUncertified(
-                    f"entry ({row},{col}) certifies halo order "
-                    f"{shifted.halo_T_order().value}, need {need}"
-                )
-            line.append(shifted)
-        out.append(tuple(line))
-    return BlockMatrix(t, tuple(out))
+    t, size = mat.t, mat.size
+    return BlockMatrix(
+        t,
+        tuple(
+            tuple(HaloElt(col // t - row // t, mat.entry(row, col)) for col in range(size))
+            for row in range(size)
+        ),
+    )

@@ -27,7 +27,6 @@ from haloslopes.monoid_action import DeltaMat
 from haloslopes.padic_core import (
     BadArgument,
     MismatchedParameters,
-    PAdicNum,
     PrecisionTooLow,
     q_for,
     val_p,
@@ -174,7 +173,7 @@ def test_berkowitz_conjugation_invariant():
     units = [1 + 5 * rng.randrange(1, p ** (prec - 1)) for _ in range(size)]
     conj = tuple(
         tuple(
-            mat[i][j] * PAdicNum(p, prec, units[j] * pow(units[i], -1, p**prec))
+            mat[i][j] * (units[j] * pow(units[i], -1, p**prec))
             for j in range(size)
         )
         for i in range(size)

@@ -130,6 +130,8 @@ def run_charpoly_on_saved_file(tmp_path, capsys, edit):
         lambda obj: obj.update(N="40.0"),
         lambda obj: obj.update(t=1.0),
         lambda obj: obj.update(t="one"),
+        lambda obj: obj.update(t=10**19),
+        lambda obj: obj.update(t=2**62),
         lambda obj: obj.update(p="x"),
         lambda obj: obj.update(p=[3]),
         lambda obj: obj.update(p=None),
@@ -142,7 +144,7 @@ def run_charpoly_on_saved_file(tmp_path, capsys, edit):
     ],
     ids=[
         "M_T-x", "M_T-float", "M_T-0", "N-float", "N-float-string", "t-float",
-        "t-word", "p-x", "p-list", "p-null", "p-bool", "p-9", "i-float",
+        "t-word", "t-10^19", "t-2^62", "p-x", "p-list", "p-null", "p-bool", "p-9", "i-float",
         "j-x", "a-float", "cells-table",
     ],
 )
@@ -272,7 +274,6 @@ PRECISION_ERRORS = {
     "InsufficientPrecision",
     "PrecisionTooLow",
     "StabilityFailure",
-    "NegativePowerUncertified",
     "UncertifiedHull",
 }
 
@@ -334,14 +335,21 @@ def test_matrix_writes_certified_bounds(tmp_path):
     assert int(blob["size"]) ** 2 == len(rows)
 
 
-def test_matrix_entry_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
-    # exact units miss the bound of entry (1,0) first, row by row
+@pytest.mark.parametrize(
+    "flags, order",
+    [([], "OrderBound(=0)"), (["--rescale"], "OrderBound(=-1)")],
+    ids=["plain", "rescale"],
+)
+def test_matrix_entry_bound_violation_exits_1(tmp_path, capsys, monkeypatch, flags, order):
+    # exact units miss the bound of entry (1,0) first, row by row and column
+    # by column; rescaled, its halo order is 0 - 1 against floor 0
     one = LambdaElt.one(3, 4, 4)
     units = BlockMatrix(1, tuple(tuple(one for _ in range(3)) for _ in range(3)))
     monkeypatch.setattr(cli, "assemble", lambda *args: units)
     out = tmp_path / "m"
-    assert main(["matrix", "--config", write_config(tmp_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "entry bound violated at (1,0): OrderBound(=0)\n"
+    args = ["matrix", "--config", write_config(tmp_path), "--out", str(out)]
+    assert main(args + flags) == 1
+    assert capsys.readouterr().err == f"entry bound violated at (1,0): {order}\n"
     assert not out.exists()
 
 

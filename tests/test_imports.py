@@ -27,3 +27,28 @@ def private_imports(root):
 
 def test_package_imports_no_private_name_of_another_module():
     assert private_imports(PACKAGE) == []
+
+
+# PAdicNum stays only behind the forms the benchmark and the oracles read
+PADICNUM_MODULES = {"padic_core.py", "iwasawa.py", "monoid_action.py"}
+
+
+def modules_naming(root, name):
+    """The package sources that name `name` as an identifier or attribute."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+                or (isinstance(node, ast.ClassDef) and node.name == name)
+            )
+            if named:
+                found.add(path.name)
+    return found
+
+
+def test_padicnum_named_only_where_allowed():
+    assert modules_naming(PACKAGE, "PAdicNum") <= PADICNUM_MODULES
+    assert "padic_core.py" in modules_naming(PACKAGE, "PAdicNum")

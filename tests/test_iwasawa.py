@@ -10,6 +10,7 @@ from haloslopes.padic_core import (
     InsufficientPrecision,
     MismatchedParameters,
     PAdicNum,
+    PrecisionTooLow,
     Valuation,
 )
 from haloslopes.iwasawa import (
@@ -71,6 +72,15 @@ def test_orders_on_zero_are_precision_limited():
     z = LambdaElt.zero(5, 3, 4)
     assert mlambda_order(z) == OrderBound(3, False)
     assert HaloElt(0, z).halo_T_order() == OrderBound(3, False)
+
+
+def test_meets_decides_or_raises():
+    # reached (either flag), an exact shortfall, or an undecidable AtLeast
+    assert OrderBound(2, True).meets(2, "x") and OrderBound(3, False).meets(2, "x")
+    assert OrderBound(1, True).meets(2, "x") is False
+    with pytest.raises(PrecisionTooLow) as err:
+        OrderBound(1, False).meets(2, "entry (4,0)")
+    assert str(err.value) == "entry (4,0) certifies only order 1, bound 2 undecidable"
 
 
 def test_eval_valuation_examples():
@@ -177,8 +187,8 @@ def assert_same(x, ref):
 VTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(3, 5)]
 
 
-@given(ring_pairs(), st.integers(-50, 50), st.integers(0, 10**4), st.integers(1, 7))
-def test_packed_element_matches_coefficient_oracle(pair, k, u, n):
+@given(ring_pairs(), st.integers(-50, 50))
+def test_packed_element_matches_coefficient_oracle(pair, k):
     x, y = pair
     rx, ry = CoeffLambda(x.coeffs), CoeffLambda(y.coeffs)
     assert_same(x + y, rx + ry)
@@ -187,7 +197,6 @@ def test_packed_element_matches_coefficient_oracle(pair, k, u, n):
     assert_same(x * y, rx * ry)
     assert_same(x * k, rx * k)
     assert_same(k * x, rx * k)
-    assert_same(x * PAdicNum(x.p, n, u), rx * PAdicNum(x.p, n, u))
     assert (x == y) == (rx == ry)
     assert mlambda_order(x) == order_oracle(rx)
     assert x.to_json() == rx.to_json()
@@ -236,8 +245,6 @@ def test_compatibility_surface():
         LambdaElt(())
     with pytest.raises(BadArgument):
         LambdaElt.from_ints(3, 0, 2, [1])
-    with pytest.raises(MismatchedParameters):
-        x * PAdicNum(5, 4, 1)
 
 
 def test_packed_element_is_immutable_and_hashable():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, OrderBound, mlambda_order
 from haloslopes.monoid_action import DeltaMat, NotInMonoid, matrix_input_prec
@@ -14,7 +15,6 @@ from haloslopes.up_operator import (
     BlockMatrix,
     Ingested,
     InvariantViolation,
-    NegativePowerUncertified,
     ParseError,
     Synthetic,
     UpSpec,
@@ -310,7 +310,7 @@ def test_rescale_diagonal_same_block_untouched():
             (elt(p, nt, tr, [0]), elt(p, nt, tr, [p])),
         ),
     )
-    out = rescale_halo_basis(mat, 1, p)
+    out = rescale_halo_basis(mat)
     e = out.entry(1, 1)
     assert isinstance(e, HaloElt)
     assert e.tshift == 0
@@ -327,7 +327,7 @@ def test_rescale_peels_one_power():
             (elt(p, nt, tr, [0, 2, 1]), elt(p, nt, tr, [p])),
         ),
     )
-    out = rescale_halo_basis(mat, 1, p)
+    out = rescale_halo_basis(mat)
     low = out.entry(1, 0)
     assert low.tshift == -1
     ob = low.halo_T_order()
@@ -340,7 +340,7 @@ def test_rescale_synthetic_column_bound():
     n = matrix_input_prec(p, nb, 8, 16) + 1
     spec = synth_up(t, p, n, M_T=8, seed=3)
     mat = assemble(spec, nb, triv(p))
-    out = rescale_halo_basis(mat, t, p)
+    out = rescale_halo_basis(mat)
     want = []
     for col in range(out.size):
         need = col // t - col // (p * t)
@@ -352,10 +352,52 @@ def test_rescale_synthetic_column_bound():
 
 
 def test_rescale_uncertified_negative_power():
+    # rescaling only conjugates; the halo table refuses entry (3,0), whose
+    # zero residue at precision 2 leaves halo order >= -1 against floor 0
     zero = LambdaElt.zero(3, 2, 4)
     rows = tuple(tuple(zero for _ in range(4)) for _ in range(4))
-    with pytest.raises(NegativePowerUncertified):
-        rescale_halo_basis(BlockMatrix(1, rows), 1, 3)
+    out = rescale_halo_basis(BlockMatrix(1, rows))
+    with pytest.raises(PrecisionTooLow, match=r"entry \(3,0\) certifies only order -1"):
+        halo_bounds(out, 3)
+
+
+@st.composite
+def small_block_matrices(draw):
+    """(p, BlockMatrix) with mixed entry precisions and many zero residues."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    t = draw(st.sampled_from([1, 2]))
+    size = t * draw(st.integers(1, 3))
+    trunc = draw(st.integers(1, 3))
+    digit = st.one_of(st.just(0), st.integers(1, 4), st.sampled_from([p, p * p]))
+
+    def entry():
+        n = draw(st.integers(1, 3))
+        return LambdaElt.from_ints(p, n, trunc, draw(st.lists(digit, max_size=trunc)))
+
+    rows = tuple(tuple(entry() for _ in range(size)) for _ in range(size))
+    return p, BlockMatrix(t, rows)
+
+
+def shortfalls_or_raise(tabulate):
+    """The set of (row, col) entries short of their floor, or 'raises'."""
+    try:
+        table = tabulate()
+    except PrecisionTooLow:
+        return "raises"
+    return {(row, col) for row, col, need, order in table if order.value < need}
+
+
+@given(small_block_matrices())
+def test_block_and_halo_tables_decide_alike(case):
+    # a rescaled entry meets its halo floor exactly when the unshifted entry
+    # meets its block bound, so both tables raise together or list the
+    # same shortfalls
+    p, mat = case
+    plain = shortfalls_or_raise(lambda: verify_block_bounds(mat, p))
+    halo = shortfalls_or_raise(
+        lambda: halo_bounds(rescale_halo_basis(mat), p)
+    )
+    assert plain == halo
 
 
 # -- invariant checks on the spec type ---------------------------------------
