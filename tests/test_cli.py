@@ -144,8 +144,8 @@ def run_charpoly_on_saved_file(tmp_path, capsys, edit):
     ],
     ids=[
         "M_T-x", "M_T-float", "M_T-0", "N-float", "N-float-string", "t-float",
-        "t-word", "t-10^19", "t-2^62", "p-x", "p-list", "p-null", "p-bool", "p-9", "i-float",
-        "j-x", "a-float", "cells-table",
+        "t-word", "t-10^19", "t-2^62", "p-x", "p-list", "p-null", "p-bool",
+        "p-9", "i-float", "j-x", "a-float", "cells-table",
     ],
 )
 def test_malformed_operator_file_exits_2(tmp_path, capsys, edit):
