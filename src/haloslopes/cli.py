@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .charpoly import char_series, lambda_seq, verify_char_bound, window_blocks
 from .iwasawa import CharOfDelta
-from .padic_core import BadArgument, PadicError, is_prime, q_for
+from .padic_core import BadArgument, PadicError, is_prime, phi_q, q_for
 from .polygon import (
     lower_bound_polygon,
     max_vertical_gap,
@@ -156,6 +156,11 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
             raise BadArgument(f"vT = {v} is outside (0,1)")
     if scale not in ("full", "smoke"):
         raise BadArgument(f"scale must be full or smoke, not {scale!r}")
+    # the trees record the exponent as given, so only one name per character
+    if not 0 <= cfg.omega_exponent < phi_q(p):
+        raise BadArgument(
+            f"omega_exponent = {cfg.omega_exponent} is outside 0..{phi_q(p) - 1}"
+        )
     return cfg
 
 

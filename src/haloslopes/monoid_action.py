@@ -22,10 +22,11 @@ digits mod p^n_target, the precision its caller certifies, and may scale
 the digit at T^s by t_scale^s.  The triangle (`difference_triangle`) is an
 integer combination of rows, so every digit of its output is congruent mod
 p^n_target to t_scale^s times the T-coefficient of P_{m,n}.  A row digit
-is below p^n_target * p^n_target * t_scale^(trunc-1); an m-th difference
-digit is below 2^m times that in absolute value.  The width
+is below p^n_target * p^n_target * t_scale^(trunc-1), times a further
+factor below 2^headroom that the caller may apply to whole rows; an m-th
+difference digit is below 2^m times that in absolute value.  The width
 
-    2 * bits(p^n_target) + bits(t_scale^(trunc-1)) + size + 4
+    2 * bits(p^n_target) + bits(t_scale^(trunc-1)) + headroom + size + 4
 
 therefore keeps every digit d of the triangle at |d| < 2^(width-5).
 
@@ -53,6 +54,28 @@ Conversely, if the AND is 0, then X // pi + K has fields f_s in
 [-2^(width-1), 2^(width-1)); by uniqueness d_s = pi (f_s - 2^k), which pi
 divides.  The demanded order never exceeds n_target = size, where the
 digits are certified.
+
+The scan tests COLUMN_GROUP consecutive columns at once.  Column n demands
+order m - shift_n of row m, with shift_n = n // step - raise_by
+nondecreasing in n.  In a group whose first column is f, column n is packed
+as p^(e_n) times its samples, e_n = shift_n - shift_f, in its own block of
+trunc fields; a group row is one integer with trunc * COLUMN_GROUP fields.
+ - Scaling commutes with the triangle, which is an integer combination of
+   rows, and multiplies every digit by p^(e_n).  So p^r divides every
+   scaled digit of column n exactly when p^(r - e_n) divides every digit
+   of its own row, for r > e_n, and always for r <= e_n.
+ - At r = m - shift_f, r - e_n = m - shift_n is column n's own demand, so
+   the one test of order r on the group row passes exactly when every
+   column of the group meets its own demand at row m.
+ - A row with no demand for column n (m - shift_n <= 0) has r <= e_n and
+   passes for that column, as it is not tested on its own.
+ - The scaled row digits are below p^n_target * p^n_target *
+   p^(trunc-1) * p^(e_max), so a width with bits(p^(e_max)) more bits, for
+   the largest e_n of any group, keeps |d| < 2^(width-5) and the test above
+   exact over trunc * COLUMN_GROUP fields.
+A failing group row is read once, biased as `_unbiased` reads a first
+difference, and column n's digits divided by p^(e_n) are its own; only the
+columns that miss their own demand are reported, in (n, m) order.
 """
 
 from __future__ import annotations
@@ -179,22 +202,26 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
 # -- packed path -----------------------------------------------------------
 
 
-def _kernel_columns(
+def _kernel_samples(
     delta: DeltaMat,
     size: int,
     omega: CharOfDelta,
     trunc: int,
     n_target: int,
     t_scale: int = 1,
+    headroom: int = 0,
 ):
-    """Yield (n, rows, width) per column: the packed samples h_n(z), z < size.
+    """Return (scalars, series, width) for the samples z < size.
 
-    rows[z] holds the T-coefficients of h_n(z) reduced mod p^n_target, the
-    one at T^s multiplied by t_scale^s, in bits [width*s, width*(s+1)).
-    Any integer combination of the rows, the difference triangle included,
-    is then congruent mod p^n_target to the same combination of the true
-    samples; the width leaves room for the 2^m growth of m-fold
-    differences, so every digit stays exact integer data.
+    scalars[z][n] is omega(d0) * C(f(z), n) and series[z] packs the
+    T-coefficients of (1+T)^{g(z)}, the one at T^s multiplied by t_scale^s,
+    in bits [width*s, width*(s+1)); both are reduced mod p^n_target, so
+    scalars[z][n] * series[z] packs h_n(z).  Any integer combination of
+    these rows, the difference triangle included, is then congruent mod
+    p^n_target to the same combination of the true samples; the width
+    leaves room for the 2^m growth of m-fold differences and for a further
+    factor below 2^headroom on each row, so every digit stays exact
+    integer data.
     """
     p, prec = delta.p, delta.prec
     mod = p**prec
@@ -203,25 +230,28 @@ def _kernel_columns(
     w_res = pow(d0, omega.exponent, target)
     a, b, c, d = delta.residues
 
-    width = 2 * target.bit_length() + (t_scale ** (trunc - 1)).bit_length() + size + 4
+    width = (
+        2 * target.bit_length()
+        + (t_scale ** (trunc - 1)).bit_length()
+        + headroom
+        + size
+        + 4
+    )
     scales = [t_scale**s for s in range(trunc)][::-1]
 
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
     gs, _eff = log_line(d * pow(d0, -1, mod) % mod, c * inv_d % mod, size, p, prec)
     scalars = []
-    packed_series = []
+    series = []
     for z, g in enumerate(gs):
         fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
-        # omega(d0) * C(f(z), n) for every column n
         scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
         acc = 0
         for scale, binom in zip(scales, reversed(binomials(g, trunc, p, prec))):
             acc = (acc << width) | binom % target * scale
-        packed_series.append(acc)
-
-    for n, column in enumerate(zip(*scalars)):
-        yield n, list(map(mul, column, packed_series)), width
+        series.append(acc)
+    return scalars, series, width
 
 
 def difference_triangle(rows: list, bc: int) -> list:
@@ -250,9 +280,11 @@ def action_digits(
     column, unpacked.  Sums of them stay congruent, so callers may add
     digits of several matrices before one reduction.
     """
-    for n, rows, width in _kernel_columns(delta, size, omega, trunc, n_target):
-        bias = 1 << (width - 1)
-        firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
+    scalars, series, width = _kernel_samples(delta, size, omega, trunc, n_target)
+    bias = 1 << (width - 1)
+    bc = _bias_block(bias, width, trunc)
+    for n, column in enumerate(zip(*scalars)):
+        firsts = difference_triangle(list(map(mul, column, series)), bc)
         for m, packed in enumerate(firsts):
             yield m, n, _unbiased(packed, m, bias, width, trunc)
 
@@ -285,6 +317,10 @@ class BoundReport(NamedTuple):
         return not self.violations
 
 
+# live columns packed side by side into one row per sample in the bound scan
+COLUMN_GROUP = 4
+
+
 @lru_cache(maxsize=None)
 def _order_tests(p: int, width: int, trunc: int, top: int) -> tuple:
     """(p^r, K, M) for r = 1..top at index r: the one-entry test of (p, T)^r.
@@ -307,6 +343,24 @@ def _divisible(packed: int, pi: int, fill: int, mask: int) -> bool:
     """Whether pi divides every balanced digit of packed (one _order_tests row)."""
     quo, rem = divmod(packed, pi)
     return not rem and not (quo + fill) & mask
+
+
+def _group_violations(packed, m, group, shifts, p, width, trunc, n_target) -> list:
+    """(m, n, order) for each column n of group whose own row m misses m - shifts[n]."""
+    fields = trunc * COLUMN_GROUP
+    # bias the signed row like a first difference to read it
+    half = 1 << (width - 1)
+    digits = _unbiased(packed + _bias_block(half, width, fields), 1, half, width, fields)
+    found = []
+    for j, n in enumerate(group):
+        scale = p ** (shifts[n] - shifts[group[0]])
+        own = [d // scale for d in digits[j * trunc : (j + 1) * trunc]]
+        need = m - shifts[n]
+        if need > 0 and any(d % p**need for d in own):
+            own = [d // p**s for s, d in enumerate(own)]
+            entry = LambdaElt.from_ints(p, n_target, trunc, own)
+            found.append((m, n, mlambda_order(entry)))
+    return found
 
 
 def verify_entry_bounds(
@@ -343,24 +397,35 @@ def verify_entry_bounds(
             f"size {size} needs entry precision {need} to certify all "
             f"bounds, have {delta.prec}"
         )
-    # column n demands order m - shift of row m, at most size - 1 + raise_by
+    # column n demands order m - shifts[n] of row m, at most size - 1 +
+    # raise_by; the live columns, those with a demand in some row, are a
+    # prefix, tested COLUMN_GROUP at a time at the demand of each group's first
     step = p if cls is MonoidClass.UpMonoid else 1
+    shifts = [n // step - raise_by for n in range(size)]
+    live = [n for n in range(size) if shifts[n] + 1 < size]
+    groups = [live[i : i + COLUMN_GROUP] for i in range(0, len(live), COLUMN_GROUP)]
+    e_max = max((shifts[g[-1]] - shifts[g[0]] for g in groups), default=0)
+    scalars, series, width = _kernel_samples(
+        delta, size, omega, trunc, n_target, t_scale=p, headroom=(p**e_max).bit_length()
+    )
+    block = width * trunc
+    tests = _order_tests(p, width, trunc * COLUMN_GROUP, n_target)
     violations = []
-    columns = _kernel_columns(delta, size, omega, trunc, n_target, t_scale=p)
-    for n, rows, width in columns:
-        tests = _order_tests(p, width, trunc, n_target)
-        shift = n // step - raise_by
-        start = max(shift + 1, 0)
-        if start >= size:
-            continue
+    for group in groups:
+        first = shifts[group[0]]
+        # column group[j] fills fields j*trunc .. (j+1)*trunc - 1 of a row
+        scaled = [(n, p ** (shifts[n] - first)) for n in reversed(group)]
+        rows = []
+        for column, packed in zip(scalars, series):
+            acc = 0
+            for n, scale in scaled:
+                acc = (acc << block) | column[n] * scale * packed
+            rows.append(acc)
         firsts = difference_triangle(rows, 0)
-        for m in range(start, size):
-            if not _divisible(firsts[m], *tests[m - shift]):
-                # bias the signed row like a first difference to read it
-                half = 1 << (width - 1)
-                packed = firsts[m] + _bias_block(half, width, trunc)
-                digits = _unbiased(packed, 1, half, width, trunc)
-                digits = [d // p**s for s, d in enumerate(digits)]
-                entry = LambdaElt.from_ints(p, n_target, trunc, digits)
-                violations.append((m, n, mlambda_order(entry)))
+        for m in range(max(first + 1, 0), size):
+            if not _divisible(firsts[m], *tests[m - first]):
+                violations += _group_violations(
+                    firsts[m], m, group, shifts, p, width, trunc, n_target
+                )
+    violations.sort(key=lambda v: (v[1], v[0]))
     return BoundReport(cls, size, tuple(violations))

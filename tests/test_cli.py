@@ -96,10 +96,12 @@ def test_load_config_missing_field(tmp_path):
         {"D": "-1"},
         {"vT": []},
         {"vT": ["1/3", "2/6"]},
+        {"omega_exponent": "7"},
+        {"omega_exponent": "-1"},
     ],
     ids=[
         "p-x", "vT-abc", "vT-string", "p-1", "p-4", "vT-float", "D-negative",
-        "vT-empty", "vT-duplicate",
+        "vT-empty", "vT-duplicate", "omega-7", "omega-negative",
     ],
 )
 def test_malformed_config_field_exits_2(tmp_path, capsys, override):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from haloslopes import monoid_action
 from haloslopes.iwasawa import CharOfDelta, LambdaElt, OrderBound, mlambda_order
 from haloslopes.monoid_action import (
+    COLUMN_GROUP,
     BoundReport,
     DeltaMat,
     MonoidClass,
@@ -238,11 +240,13 @@ def test_bounds_m1_class_does_not_assert_up_shape():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
-def test_bounds_report_violation_orders_of_the_reference_path(p, up):
+@pytest.mark.parametrize("size", [10, 2 * COLUMN_GROUP + 1], ids=["size10", "size2G+1"])
+def test_bounds_report_violation_orders_of_the_reference_path(p, up, size):
     # a bound raised by one must fail at the unit P_{0,0}; the reported
     # entries are exactly those whose reference order misses the raised
-    # claim, and every reported order matches the object path
-    size, trunc = 10, 6
+    # claim, in column order across the column groups of the scan, and
+    # every reported order matches the object path
+    trunc = 6
     rng = random.Random(70_000 + 10 * p + up)
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     omega = CharOfDelta(p, rng.randrange(4))
@@ -258,6 +262,45 @@ def test_bounds_report_violation_orders_of_the_reference_path(p, up):
         if m - n // step + 1 > 0
         and not mlambda_order(ref[n].entries[m]).certainly_at_least(m - n // step + 1)
     ]
+    assert list(report.violations) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
+    # samples alternating between zero and near-largest reduced values
+    # drive every m-th difference to 2^(m-1) times the largest row digit,
+    # the growth the scan's width is sized for; the scan must report
+    # exactly the entries whose own digits miss their bound, here raised
+    # by one so that p = 2, whose 2^(m-1) factor meets most bounds, fails too
+    size, trunc = 2 * COLUMN_GROUP + 3, 4
+    target = p**size
+    rng = random.Random(60_000 + 10 * p + up)
+    # column 0 a unit, so that P_{1,0} fails its raised bound
+    powers = [0] + [rng.randrange(size) for _ in range(size - 1)]
+    scalar = [(target - 1) // p**c * p**c for c in powers]
+    digit = [(target - 1) * p**s for s in range(trunc)]
+    kernel = monoid_action._kernel_samples
+
+    def extreme_samples(*args, **kwargs):
+        _scalars, _series, width = kernel(*args, **kwargs)
+        packed = sum(d << (width * s) for s, d in enumerate(digit))
+        return [[x * (z % 2) for x in scalar] for z in range(size)], [packed] * size, width
+
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_samples)
+    delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
+    report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=1)
+    step = p if up else 1
+    want = []
+    for n in range(size):
+        for m in range(1, size):
+            # the m-th difference of R * (z odd) at 0 is (-1)^(m-1) 2^(m-1) R
+            own = [(-1) ** (m - 1) * 2 ** (m - 1) * scalar[n] * d for d in digit]
+            need = m - n // step + 1
+            if need > 0 and any(d % p**need for d in own):
+                b = [d // p**s for s, d in enumerate(own)]
+                want.append((m, n, mlambda_order(LambdaElt.from_ints(p, size, trunc, b))))
+    assert want
     assert list(report.violations) == want
 
 
@@ -330,6 +373,54 @@ def test_order_test_finds_the_one_short_coefficient(case, data):
         digits = [p**j * b for j, b in enumerate(bad)]
         assert max(map(abs, digits)) <= top
         assert not _divisible(pack(digits, width), *tests[r])
+
+
+@st.composite
+def grouped_entries(draw):
+    # up to COLUMN_GROUP entries, column j scaled by p^e_j with e_0 = 0, at
+    # the bound scan's width with its bits(p^e_max) term; each column's
+    # digits anywhere in its certified range, at its ends, zero, or
+    # multiples of p^(r - e_j), the order its own column demands, and half
+    # of the columns drawn from the multiples alone
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    size = draw(st.integers(1, 14))
+    trunc = draw(st.integers(1, 8))
+    r = draw(st.integers(1, size))
+    steps = draw(st.lists(st.integers(0, 2), min_size=0, max_size=COLUMN_GROUP - 1))
+    exps = [sum(steps[:j]) for j in range(len(steps) + 1)]
+    width = (
+        2 * (p**size).bit_length()
+        + (p ** (trunc - 1)).bit_length()
+        + (p ** exps[-1]).bit_length()
+        + size
+        + 4
+    )
+    top = (1 << (width - 5)) - 1
+    columns = []
+    for e in exps:
+        cap = top // p**e
+        pi = p ** max(r - e, 0)
+        multiple = st.integers(-(cap // pi), cap // pi).map(lambda k, pi=pi: k * pi)
+        ends = st.sampled_from([cap // pi * pi, -(cap // pi) * pi, 0])
+        digit = st.one_of(ends, multiple)
+        if draw(st.booleans()):
+            digit = st.one_of(digit, st.sampled_from([cap, -cap]), st.integers(-cap, cap))
+        columns.append(draw(st.lists(digit, min_size=trunc, max_size=trunc)))
+    return p, size, trunc, r, width, exps, columns
+
+
+@given(grouped_entries())
+def test_group_test_passes_iff_every_column_passes(case):
+    # one test of order r on the scaled, packed group decides each column
+    # at its own demand r - e_j, which a column with r <= e_j meets always
+    p, size, trunc, r, width, exps, columns = case
+    tests = _order_tests(p, width, trunc * COLUMN_GROUP, size)
+    scaled = [p**e * d for e, digits in zip(exps, columns) for d in digits]
+    own = all(
+        r <= e or all(d % p ** (r - e) == 0 for d in digits)
+        for e, digits in zip(exps, columns)
+    )
+    assert _divisible(pack(scaled, width), *tests[r]) == own
 
 
 def test_column_support_shape():
