@@ -240,29 +240,29 @@ def test_bounds_m1_class_does_not_assert_up_shape():
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
-@pytest.mark.parametrize("size", [10, 2 * COLUMN_GROUP + 1], ids=["size10", "size2G+1"])
-def test_bounds_report_violation_orders_of_the_reference_path(p, up, size):
+def test_bounds_report_violation_orders_of_the_reference_path(p, up):
     # a bound raised by one must fail at the unit P_{0,0}; the reported
     # entries are exactly those whose reference order misses the raised
     # claim, in column order across the column groups of the scan, and
     # every reported order matches the object path
     trunc = 6
-    rng = random.Random(70_000 + 10 * p + up)
-    delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
-    omega = CharOfDelta(p, rng.randrange(4))
-    report = verify_entry_bounds(delta, size, omega, trunc, raise_by=1)
-    assert report.monoid_class is (MonoidClass.UpMonoid if up else MonoidClass.M1)
-    assert report.violations[0][:2] == (0, 0)
     step = p if up else 1
-    ref = oracle_columns(delta, size, omega, trunc, size)
-    want = [
-        (m, n, mlambda_order(ref[n].entries[m]))
-        for n in range(size)
-        for m in range(size)
-        if m - n // step + 1 > 0
-        and not mlambda_order(ref[n].entries[m]).certainly_at_least(m - n // step + 1)
-    ]
-    assert list(report.violations) == want
+    for size in (10, 2 * COLUMN_GROUP + 1):
+        rng = random.Random(70_000 + 10 * p + up)
+        delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
+        omega = CharOfDelta(p, rng.randrange(4))
+        report = verify_entry_bounds(delta, size, omega, trunc, raise_by=1)
+        assert report.monoid_class is (MonoidClass.UpMonoid if up else MonoidClass.M1)
+        assert report.violations[0][:2] == (0, 0)
+        ref = oracle_columns(delta, size, omega, trunc, size)
+        want = [
+            (m, n, mlambda_order(ref[n].entries[m]))
+            for n in range(size)
+            for m in range(size)
+            if m - n // step + 1 > 0
+            and not mlambda_order(ref[n].entries[m]).certainly_at_least(m - n // step + 1)
+        ]
+        assert list(report.violations) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
