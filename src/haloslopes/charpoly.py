@@ -4,8 +4,9 @@ The ring Z/p^N [T]/T^M_T has zero divisors among the integers, so the
 determinant uses the division-free Berkowitz recurrence: absorb one
 row/column at a time, multiplying the coefficient vector by a Toeplitz
 matrix generated by [1, -pivot, -R S, -R A S, ...].  Ring elements travel
-as packed big integers (one digit per T-coefficient) so a ring product is
-a single integer multiply plus a digitwise reduction.
+in the packed form of `iwasawa` (one digit per T-coefficient), so a ring
+product is a single integer multiply plus `reduce_digits`, and negating a
+reduced value is one subtraction from the block with p^N in every digit.
 
 The truncation size comes from the convergence lemma for the block shape:
 beyond the leading floor(ptr/(p-1)) minor the matrix is strictly upper
@@ -14,9 +15,11 @@ triangular mod m^r, so coefficients stabilize once the minor is inside.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .iwasawa import CharOfDelta, LambdaElt, mlambda_order
+from .iwasawa import pack, reduce_digits, ring_width, unpack
 from .monoid_action import matrix_input_prec
 from .padic_core import (
     BadArgument,
@@ -81,45 +84,6 @@ def window_blocks(p: int, t: int, r: int, D: int) -> int:
     return max(-(-truncation_size(r, p, t) // t), -(-D // t), 1)
 
 
-# -- packed ring helpers -----------------------------------------------------
-
-
-def _ring_params(p: int, prec: int, trunc: int, size: int):
-    pn = p**prec
-    width = 2 * pn.bit_length() + (size + 2).bit_length() + trunc.bit_length() + 2
-    return pn, width
-
-
-def _pack(x: LambdaElt, width: int) -> int:
-    acc = 0
-    for c in reversed(x.res):
-        acc = (acc << width) | c
-    return acc
-
-
-def _reduce(x: int, pn: int, width: int, trunc: int, mask: int) -> int:
-    out = 0
-    shift = 0
-    for _ in range(trunc):
-        d = (x >> shift) & mask
-        if d:
-            out |= (d % pn) << shift
-        shift += width
-    return out
-
-
-def _neg(x: int, pn: int, width: int, trunc: int, mask: int) -> int:
-    # only applied to reduced values, so each digit is already < pn
-    out = 0
-    shift = 0
-    for _ in range(trunc):
-        d = (x >> shift) & mask
-        if d:
-            out |= (pn - d) << shift
-        shift += width
-    return out
-
-
 def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
     """Coefficients (c_0..c_S) of det(I - X M) over the truncated ring.
 
@@ -137,54 +101,39 @@ def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
     if len(params) != 1:
         raise MismatchedParameters(f"entries disagree on ring parameters: {params}")
     ((p, prec, trunc),) = params
-    pn, width = _ring_params(p, prec, trunc, size)
-    mask = (1 << width) - 1
-    mat = [[_pack(e, width) for e in row] for row in entries]
+    pn = p**prec
+    width = ring_width(pn, trunc, size + 1)
+    mat = [[pack(e.res, width) for e in row] for row in entries]
+    # neg - x negates a reduced x digitwise, each pn - d in [1, pn], no borrow
+    neg = pack((pn,) * trunc, width)
 
-    one = 1
-    v = [one]
+    v = [1]
     for k in range(size):
-        pivot = mat[k][k]
-        c = [one, _neg(pivot, pn, width, trunc, mask)]
-        if k:
-            row_k = mat[k]
-            w = [mat[i][k] for i in range(k)]
-            for j in range(k):
-                acc = 0
-                for i in range(k):
-                    acc += row_k[i] * w[i]
-                c.append(_neg(_reduce(acc, pn, width, trunc, mask), pn, width, trunc, mask))
-                if j < k - 1:
-                    w_next = []
-                    for i in range(k):
-                        acc = 0
-                        row_i = mat[i]
-                        for l in range(k):
-                            acc += row_i[l] * w[l]
-                        w_next.append(_reduce(acc, pn, width, trunc, mask))
-                    w = w_next
-        v_new = []
-        for i in range(len(v) + 1):
-            acc = 0
-            for j in range(max(0, i - len(c) + 1), min(i, len(v) - 1) + 1):
-                acc += c[i - j] * v[j]
-            v_new.append(_reduce(acc, pn, width, trunc, mask))
-        v = v_new
+        # c = [1, -pivot, -R S, -R A S, ...], with A the leading k x k block
+        # and R, S the rest of row and column k
+        c = [1, neg - mat[k][k]]
+        w = [mat[i][k] for i in range(k)]
+        for j in range(k):
+            if j:
+                w = [
+                    reduce_digits(sum(map(mul, row, w)), pn, width, trunc)
+                    for row in mat[:k]
+                ]
+            c.append(neg - reduce_digits(sum(map(mul, mat[k], w)), pn, width, trunc))
+        # the next minor's polynomial: v times the Toeplitz matrix of c
+        v = [
+            reduce_digits(sum(map(mul, c[i::-1], v)), pn, width, trunc)
+            for i in range(k + 2)
+        ]
         if k + 1 == minor:
             lead = v
 
-    shifts = range(0, width * trunc, width)
-
-    def unpack(poly):
-        # every value in the state is reduced, so each digit is below p^prec
-        return tuple(
-            LambdaElt._raw(p, prec, tuple((packed >> s) & mask for s in shifts))
-            for packed in poly
-        )
-
-    if minor is None:
-        return unpack(v)
-    return unpack(lead), unpack(v)
+    # every value in the state is reduced, so each digit is below p^prec
+    polys = [
+        tuple(LambdaElt._raw(p, prec, unpack(x, width, trunc)) for x in poly)
+        for poly in ((v,) if minor is None else (lead, v))
+    ]
+    return polys[0] if minor is None else tuple(polys)
 
 
 # -- the series of an operator spec ------------------------------------------
@@ -205,8 +154,9 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     ring runs at the precision certified for size S, so the returned
     coefficients keep it; the size-(S + t) polynomial is cut to the
     precision certified for its own size.  The convergence lemma says the
-    two agree mod m^r, so any disagreement signals a precision or
-    implementation fault.
+    two agree mod m^r, so a certified disagreement (StabilityFailure)
+    signals a precision or implementation fault; a gap that only zero
+    residues bound below r is undecidable (PrecisionTooLow).
     """
     p, t = spec.p, spec.t
     ts = truncation_size(r, p, t)
@@ -224,12 +174,12 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
         )
     small, big = berkowitz_charpoly(mat.entries, minor=n_blocks * t)
     big_prec = attainable_target(p, n_blocks + 1, spec.M_T, spec.N)
+    sizes = f"sizes {n_blocks * t} and {(n_blocks + 1) * t}"
     for n in range(D + 1):
         gap = mlambda_order(small[n] - big[n].with_prec(big_prec))
-        if not gap.certainly_at_least(r):
+        if not gap.meets(r, f"the gap of c_{n} between {sizes}"):
             raise StabilityFailure(
-                f"c_{n} differs between sizes {n_blocks * t} and "
-                f"{(n_blocks + 1) * t} at order {gap.value} < {r}"
+                f"c_{n} differs between {sizes} at order {gap.value} < {r}"
             )
     return CharSeries(tuple(small[: D + 1]), r)
 

@@ -41,6 +41,7 @@ from .polygon import (
     NewtonPolygon,
     PolyPoint,
     atkin_lehner_check,
+    bound_gap,
     degree_formula_check,
     dominates,
     lower_bound_polygon,
@@ -245,7 +246,7 @@ def vertical_gap(scale, fault=False):
         q = q_for(p)
         for vT in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
             got = max_vertical_gap(p, q, t, vT)
-            want = t * vT if p == 2 else Fraction((p * p - 1) * t, 8) * vT
+            want = bound_gap(p, t, vT)
             if fault:
                 want += 1
             if got != want:
@@ -310,7 +311,7 @@ def truncation_stability(scale, fault=False):
             if fault and n == 1:
                 other = other + LambdaElt.one(other.p, other.prec, other.trunc)
             gap = mlambda_order(cs.coeffs[n] - other)
-            if not gap.certainly_at_least(cs.r):
+            if not gap.meets(cs.r, f"(p,t)=({p},{t}) gap of c_{n} between S and S+t"):
                 return False, (
                     f"(p,t)=({p},{t}) c_{n} differs between sizes S and S+t "
                     f"at order {gap.value} < {cs.r}"

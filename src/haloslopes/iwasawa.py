@@ -6,6 +6,10 @@ of the T-coefficients, stored densely up to T^M_T as plain integers.
 Orders against the maximal ideal (p, T) and against the T-shifted
 outer-annulus ring are certified from coefficient valuations, honestly
 flagging anything a zero residue leaves undecidable.
+
+The packed form, in which the Mahler kernel, ring products and Berkowitz
+compute, puts T-coefficient s in bits [width*s, width*(s+1)) of one big
+integer; a product of packed values packs the convolution of their digits.
 """
 
 from __future__ import annotations
@@ -173,16 +177,12 @@ class LambdaElt(Frozen):
                 self.p, self.prec, tuple(a * other % mod for a in self.res)
             )
         n = self._join(other)
-        mt = len(self.res)
-        b = other.res
-        out = [0] * mt
-        for i, ai in enumerate(self.res):
-            if ai == 0:
-                continue
-            for j in range(mt - i):
-                out[i + j] += ai * b[j]
-        mod = self.p**n
-        return LambdaElt._raw(self.p, n, tuple(c % mod for c in out))
+        trunc = len(self.res)
+        # the digits are reduced at each operand's own precision
+        width = ring_width(self.p ** max(self.prec, other.prec), trunc, 1)
+        prod = pack(self.res, width) * pack(other.res, width)
+        res = unpack(reduce_digits(prod, self.p**n, width, trunc), width, trunc)
+        return LambdaElt._raw(self.p, n, res)
 
     __rmul__ = __mul__
 
@@ -231,6 +231,38 @@ def _init(obj: LambdaElt, p: int, prec: int, res: tuple) -> None:
     object.__setattr__(obj, "p", p)
     object.__setattr__(obj, "prec", prec)
     object.__setattr__(obj, "res", res)
+
+
+# -- the packed form ---------------------------------------------------------
+
+
+def ring_width(pn: int, trunc: int, terms: int) -> int:
+    """Width for sums of `terms` products of packed values with digits in [0, pn]:
+    their digits s < trunc are at most terms * trunc * pn^2 < 2^(width-2)."""
+    return 2 * pn.bit_length() + (terms + 1).bit_length() + trunc.bit_length() + 2
+
+
+def pack(digits, width: int) -> int:
+    """The packed form of digits, each in [0, 2^width)."""
+    acc = 0
+    for d in reversed(digits):
+        acc = (acc << width) | d
+    return acc
+
+
+def unpack(x: int, width: int, count: int) -> tuple:
+    """The first count digits of a nonnegative packed x."""
+    mask = (1 << width) - 1
+    return tuple((x >> s) & mask for s in range(0, width * count, width))
+
+
+def reduce_digits(x: int, pn: int, width: int, count: int) -> int:
+    """x with its first count digits reduced mod pn and every later one dropped."""
+    mask = (1 << width) - 1
+    out = 0
+    for shift in range(0, width * count, width):
+        out |= ((x >> shift) & mask) % pn << shift
+    return out
 
 
 def mlambda_order(x: LambdaElt) -> OrderBound:

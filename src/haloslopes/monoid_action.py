@@ -85,7 +85,7 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order
+from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order, pack, unpack
 from .padic_core import (
     BadArgument,
     Frozen,
@@ -237,7 +237,7 @@ def _kernel_samples(
         + size
         + 4
     )
-    scales = [t_scale**s for s in range(trunc)][::-1]
+    scales = [t_scale**s for s in range(trunc)]
 
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
@@ -247,10 +247,8 @@ def _kernel_samples(
     for z, g in enumerate(gs):
         fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
         scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
-        acc = 0
-        for scale, binom in zip(scales, reversed(binomials(g, trunc, p, prec))):
-            acc = (acc << width) | binom % target * scale
-        series.append(acc)
+        binoms = binomials(g, trunc, p, prec)
+        series.append(pack([x % target * s for x, s in zip(binoms, scales)], width))
     return scalars, series, width
 
 
@@ -282,26 +280,17 @@ def action_digits(
     """
     scalars, series, width = _kernel_samples(delta, size, omega, trunc, n_target)
     bias = 1 << (width - 1)
-    bc = _bias_block(bias, width, trunc)
+    bc = pack((bias,) * trunc, width)
     for n, column in enumerate(zip(*scalars)):
         firsts = difference_triangle(list(map(mul, column, series)), bc)
         for m, packed in enumerate(firsts):
             yield m, n, _unbiased(packed, m, bias, width, trunc)
 
 
-@lru_cache(maxsize=None)
-def _bias_block(bias: int, width: int, trunc: int) -> int:
-    acc = 0
-    for _ in range(trunc):
-        acc = (acc << width) | bias
-    return acc
-
-
 def _unbiased(packed: int, m: int, bias: int, width: int, trunc: int) -> list:
     """Row m's digits as integers congruent to the T-coefficients of P_{m,n}."""
-    mask = (1 << width) - 1
     off = bias if m else 0
-    return [((packed >> (width * s)) & mask) - off for s in range(trunc)]
+    return [d - off for d in unpack(packed, width, trunc)]
 
 
 # -- bound verification ----------------------------------------------------
@@ -328,7 +317,7 @@ def _order_tests(p: int, width: int, trunc: int, top: int) -> tuple:
     A signed packed value X passes for r when X % p^r == 0 and
     (X // p^r + K) & M == 0; see the module docstring.
     """
-    ones = _bias_block(1, width, trunc)
+    ones = pack((1,) * trunc, width)
     field = (1 << width) - 1
     above = -(1 << (width * trunc))
     tests = [None]
@@ -350,7 +339,7 @@ def _group_violations(packed, m, group, shifts, p, width, trunc, n_target) -> li
     fields = trunc * COLUMN_GROUP
     # bias the signed row like a first difference to read it
     half = 1 << (width - 1)
-    digits = _unbiased(packed + _bias_block(half, width, fields), 1, half, width, fields)
+    digits = _unbiased(packed + pack((half,) * fields, width), 1, half, width, fields)
     found = []
     for j, n in enumerate(group):
         scale = p ** (shifts[n] - shifts[group[0]])
@@ -414,13 +403,11 @@ def verify_entry_bounds(
     for group in groups:
         first = shifts[group[0]]
         # column group[j] fills fields j*trunc .. (j+1)*trunc - 1 of a row
-        scaled = [(n, p ** (shifts[n] - first)) for n in reversed(group)]
-        rows = []
-        for column, packed in zip(scalars, series):
-            acc = 0
-            for n, scale in scaled:
-                acc = (acc << block) | column[n] * scale * packed
-            rows.append(acc)
+        scaled = [(n, p ** (shifts[n] - first)) for n in group]
+        rows = [
+            pack([column[n] * scale * packed for n, scale in scaled], block)
+            for column, packed in zip(scalars, series)
+        ]
         firsts = difference_triangle(rows, 0)
         for m in range(max(first + 1, 0), size):
             if not _divisible(firsts[m], *tests[m - first]):

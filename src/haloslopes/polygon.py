@@ -193,14 +193,19 @@ def dominates(a: NewtonPolygon, b: NewtonPolygon) -> bool:
     return all(a.value_at(x) >= b.value_at(x) for x in xs)
 
 
+def bound_gap(p: int, t: int, vT: Fraction) -> Fraction:
+    """Closed form of the largest bound-polygon gap: (p^2-1)t/8 vT, t vT at p = 2."""
+    return t * vT if p == 2 else Fraction((p * p - 1) * t, 8) * vT
+
+
 def max_vertical_gap(p: int, q: int, t: int, vT) -> Fraction:
-    """Exact scan of upper minus lower, checked against the closed form."""
+    """Exact scan of upper minus lower, checked against `bound_gap`."""
     vT = Fraction(vT)
     span = 2 * q * t
     upper = upper_bound_polygon(p, q, t, vT, 2)
     lower = lower_bound_polygon(p, t, vT, span)
     gap = max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
-    want = Fraction((p * p - 1) * t, 8) * vT if p != 2 else t * vT
+    want = bound_gap(p, t, vT)
     if gap != want:
         raise AssertionFailure(f"scanned gap {gap} differs from closed form {want}")
     return gap

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from haloslopes.charpoly import (
@@ -117,6 +117,25 @@ def test_berkowitz_matches_cofactor_oracle(p, prec, trunc, size, seed):
         mat, LambdaElt.one(p, prec, trunc), LambdaElt.zero(p, prec, trunc)
     )
     assert berkowitz_charpoly(mat) == tuple(want)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.lists(st.lists(st.booleans(), min_size=6, max_size=6), min_size=1, max_size=6),
+)
+@example(3, 4, 8, [[True] * 6] * 6)
+@example(2, 4, 8, [[False, True] * 3] * 6)
+def test_berkowitz_at_the_edges_of_its_width(p, prec, trunc, full):
+    # every digit of an entry is p^prec - 1 or every one is 0: products
+    # reach the largest digits the packed width holds, and negating a zero
+    # digit in the recurrence gives a digit of p^prec
+    size = len(full)
+    top = elt(p, prec, trunc, [p**prec - 1] * trunc)
+    zero, one = LambdaElt.zero(p, prec, trunc), LambdaElt.one(p, prec, trunc)
+    mat = tuple(tuple(top if f else zero for f in row[:size]) for row in full)
+    assert berkowitz_charpoly(mat) == charpoly_cofactor_oracle(mat, one, zero)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
@@ -264,6 +283,14 @@ def test_char_series_detects_unstable_tail():
     spec = UpSpec(1, 3, N, 6, ((0, 0, ident),), None)
     with pytest.raises(StabilityFailure):
         char_series(spec, 1, 1, triv(3))
+
+
+def test_char_series_undecidable_gap_is_precision_shortfall():
+    # c_0 = 1 at sizes 18 and 20, but the size-20 pass is certified to 4
+    # digits only: the zero gap has order >= 4, so the bound 5 is undecidable
+    spec = synth_up(2, 3, 8, 1, seed=1)
+    with pytest.raises(PrecisionTooLow, match="c_0 .* only order 4, bound 5 undecidable"):
+        char_series(spec, 0, 5, triv(3))
 
 
 def test_char_series_rejects_bad_leading_coeff():

@@ -17,7 +17,12 @@ from haloslopes.charpoly import CharSeries
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
-from haloslopes.padic_core import BadArgument, InsufficientPrecision, PadicError
+from haloslopes.padic_core import (
+    BadArgument,
+    InsufficientPrecision,
+    PadicError,
+    PrecisionTooLow,
+)
 from haloslopes.up_operator import BlockMatrix, Ingested, Synthetic, save_up, synth_up
 
 BASE = {
@@ -245,6 +250,14 @@ def test_invalid_operator_file_exits_2(tmp_path):
 def test_starved_precision_exits_3(tmp_path):
     cfg = write_config(tmp_path, N="6")
     assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_undecidable_stability_gap_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, t="2", N="8", M_T="1", r="5", D="0")
+    assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("precision exhausted: the gap of c_0 between sizes 18 and 20")
+    assert "bound 5 undecidable" in err and "differs" not in err
 
 
 def test_unknown_check_exits_2(tmp_path):
@@ -597,6 +610,16 @@ def test_truncation_stability_recomputes_size_s_plus_t(monkeypatch):
     assert not ok and "c_2" in detail
     monkeypatch.undo()
     assert checks.truncation_stability("smoke", fault=True)[0] is False
+
+
+def test_truncation_stability_undecidable_gap_raises(monkeypatch):
+    # cut below r digits, the series meets the S + t pass only in zero
+    # residues, an order >= r - 1 that cannot decide the bound r
+    p, t, D, spec, cs = checks.fixture_series("smoke")[0]
+    low = CharSeries(tuple(c.with_prec(cs.r - 1) for c in cs.coeffs), cs.r)
+    monkeypatch.setattr(checks, "fixture_series", lambda scale: ((p, t, D, spec, low),))
+    with pytest.raises(PrecisionTooLow, match=f"c_0 .* bound {cs.r} undecidable"):
+        checks.truncation_stability("smoke")
 
 
 def test_check_registry_names_are_unique():

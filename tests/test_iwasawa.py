@@ -14,6 +14,7 @@ from haloslopes.padic_core import (
     Valuation,
 )
 from haloslopes.iwasawa import (
+    DEFAULT_TRUNC,
     CharOfDelta,
     HaloElt,
     LambdaElt,
@@ -157,9 +158,10 @@ def test_json_round_trip():
 
 @st.composite
 def ring_pairs(draw):
-    """Two elements of one ring Z/p^? [T]/T^trunc at independent precisions."""
+    """Two elements of one ring Z/p^? [T]/T^trunc at independent precisions,
+    trunc up to the pipeline's own."""
     p = draw(st.sampled_from([2, 3, 5]))
-    trunc = draw(st.integers(1, 6))
+    trunc = draw(st.integers(1, DEFAULT_TRUNC))
 
     def element():
         n = draw(st.integers(1, 6))
@@ -188,6 +190,14 @@ VTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4), Fraction(
 
 
 @given(ring_pairs(), st.integers(-50, 50))
+@example(
+    # every digit at its largest, the two operands at different precisions
+    (
+        LambdaElt.from_ints(5, 6, DEFAULT_TRUNC, [-1] * DEFAULT_TRUNC),
+        LambdaElt.from_ints(5, 2, DEFAULT_TRUNC, [-1] * DEFAULT_TRUNC),
+    ),
+    -1,
+)
 def test_packed_element_matches_coefficient_oracle(pair, k):
     x, y = pair
     rx, ry = CoeffLambda(x.coeffs), CoeffLambda(y.coeffs)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from haloslopes.monoid_action import _bias_block, _unbiased, difference_triangle
+from haloslopes.iwasawa import pack
+from haloslopes.monoid_action import _unbiased, difference_triangle
 
 from oracles import mahler_coeff_oracle
 
@@ -81,7 +82,7 @@ def test_biased_triangle_unpacks_to_integer_differences(case):
     width = 2 * (p**prec).bit_length() + size + 4
     bias = 1 << (width - 1)
     rows = [sum(d << (width * s) for s, d in enumerate(row)) for row in digits]
-    firsts = difference_triangle(rows, _bias_block(bias, width, trunc))
+    firsts = difference_triangle(rows, pack((bias,) * trunc, width))
     assert len(firsts) == size
     for m, packed in enumerate(firsts):
         want = [mahler_coeff_oracle([row[s] for row in digits], m) for s in range(trunc)]

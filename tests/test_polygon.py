@@ -18,6 +18,7 @@ from haloslopes.polygon import (
     PolyPoint,
     UncertifiedHull,
     atkin_lehner_check,
+    bound_gap,
     degree_formula_check,
     dominates,
     lower_bound_polygon,
@@ -152,7 +153,7 @@ def test_upper_bound_degenerate_start():
     (2, 4, 1, F(1, 2), F(1, 2)),
 ])
 def test_max_vertical_gap_frozen(p, q, t, vT, want):
-    assert max_vertical_gap(p, q, t, vT) == want
+    assert max_vertical_gap(p, q, t, vT) == bound_gap(p, t, vT) == want
 
 
 @given(
