@@ -246,9 +246,7 @@ def vertical_gap(scale, fault=False):
         q = q_for(p)
         for vT in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
             got = max_vertical_gap(p, q, t, vT)
-            want = bound_gap(p, t, vT)
-            if fault:
-                want += 1
+            want = bound_gap(p, t, vT) + int(fault)
             if got != want:
                 return False, f"(p,t,vT)=({p},{t},{vT}): {got} != {want}"
     return True, "15 grid points match the closed form exactly"

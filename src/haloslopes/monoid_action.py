@@ -404,10 +404,11 @@ def verify_entry_bounds(
         first = shifts[group[0]]
         # column group[j] fills fields j*trunc .. (j+1)*trunc - 1 of a row
         scaled = [(n, p ** (shifts[n] - first)) for n in group]
-        rows = [
-            pack([column[n] * scale * packed for n, scale in scaled], block)
-            for column, packed in zip(scalars, series)
+        columns = [
+            [column[n] * scale * packed for column, packed in zip(scalars, series)]
+            for n, scale in scaled
         ]
+        rows = [pack(samples, block) for samples in zip(*columns)]
         firsts = difference_triangle(rows, 0)
         for m in range(max(first + 1, 0), size):
             if not _divisible(firsts[m], *tests[m - first]):
