@@ -1,0 +1,188 @@
+"""Full-scale timings of the series side and of `verify`, parent against change.
+
+Usage:
+    python3 scripts/full_scale.py --base REV [--rounds 3] [--repeats 3] \\
+        [--scale full] [--out FULL.json]
+    python3 scripts/full_scale.py --here [--scale full] [--repeats 3]
+
+--here measures the `haloslopes` package on the import path:
+
+- `char_series_s`: seconds of `char_series` on each pinned fixture of the
+  scale, keyed "p,t", the median of --repeats runs on the specs of
+  `checks.fixture_series`;
+- `checks_s`: seconds of each acceptance check in one process, in registry
+  order, after `fixture_series` (timed on its own) has built the series the
+  checks share;
+- `verify_s`: wall seconds of a whole `python3 -m haloslopes verify` process
+  at the scale, the median of --repeats runs: `fork` as it runs, where
+  `checks.run_checks` may split the checks over two processes, and
+  `one_process` pinned to one CPU, where it runs them in one loop.
+
+--base compares the parent REV with the committed HEAD.  Each side is a
+`git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
+measured by this file with --here in a fresh interpreter whose import path
+starts with that extract's `src`, so both sides are timed by the same code.
+Each round measures both sides, the parent first in even rounds.  The record
+holds every round and, per measurement, each side's median over the rounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import runpy
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve()
+ROOT = HERE.parent.parent
+SIDES = ("parent", "change")
+
+
+def _seconds(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def measure(scale: str, repeats: int) -> dict:
+    """char_series and per-check seconds of the package on the import path."""
+    from haloslopes import checks
+    from haloslopes.charpoly import char_series
+    from haloslopes.iwasawa import CharOfDelta
+
+    checks_s = {"fixture_series": _seconds(lambda: checks.fixture_series(scale))}
+    series_s = {}
+    for p, t, D, spec, cs in checks.fixture_series(scale):
+        omega = CharOfDelta(p, 0)
+        series_s[f"{p},{t}"] = statistics.median(
+            _seconds(lambda: char_series(spec, D, cs.r, omega)) for _ in range(repeats)
+        )
+    for name, fn in checks.CHECKS:
+        start = time.perf_counter()
+        ok, detail = fn(scale)
+        checks_s[name] = time.perf_counter() - start
+        if not ok:
+            raise SystemExit(f"full_scale: {name} failed: {detail}")
+    return {"char_series_s": series_s, "checks_s": checks_s}
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def verify_seconds(scale: str, repeats: int) -> dict:
+    """Median wall seconds of a verify process, with its fork and without."""
+    times = {"fork": [], "one_process": []}
+    with tempfile.TemporaryDirectory(prefix="full-scale-") as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({
+            "p": "3", "t": "1", "N": "40", "M_T": "20", "r": "5", "D": "6",
+            "vT": ["1/3", "1/4"], "source": {"seed": "1"}, "scale": scale,
+        }))
+        cmd = [sys.executable, "-m", "haloslopes", "verify",
+               "--config", str(config), "--out", str(Path(tmp) / "out")]
+        for k in range(repeats):
+            modes = ("fork", "one_process") if k % 2 == 0 else ("one_process", "fork")
+            for mode in modes:
+                pin = _one_cpu if mode == "one_process" else None
+                start = time.perf_counter()
+                subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL, preexec_fn=pin)
+                times[mode].append(time.perf_counter() - start)
+    return {mode: statistics.median(values) for mode, values in times.items()}
+
+
+def measure_side(checkout: Path, scale: str, repeats: int) -> dict:
+    """One --here run of this file on the package of a checkout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, str(HERE), "--here", "--scale", scale, "--repeats", str(repeats)]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"full_scale: {' '.join(cmd)} in {checkout} exited "
+                         f"{proc.returncode}\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    if not Path(result.pop("package")).is_relative_to(checkout):
+        raise SystemExit(f"full_scale: the run in {checkout} imported another haloslopes")
+    return result
+
+
+def flatten(result: dict) -> dict:
+    """{"checks_s": {"x": 1.0}} -> {"checks_s x": 1.0}."""
+    return {f"{part} {key}": value
+            for part, values in result.items() for key, value in values.items()}
+
+
+def medians(rounds: list) -> dict:
+    """Each side's median over the rounds, per measurement."""
+    out = {}
+    for side in SIDES:
+        flat = [flatten(r[side]) for r in rounds]
+        out[side] = {key: round(statistics.median(f[key] for f in flat), 4) for key in flat[0]}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", help="git revision of the parent side")
+    ap.add_argument("--here", action="store_true",
+                    help="measure the package on the import path and print its JSON")
+    ap.add_argument("--scale", choices=("full", "smoke"), default="full")
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--out", help="also write the record here")
+    args = ap.parse_args(argv)
+    if args.here == (args.base is not None):
+        ap.error("give exactly one of --here and --base")
+    if args.rounds < 1 or args.repeats < 1:
+        ap.error("--rounds and --repeats must be at least 1")
+    if args.here:
+        import haloslopes
+
+        result = measure(args.scale, args.repeats)
+        result["verify_s"] = verify_seconds(args.scale, args.repeats)
+        result["package"] = str(Path(haloslopes.__file__).resolve().parent)
+        print(json.dumps(result))
+        return 0
+
+    pairs = runpy.run_path(str(HERE.parent / "bench_pairs.py"), run_name="bench_pairs")
+    commits = {"parent": pairs["resolve"](ROOT, args.base),
+               "change": pairs["resolve"](ROOT, "HEAD")}
+    rounds = []
+    with pairs["checkouts"](ROOT, commits) as dirs:
+        for k in range(args.rounds):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            entry = {"first": order[0]}
+            for side in order:
+                entry[side] = measure_side(dirs[side].resolve(), args.scale, args.repeats)
+                print(f"round {k} {side}: {json.dumps(entry[side])}", file=sys.stderr, flush=True)
+            rounds.append(entry)
+    record = {
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "method": (
+            f"scripts/full_scale.py --scale {args.scale} --repeats {args.repeats}, "
+            f"{args.rounds} rounds alternating git-archive extracts of the parent "
+            f"({commits['parent'][:7]}) and of the change ({commits['change'][:7]}), "
+            f"parent first in even rounds"
+        ),
+        "rounds": rounds,
+        "medians": medians(rounds),
+    }
+    text = json.dumps(record, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

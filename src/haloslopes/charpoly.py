@@ -28,7 +28,7 @@ from .padic_core import (
     PadicError,
     PrecisionTooLow,
 )
-from .up_operator import UpSpec, assemble, attainable_target
+from .up_operator import UpSpec, assemble, certified_target
 
 
 class StabilityFailure(PadicError):
@@ -84,19 +84,15 @@ def window_blocks(p: int, t: int, r: int, D: int) -> int:
     return max(-(-truncation_size(r, p, t) // t), -(-D // t), 1)
 
 
-def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
+def berkowitz_charpoly(entries) -> tuple:
     """Coefficients (c_0..c_S) of det(I - X M) over the truncated ring.
 
     Step k absorbs row and column k, so the state after it is the
-    polynomial of the leading (k+1) x (k+1) minor (Berkowitz 1984).  Given
-    a minor size, one pass returns the pair (leading minor's coefficients,
-    full coefficients).
+    polynomial of the leading (k+1) x (k+1) minor (Berkowitz 1984).
     """
     size = len(entries)
     if size == 0:
         raise BadArgument("empty matrix has no characteristic series")
-    if minor is not None and not 1 <= minor <= size:
-        raise BadArgument(f"minor size {minor} is outside 1..{size}")
     params = {(e.p, e.prec, e.trunc) for row in entries for e in row}
     if len(params) != 1:
         raise MismatchedParameters(f"entries disagree on ring parameters: {params}")
@@ -125,15 +121,9 @@ def berkowitz_charpoly(entries, minor: int | None = None) -> tuple:
             reduce_digits(sum(map(mul, c[i::-1], v)), pn, width, trunc)
             for i in range(k + 2)
         ]
-        if k + 1 == minor:
-            lead = v
 
     # every value in the state is reduced, so each digit is below p^prec
-    polys = [
-        tuple(LambdaElt._raw(p, prec, unpack(x, width, trunc)) for x in poly)
-        for poly in ((v,) if minor is None else (lead, v))
-    ]
-    return polys[0] if minor is None else tuple(polys)
+    return tuple(LambdaElt._raw(p, prec, unpack(x, width, trunc)) for x in v)
 
 
 # -- the series of an operator spec ------------------------------------------
@@ -148,13 +138,14 @@ def char_input_prec(p: int, t: int, r: int, trunc: int, n_target: int) -> int:
 def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     """c_0..c_D of the block operator, certified mod m_Lambda^r.
 
-    One Berkowitz pass over the matrix of size S + t yields both the series
-    at the stable truncation size S (rounded up to whole blocks), as the
-    polynomial of the leading S x S minor, and the series at S + t.  The
-    ring runs at the precision certified for size S, so the returned
-    coefficients keep it; the size-(S + t) polynomial is cut to the
-    precision certified for its own size.  The convergence lemma says the
-    two agree mod m^r, so a certified disagreement (StabilityFailure)
+    The series is that of the matrix at the stable truncation size S
+    (rounded up to whole blocks), at the precision certified for that size.
+    The convergence lemma says the series at size S + t agrees with it mod
+    m^r.  A digit at T^s with s >= r, or one divisible by p^r, only adds
+    orders >= r, so that gap is decided over Z/p^k [T]/T^w, with k the
+    smaller of r and the precision certified for size S + t and w the
+    smaller of r and M_T, from a second assembly whose budget is cut to
+    what k digits need.  A certified disagreement (StabilityFailure)
     signals a precision or implementation fault; a gap that only zero
     residues bound below r is undecidable (PrecisionTooLow).
     """
@@ -165,23 +156,29 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     if D > ts:
         raise BadArgument(f"degree {D} exceeds the stable window {ts}")
     n_blocks = window_blocks(p, t, r, D)
-    mat = assemble(spec, n_blocks + 1, omega, lead_blocks=n_blocks)
+    # a short budget is reported for size S first, then for S + t
+    certified_target(spec, n_blocks)
+    big_prec = certified_target(spec, n_blocks + 1)
+    mat = assemble(spec, n_blocks, omega)
     prec = mat.entry(0, 0).prec
     if prec < r:
         raise PrecisionTooLow(
             f"coefficients certified to {prec} digits cannot witness "
             f"stability mod m^{r}"
         )
-    small, big = berkowitz_charpoly(mat.entries, minor=n_blocks * t)
-    big_prec = attainable_target(p, n_blocks + 1, spec.M_T, spec.N)
+    series = berkowitz_charpoly(mat.entries)[: D + 1]
+    # one digit when r = 0, where every order meets r
+    k, w = max(min(big_prec, r), 1), max(min(spec.M_T, r), 1)
+    quotient = spec._replace(M_T=w, N=matrix_input_prec(p, n_blocks + 1, w, k))
+    big = berkowitz_charpoly(assemble(quotient, n_blocks + 1, omega).entries)
     sizes = f"sizes {n_blocks * t} and {(n_blocks + 1) * t}"
-    for n in range(D + 1):
-        gap = mlambda_order(small[n] - big[n].with_prec(big_prec))
+    for n, c in enumerate(series):
+        gap = mlambda_order(LambdaElt.from_ints(p, k, w, c.res[:w]) - big[n])
         if not gap.meets(r, f"the gap of c_{n} between {sizes}"):
             raise StabilityFailure(
                 f"c_{n} differs between {sizes} at order {gap.value} < {r}"
             )
-    return CharSeries(tuple(small[: D + 1]), r)
+    return CharSeries(series, r)
 
 
 # -- coefficient bound -------------------------------------------------------

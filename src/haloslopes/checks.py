@@ -145,6 +145,9 @@ def charpoly_cofactor_oracle(mat, one, zero) -> tuple:
     Entries of I - X*mat are degree-1 polynomials in X over the ring;
     `one`/`zero` are the ring constants.  Independent of the division-free
     recurrence in `berkowitz_charpoly`, which it serves as a reference for.
+    Its products are the entries' own: on `LambdaElt` entries they run the
+    packed codec Berkowitz runs on, on the per-coefficient `CoeffLambda` of
+    `tests/oracles.py` they do not.
     """
     n = len(mat)
     poly = [[[one if i == j else zero, -mat[i][j]] for j in range(n)] for i in range(n)]
@@ -298,8 +301,9 @@ def mahler_round_trip(scale, fault=False):
 
 
 def truncation_stability(scale, fault=False):
-    # char_series reads sizes S and S+t from one pass; recompute S+t on its
-    # own (separate assembly at its own precision, separate Berkowitz pass)
+    # char_series decides the gap between sizes S and S+t in Lambda/m^r; this
+    # is its full-ring witness (separate assembly at S+t's own precision,
+    # separate Berkowitz pass)
     for p, t, D, spec, cs in fixture_series(scale):
         n_blocks = window_blocks(p, t, cs.r, D)
         mat = assemble(spec, n_blocks + 1, CharOfDelta(p, 0))

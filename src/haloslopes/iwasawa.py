@@ -238,8 +238,9 @@ def _init(obj: LambdaElt, p: int, prec: int, res: tuple) -> None:
 
 def ring_width(pn: int, trunc: int, terms: int) -> int:
     """Width for sums of `terms` products of packed values with digits in [0, pn]:
-    their digits s < trunc are at most terms * trunc * pn^2 < 2^(width-2)."""
-    return 2 * pn.bit_length() + (terms + 1).bit_length() + trunc.bit_length() + 2
+    every digit of such a sum is at most terms * trunc * pn^2, which is below
+    2^(2 bits(pn) + bits(terms + 1) + bits(trunc)) = 2^width."""
+    return 2 * pn.bit_length() + (terms + 1).bit_length() + trunc.bit_length()
 
 
 def pack(digits, width: int) -> int:

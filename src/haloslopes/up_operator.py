@@ -217,37 +217,31 @@ def attainable_target(p: int, size: int, trunc: int, N: int) -> int:
     return nt
 
 
-def assemble(
-    spec: UpSpec, n_blocks: int, omega: CharOfDelta, lead_blocks: int | None = None
-) -> BlockMatrix:
+def certified_target(spec: UpSpec, n_blocks: int) -> int:
+    """attainable_target for n_blocks blocks of spec, which must be positive."""
+    target = attainable_target(spec.p, n_blocks, spec.M_T, spec.N)
+    if target <= 0:
+        raise InsufficientPrecision(
+            f"operator data at precision {spec.N} cannot certify any digits "
+            f"for {n_blocks} basis blocks"
+        )
+    return target
+
+
+def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
     """Entry ((m,i),(n,j)) = sum over cell (i,j) of P_{m,n}(delta).
 
     Output component i collects the matrices stored at (i, j) applied to
     input component j.  Each cell matrix runs through the packed Mahler
     kernel once; its unbiased digits are summed per entry as integers and
-    reduced once.  All entries share the largest precision the budget
-    certifies for the leading lead_blocks blocks (default: all n_blocks).
-    With fewer lead blocks, entries outside that leading minor carry the
-    same number of digits but are certified only to attainable_target for
-    n_blocks; char_series reads its two truncation sizes from one such
-    matrix and cuts the larger one to that.  Invariants are checked where
-    specs enter the system (synthesis, file ingestion), not here, so
-    partial cell lists can be assembled and summed.
+    reduced once, to the largest precision the budget certifies for
+    n_blocks blocks.  Invariants are checked where specs enter the system
+    (synthesis, file ingestion), not here, so partial cell lists can be
+    assembled and summed.
     """
     p, t, trunc = spec.p, spec.t, spec.M_T
-    lead = n_blocks if lead_blocks is None else lead_blocks
-    n_target = attainable_target(p, lead, trunc, spec.N)
-    full_target = attainable_target(p, n_blocks, trunc, spec.N)
-    for blocks, target in ((lead, n_target), (n_blocks, full_target)):
-        if target <= 0:
-            raise InsufficientPrecision(
-                f"operator data at precision {spec.N} cannot certify any digits "
-                f"for {blocks} basis blocks"
-            )
-    need = max(
-        matrix_input_prec(p, lead, trunc, n_target),
-        matrix_input_prec(p, n_blocks, trunc, full_target),
-    )
+    n_target = certified_target(spec, n_blocks)
+    need = matrix_input_prec(p, n_blocks, trunc, n_target)
     size = t * n_blocks
     grid = [[[0] * trunc for _ in range(size)] for _ in range(size)]
     for i, j, delta in spec.cells:

@@ -11,7 +11,8 @@ builds each entry one by one from these oracles and plain `pow`, never from
 the Teichmuller, log or binomial code of `haloslopes.padic_core` or the
 packed Mahler kernel; `tests/test_oracles.py` checks that this file names
 none of them.  The cofactor oracle lives in `haloslopes.checks`, whose
-`charpoly-oracle` check runs it too.
+`charpoly-oracle` check runs it too; the tests feed it `CoeffLambda`
+entries, so on their side it reaches none of the packed codec.
 """
 
 from __future__ import annotations

@@ -27,13 +27,14 @@ from haloslopes.monoid_action import DeltaMat
 from haloslopes.padic_core import (
     BadArgument,
     MismatchedParameters,
+    PAdicNum,
     PrecisionTooLow,
     q_for,
     val_p,
 )
 from haloslopes.up_operator import UpSpec, assemble, synth_up
 
-from oracles import charpoly_cofactor_oracle
+from oracles import CoeffLambda, charpoly_cofactor_oracle
 
 
 def elt(p, n, trunc, ints):
@@ -102,6 +103,26 @@ def test_berkowitz_diag_T_p():
     assert cs[2] == elt(3, 5, 4, [0, 3])
 
 
+def cofactor_reference(mat):
+    """det(I - X mat) by cofactor expansion over CoeffLambda entries.
+
+    CoeffLambda multiplies one PAdicNum pair at a time, so no part of the
+    packed codec that Berkowitz runs on reaches this side.
+    """
+    p, prec, trunc = mat[0][0].p, mat[0][0].prec, mat[0][0].trunc
+    digits = [PAdicNum(p, prec, 0)] * trunc
+    zero = CoeffLambda(tuple(digits))
+    one = CoeffLambda((PAdicNum(p, prec, 1), *digits[1:]))
+    rows = tuple(tuple(CoeffLambda(e.coeffs) for e in row) for row in mat)
+    return charpoly_cofactor_oracle(rows, one, zero)
+
+
+def assert_coefficientwise_equal(got, want):
+    assert [[(c.prec, c.residue) for c in x.coeffs] for x in got] == [
+        [(c.prec, c.residue) for c in x.coeffs] for x in want
+    ]
+
+
 @pytest.mark.parametrize("p,prec,trunc,size,seed", [
     (5, 4, 5, 4, 1),
     (5, 4, 5, 4, 2),
@@ -113,10 +134,7 @@ def test_berkowitz_matches_cofactor_oracle(p, prec, trunc, size, seed):
     mat = tuple(
         tuple(rand_elt(rng, p, prec, trunc) for _ in range(size)) for _ in range(size)
     )
-    want = charpoly_cofactor_oracle(
-        mat, LambdaElt.one(p, prec, trunc), LambdaElt.zero(p, prec, trunc)
-    )
-    assert berkowitz_charpoly(mat) == tuple(want)
+    assert_coefficientwise_equal(berkowitz_charpoly(mat), cofactor_reference(mat))
 
 
 @given(
@@ -127,15 +145,36 @@ def test_berkowitz_matches_cofactor_oracle(p, prec, trunc, size, seed):
 )
 @example(3, 4, 8, [[True] * 6] * 6)
 @example(2, 4, 8, [[False, True] * 3] * 6)
+# the largest sums of this family: 0.82 of the top digit of a width one bit
+# short of ring_width's
+@example(5, 3, 7, [[True] * 6] * 5)
 def test_berkowitz_at_the_edges_of_its_width(p, prec, trunc, full):
     # every digit of an entry is p^prec - 1 or every one is 0: products
     # reach the largest digits the packed width holds, and negating a zero
     # digit in the recurrence gives a digit of p^prec
     size = len(full)
     top = elt(p, prec, trunc, [p**prec - 1] * trunc)
-    zero, one = LambdaElt.zero(p, prec, trunc), LambdaElt.one(p, prec, trunc)
+    zero = LambdaElt.zero(p, prec, trunc)
     mat = tuple(tuple(top if f else zero for f in row[:size]) for row in full)
-    assert berkowitz_charpoly(mat) == charpoly_cofactor_oracle(mat, one, zero)
+    assert_coefficientwise_equal(berkowitz_charpoly(mat), cofactor_reference(mat))
+
+
+@pytest.mark.parametrize("p,prec,trunc,n", [(31, 1, 15, 12), (5, 3, 7, 12), (127, 1, 15, 12)])
+def test_berkowitz_at_the_top_of_its_width(p, prec, trunc, n):
+    # the companion matrix of 1 + u X + ... + u X^n, u with every digit
+    # p^prec - 1, bordered by a column of u and a row of zeros: the last step
+    # sums n products of a block with every digit p^prec and u, whose digit
+    # at T^(trunc-1) exceeds 2^(width-1); the size is past the oracle's reach
+    pn = p**prec
+    zero, one = LambdaElt.zero(p, prec, trunc), LambdaElt.one(p, prec, trunc)
+    u = elt(p, prec, trunc, [pn - 1] * trunc)
+    rows = [[zero] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        rows[i][n - 1] = -u
+        rows[i][n] = u
+        if i:
+            rows[i][i - 1] = one
+    assert berkowitz_charpoly(tuple(map(tuple, rows))) == (one, *[u] * n, zero)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
@@ -168,21 +207,6 @@ def test_berkowitz_rejects_mixed_rings():
         berkowitz_charpoly(((a, b), (b, a)))
     with pytest.raises(BadArgument):
         berkowitz_charpoly(())
-
-
-def test_berkowitz_minor_is_leading_minor_polynomial():
-    p, prec, trunc, size = 3, 5, 4, 5
-    rng = random.Random(17)
-    mat = tuple(
-        tuple(rand_elt(rng, p, prec, trunc) for _ in range(size)) for _ in range(size)
-    )
-    full = berkowitz_charpoly(mat)
-    for k in range(1, size + 1):
-        lead = berkowitz_charpoly(tuple(row[:k] for row in mat[:k]))
-        assert berkowitz_charpoly(mat, minor=k) == (lead, full)
-    for k in (0, size + 1):
-        with pytest.raises(BadArgument):
-            berkowitz_charpoly(mat, minor=k)
 
 
 def test_berkowitz_conjugation_invariant():

@@ -184,3 +184,35 @@ def test_bench_pairs_extracts_committed_files_only(tmp_path):
     assert not out.exists()
     with pytest.raises(SystemExit):
         BENCH_PAIRS["resolve"](repo, "no-such-rev")
+
+
+FULL_SCALE = runpy.run_path(str(SCRIPTS / "full_scale.py"), run_name="full_scale")
+
+
+def test_full_scale_measures_the_series_side_in_process_at_smoke_scale():
+    from haloslopes.checks import CHECKS
+
+    got = FULL_SCALE["measure"]("smoke", 1)
+    assert list(got["char_series_s"]) == ["3,1", "5,2"]
+    assert list(got["checks_s"]) == ["fixture_series", *(name for name, _fn in CHECKS)]
+    assert all(s >= 0 for part in got.values() for s in part.values())
+
+
+def test_full_scale_medians_are_per_side_and_per_measurement():
+    rounds = [
+        {side: {"checks_s": {"a": s + k}, "verify_s": {"fork": 2 * s + k}}
+         for side, s in (("parent", 1.0), ("change", 3.0))}
+        for k in (0, 1, 5)
+    ]
+    assert FULL_SCALE["medians"](rounds) == {
+        "parent": {"checks_s a": 2.0, "verify_s fork": 3.0},
+        "change": {"checks_s a": 4.0, "verify_s fork": 7.0},
+    }
+
+
+def test_full_scale_takes_exactly_one_mode(capsys):
+    for argv in ([], ["--here", "--base", "HEAD"]):
+        with pytest.raises(SystemExit) as exc:
+            FULL_SCALE["main"](argv)
+        assert exc.value.code == 2
+    assert "give exactly one of --here and --base" in capsys.readouterr().err

@@ -207,25 +207,6 @@ def test_assemble_matches_reference_path(p, t, seed):
     assert [list(row) for row in mat.entries] == oracle_assemble(spec, nb, omega, nt)
 
 
-def test_assemble_lead_blocks_certify_the_leading_minor():
-    # one matrix carries the leading minor's higher target; that minor is
-    # exact there, and every entry is exact at the whole matrix's target
-    p, t, nb, trunc, N = 2, 1, 8, 3, 10
-    spec = synth_up(t, p, N, trunc, seed=2)
-    lead_t = attainable_target(p, nb, trunc, N)
-    full_t = attainable_target(p, nb + 1, trunc, N)
-    assert lead_t > full_t
-    mat = assemble(spec, nb + 1, triv(p), lead_blocks=nb)
-    assert {e.prec for row in mat.entries for e in row} == {lead_t}
-    lead = oracle_assemble(spec, nb, triv(p), lead_t)
-    full = oracle_assemble(spec, nb + 1, triv(p), full_t)
-    for row in range(mat.size):
-        for col in range(mat.size):
-            if row < t * nb and col < t * nb:
-                assert mat.entry(row, col) == lead[row][col]
-            assert mat.entry(row, col).with_prec(full_t) == full[row][col]
-
-
 def test_assemble_rejects_bad_matrix_and_short_precision():
     good = DeltaMat.from_ints(3, 24, 3, 0, 0, 1)
     bad = DeltaMat.from_ints(3, 24, 1, 0, 1, 1)
