@@ -36,7 +36,7 @@ from .monoid_action import (
     matrix_input_prec,
     verify_entry_bounds,
 )
-from .padic_core import BadArgument, PadicError, Valuation, phi_q, q_for, val_p_int
+from .padic_core import BadArgument, OrderBound, PadicError, phi_q, q_for, val_p_int
 from .polygon import (
     NewtonPolygon,
     PolyPoint,
@@ -364,7 +364,7 @@ def rescaled_columns(scale, fault=False):
         mat = assemble(spec, window_blocks(p, t, 4, 0), CharOfDelta(p, 0))
         for row, col, need, order in halo_bounds(rescale_halo_basis(mat), p):
             need += int(fault)
-            if not order.certainly_at_least(need):
+            if not order.meets(need, f"(p,t)=({p},{t}) entry ({row},{col})"):
                 return False, (
                     f"(p,t)=({p},{t}) entry ({row},{col}) order "
                     f"{order.value} < {need}"
@@ -421,7 +421,7 @@ def checker_fault_detection(scale, fault=False):
     for s in (F(1, 3), F(1, 2), F(2, 3), F(4, 3), F(3, 2), F(5, 3)):
         ys.append(ys[-1] + s)
     poly = newton_polygon(
-        [PolyPoint(i, Valuation.exact(y)) for i, y in enumerate(ys)]
+        [PolyPoint(i, OrderBound.exact(y)) for i, y in enumerate(ys)]
     )
     report = slope_report(poly, F(1, 2), 3)
     good = degree_formula_check(report, {0: 0, 1: 0}, 3, 1)

@@ -35,6 +35,7 @@ from .polygon import (
     upper_bound_polygon,
 )
 from .up_operator import (
+    SIZE_CAPS,
     Ingested,
     ParseError,
     Synthetic,
@@ -73,6 +74,7 @@ class ExperimentConfig(NamedTuple):
 
 
 def _int_field(obj: dict, key: str, default=None, least=None) -> int:
+    # a size field must also be at most its SIZE_CAPS entry
     if key not in obj:
         if default is None:
             raise BadArgument(f"config is missing {key!r}")
@@ -86,6 +88,8 @@ def _int_field(obj: dict, key: str, default=None, least=None) -> int:
         raise BadArgument(f"config field {key!r} is not an integer: {val!r}") from None
     if least is not None and num < least:
         raise BadArgument(f"config field {key!r} must be at least {least}, not {num}")
+    if num > SIZE_CAPS.get(key, num):
+        raise BadArgument(f"config field {key!r} must be at most {SIZE_CAPS[key]}, not {num}")
     return num
 
 
@@ -221,7 +225,7 @@ def cmd_matrix(cfg: ExperimentConfig, rescale: bool = False) -> int:
         table = verify_block_bounds(mat, cfg.p)
     rows = []
     for row, col, need, order in table:
-        ok = order.certainly_at_least(need)
+        ok = order.meets(need, f"entry ({row},{col})")
         if not ok:
             print(f"entry bound violated at ({row},{col}): {order}", file=sys.stderr)
             return 1

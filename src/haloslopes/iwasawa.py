@@ -22,44 +22,13 @@ from .padic_core import (
     Frozen,
     InsufficientPrecision,
     MismatchedParameters,
+    OrderBound,
     PAdicNum,
-    PrecisionTooLow,
-    Valuation,
     phi_q,
     val_p_int,
 )
 
 DEFAULT_TRUNC = 24
-
-
-class OrderBound(NamedTuple):
-    """An ideal-membership order, exact or precision-limited.
-
-    When is_exact is False the true order is at least `value`; the deciding
-    coefficients had AtLeast valuations.
-    """
-
-    value: int
-    is_exact: bool
-
-    def certainly_at_least(self, r: int) -> bool:
-        return self.value >= r
-
-    def meets(self, need: int, where: str) -> bool:
-        """Whether the order reaches need; an AtLeast shortfall is undecidable.
-
-        That case raises PrecisionTooLow, so no claim rests on an AtLeast value.
-        """
-        if self.value >= need:
-            return True
-        if self.is_exact:
-            return False
-        raise PrecisionTooLow(
-            f"{where} certifies only order {self.value}, bound {need} undecidable"
-        )
-
-    def __repr__(self):
-        return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
 
 
 class CharOfDelta(Frozen):
@@ -306,12 +275,12 @@ class HaloElt(NamedTuple):
         return {"tshift": str(self.tshift), "elt": self.body.to_json()}
 
 
-def eval_valuation(x: LambdaElt, vT: Fraction) -> Valuation:
-    """Valuation of x(T) at a point with v(T) = vT.
+def eval_valuation(x: LambdaElt, vT: Fraction) -> OrderBound:
+    """The valuation of x(T) at a point with v(T) = vT.
 
     The value is min_m (v(b_m) + m*vT); it is the exact valuation iff a
     unique m attains the minimum and that coefficient's valuation is exact.
-    Otherwise the returned Valuation is only a certified lower bound.
+    Otherwise the returned value is only a certified lower bound.
     """
     vT = Fraction(vT)
     if not 0 < vT < 1:
@@ -331,4 +300,4 @@ def eval_valuation(x: LambdaElt, vT: Fraction) -> Valuation:
             best, best_exact, tie = contrib, bool(c), False
         elif contrib == best:
             tie = True
-    return Valuation(Fraction(best, den), best_exact and not tie)
+    return OrderBound(Fraction(best, den), best_exact and not tie)

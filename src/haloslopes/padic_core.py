@@ -44,6 +44,41 @@ class PrecisionTooLow(PadicError):
     exit_code = 3
 
 
+class OrderBound(NamedTuple):
+    """An order or valuation, exact or only a certified lower bound.
+
+    value is an int order (ideal membership) or a Fraction valuation (at a
+    radius).  When is_exact is False the true value is at least `value`:
+    the deciding coefficients were zero residues, known only to be
+    divisible by p^N.
+    """
+
+    value: int | Fraction
+    is_exact: bool
+
+    @classmethod
+    def exact(cls, value) -> "OrderBound":
+        return cls(value, True)
+
+    @classmethod
+    def at_least(cls, value) -> "OrderBound":
+        return cls(value, False)
+
+    def meets(self, need, where: str, error=PrecisionTooLow) -> bool:
+        """Whether the value reaches need; an AtLeast shortfall is undecidable.
+
+        That case raises `error`, so no claim rests on an AtLeast value.
+        """
+        if self.value >= need:
+            return True
+        if self.is_exact:
+            return False
+        raise error(f"{where} certifies only order {self.value}, bound {need} undecidable")
+
+    def __repr__(self):
+        return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
+
+
 class MismatchedParameters(PadicError):
     pass
 
@@ -137,32 +172,6 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class Valuation(NamedTuple):
-    """Either the exact p-adic valuation or a certified lower bound.
-
-    AtLeast arises when a residue is 0 mod p^N: the true valuation is >= N
-    but unknowable at that precision.
-    """
-
-    bound: Fraction
-    is_exact: bool
-
-    @classmethod
-    def exact(cls, r) -> "Valuation":
-        return cls(Fraction(r), True)
-
-    @classmethod
-    def at_least(cls, r) -> "Valuation":
-        return cls(Fraction(r), False)
-
-    def certainly_at_least(self, r) -> bool:
-        return self.bound >= r
-
-    def __repr__(self):
-        kind = "Exact" if self.is_exact else "AtLeast"
-        return f"{kind}({self.bound})"
-
-
 class PAdicNum(Frozen):
     """Residue mod p^prec with tracked precision."""
 
@@ -248,11 +257,11 @@ class PAdicNum(Frozen):
         return f"PAdicNum({self.residue} mod {self.p}^{self.prec})"
 
 
-def val_p(x: PAdicNum) -> Valuation:
-    """Exact(k) if p^k || residue; AtLeast(prec) on a zero residue."""
+def val_p(x: PAdicNum) -> OrderBound:
+    """Exact k if p^k || residue; AtLeast prec on a zero residue."""
     if x.residue == 0:
-        return Valuation.at_least(x.prec)
-    return Valuation.exact(val_p_int(x.residue, x.p))
+        return OrderBound.at_least(x.prec)
+    return OrderBound.exact(val_p_int(x.residue, x.p))
 
 
 

@@ -1,9 +1,9 @@
 """Newton polygons over weight space and slope-structure checkers.
 
-Points carry Valuations rather than plain numbers: a zero residue only
-bounds its coefficient from below, so the hull is built from the Exact
-points and every AtLeast point must be certified to lie on or above it
-(inside the hull's x-range) or above its slope extension (outside).
+Points carry OrderBound valuations rather than plain numbers: a zero
+residue only bounds its coefficient from below, so the hull is built from
+the Exact points and every AtLeast point must meet it (on or above inside
+the hull's x-range, above its slope extension outside).
 Certified polygons are exact functions of x even when some interior
 points are only bounded.
 
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .charpoly import CharSeries, lambda_seq
 from .iwasawa import eval_valuation
-from .padic_core import BadArgument, Frozen, PadicError, Valuation
+from .padic_core import BadArgument, Frozen, OrderBound, PadicError
 
 
 class UncertifiedHull(PadicError):
@@ -45,7 +45,7 @@ def _phi(q: int) -> int:
 
 class PolyPoint(NamedTuple):
     x: int
-    y: Valuation
+    y: OrderBound
 
 
 class NewtonPolygon(Frozen):
@@ -115,13 +115,14 @@ def newton_polygon(points) -> NewtonPolygon:
     """Certified lower hull of exactness-aware points.
 
     The hull is computed over the Exact points alone; every AtLeast point
-    must be consistent with it (on or above inside the hull range, above
-    the end-slope extension outside), else the hull cannot be trusted.
+    must meet it (on or above inside the hull range, above the end-slope
+    extension outside), else the hull cannot be trusted and
+    OrderBound.meets raises UncertifiedHull.
     """
     xs = [pt.x for pt in points]
     if len(set(xs)) != len(xs):
         raise BadArgument("x-values must be distinct")
-    exact = sorted((pt.x, Fraction(pt.y.bound)) for pt in points if pt.y.is_exact)
+    exact = sorted((pt.x, Fraction(pt.y.value)) for pt in points if pt.y.is_exact)
     if not exact:
         raise BadArgument("need at least one Exact point to anchor the hull")
     np = NewtonPolygon(tuple(_lower_hull(exact)))
@@ -140,10 +141,7 @@ def newton_polygon(points) -> NewtonPolygon:
             need = np.vertices[-1][1] + seg[-1] * (pt.x - hi)
         else:
             need = np.vertices[0][1] + seg[0] * (pt.x - lo)
-        if pt.y.bound < need:
-            raise UncertifiedHull(
-                f"point at x={pt.x} only known >= {pt.y.bound}, hull needs {need}"
-            )
+        pt.y.meets(need, f"point at x={pt.x}", UncertifiedHull)
     return np
 
 
@@ -166,7 +164,7 @@ def ratio_table(pts, poly: NewtonPolygon, vT) -> dict:
 def lower_bound_polygon(p: int, t: int, vT, n_max: int) -> NewtonPolygon:
     vT = Fraction(vT)
     lam = lambda_seq(p, t, n_max)
-    pts = [PolyPoint(n, Valuation.exact(lam[n] * vT)) for n in range(n_max + 1)]
+    pts = [PolyPoint(n, OrderBound.exact(lam[n] * vT)) for n in range(n_max + 1)]
     return newton_polygon(pts)
 
 
@@ -175,7 +173,7 @@ def upper_bound_polygon(p: int, q: int, t: int, vT, k_max: int) -> NewtonPolygon
     vT = Fraction(vT)
     lam = lambda_seq(p, t, k_max * q * t)
     pts = [
-        PolyPoint(k * q * t, Valuation.exact(lam[k * q * t] * vT))
+        PolyPoint(k * q * t, OrderBound.exact(lam[k * q * t] * vT))
         for k in range(k_max + 1)
     ]
     return newton_polygon(pts)

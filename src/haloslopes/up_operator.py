@@ -32,6 +32,12 @@ from .padic_core import (
 )
 
 
+# The largest p, t, N, M_T, r and D a config or operator file may give; a
+# larger one is an input error (exit 2).  Each is several times the largest
+# pinned use, but a run near several caps at once can still take hours.
+SIZE_CAPS = {"p": 100, "t": 32, "N": 1000, "M_T": 256, "r": 32, "D": 64}
+
+
 class ParseError(PadicError):
     pass
 
@@ -152,7 +158,8 @@ def save_up(spec: UpSpec, path: str) -> None:
 
 
 def _file_int(val, key: str, least: int | None = None) -> int:
-    """An integer field of an operator file: a JSON integer or decimal string."""
+    """An integer field of an operator file: a JSON integer or decimal string,
+    at most its SIZE_CAPS entry if it has one."""
     if isinstance(val, bool) or not isinstance(val, (int, str)):
         raise ValueError(f"field {key!r} must be an integer, not {val!r}")
     try:
@@ -161,6 +168,8 @@ def _file_int(val, key: str, least: int | None = None) -> int:
         raise ValueError(f"field {key!r} is not an integer: {val!r}") from None
     if least is not None and num < least:
         raise ValueError(f"field {key!r} must be at least {least}, not {num}")
+    if num > SIZE_CAPS.get(key, num):
+        raise ValueError(f"field {key!r} must be at most {SIZE_CAPS[key]}, not {num}")
     return num
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from haloslopes.checks import charpoly_cofactor_oracle  # noqa: F401
-from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, OrderBound
+from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt
 from haloslopes.monoid_action import (
     DeltaMat,
     MonoidClass,
@@ -34,8 +34,8 @@ from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
     MismatchedParameters,
+    OrderBound,
     PAdicNum,
-    Valuation,
     q_for,
     val_p,
 )
@@ -128,6 +128,31 @@ def lower_hull_oracle(points):
                 best_slope = slope
         hull.append(best)
     return hull
+
+
+def hull_floor_oracle(points, x):
+    """The lower hull of `points` at x, or past its ends its end-slope extension.
+
+    Brute force: inside the x-range, the least chord value at x over every
+    pair of points around x; past the last point L, the line through L whose
+    slope is the largest slope from another point to L (past the first, the
+    smallest from it).  Points are (int, Fraction) with distinct x; None when
+    there is one point and x is not its own.
+    """
+    pts = sorted(points)
+    (lo, ylo), (hi, yhi) = pts[0], pts[-1]
+    if lo <= x <= hi:
+        return min(
+            ya + Fraction(yb - ya, xb - xa) * (x - xa) if xb != xa else ya
+            for xa, ya in pts
+            for xb, yb in pts
+            if xa <= x <= xb
+        )
+    if len(pts) == 1:
+        return None
+    if x > hi:
+        return yhi + max(Fraction(yhi - y, hi - px) for px, y in pts[:-1]) * (x - hi)
+    return ylo + min(Fraction(y - ylo, px - lo) for px, y in pts[1:]) * (x - lo)
 
 
 def one_plus_T_pow(g: PAdicNum, trunc: int, n_target: int) -> LambdaElt:
@@ -257,14 +282,14 @@ class CoeffLambda:
 
 def order_oracle(x: CoeffLambda) -> OrderBound:
     """min over every m of m + v(b_m), exact iff an exact term attains it."""
-    contribs = [(int(val_p(c).bound) + m, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    contribs = [(val_p(c).value + m, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
     best = min(v for v, _ in contribs)
     return OrderBound(best, any(exact for v, exact in contribs if v == best))
 
 
-def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> Valuation:
+def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> OrderBound:
     """min over every m of v(b_m) + m*vT, exact iff one exact term attains it."""
-    contribs = [(val_p(c).bound + m * vT, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    contribs = [(val_p(c).value + m * vT, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
     best = min(v for v, _ in contribs)
     winners = [exact for v, exact in contribs if v == best]
-    return Valuation.exact(best) if winners == [True] else Valuation.at_least(best)
+    return OrderBound.exact(best) if winners == [True] else OrderBound.at_least(best)

@@ -90,7 +90,7 @@ def test_series_coefficients_stable_across_truncation_sizes():
         small = berkowitz_charpoly(assemble(spec, n_blocks, omega).entries)
         big = berkowitz_charpoly(assemble(spec, n_blocks + 1, omega).entries)
         for n in range(DEGREE + 1):
-            assert mlambda_order(small[n] - big[n]).certainly_at_least(r)
+            assert mlambda_order(small[n] - big[n]).meets(r, f"the gap of c_{n}")
 
 
 def test_vertex_ratios_rigid_across_radii():

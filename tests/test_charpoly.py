@@ -242,8 +242,8 @@ def test_char_series_scaling_triple_frozen():
     assert cs.coeffs[1] == elt(3, prec, trunc, [-363])
     assert cs.coeffs[2] == elt(3, prec, trunc, [32670])
     # trace congruence: c_1 = -p modulo m^2
-    assert mlambda_order(cs.coeffs[1] - elt(3, prec, trunc, [-3])).certainly_at_least(2)
-    assert mlambda_order(cs.coeffs[2] - elt(3, prec, trunc, [27])).certainly_at_least(4)
+    assert mlambda_order(cs.coeffs[1] - elt(3, prec, trunc, [-3])).meets(2, "c_1")
+    assert mlambda_order(cs.coeffs[2] - elt(3, prec, trunc, [27])).meets(4, "c_2")
 
 
 def two_pass_series(spec, D, r, omega):
@@ -347,7 +347,7 @@ def test_verify_char_bound_coefficientwise_form_agrees():
     lam = lambda_seq(3, 1, 6)
     for n, c in enumerate(cs.coeffs):
         for m, b in enumerate(c.coeffs):
-            assert val_p(b).certainly_at_least(max(lam[n] - m, 0))
+            assert val_p(b).meets(max(lam[n] - m, 0), f"b_{m} of c_{n}")
 
 
 def test_verify_char_bound_two_block_rows():

@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haloslopes import checks, cli
-from haloslopes.charpoly import CharSeries
+from haloslopes.charpoly import CharSeries, char_input_prec
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
 from haloslopes.cli import ExperimentConfig, load_config, main
@@ -23,7 +26,15 @@ from haloslopes.padic_core import (
     PadicError,
     PrecisionTooLow,
 )
-from haloslopes.up_operator import BlockMatrix, Ingested, Synthetic, save_up, synth_up
+from haloslopes.up_operator import (
+    SIZE_CAPS,
+    BlockMatrix,
+    Ingested,
+    Synthetic,
+    load_up,
+    save_up,
+    synth_up,
+)
 
 BASE = {
     "p": "3",
@@ -212,6 +223,125 @@ def test_fuzzed_config_exits_0_or_2(obj):
         path.write_text(json.dumps(obj))
         args = ["verify", "--config", str(path), "--out", str(Path(tmp) / "o")]
         assert main(args + ["--only", "lambda-closed-form"]) in (0, 2)
+
+
+# -- input sizes --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"p": "1000003", "r": "1", "M_T": "2", "D": "0", "N": "4"},
+         "config field 'p' must be at most 100, not 1000003"),
+        ({"r": "2", "M_T": "4", "D": "2", "N": "100000"},
+         "config field 'N' must be at most 1000, not 100000"),
+        ({"t": "400", "r": "1", "M_T": "2", "D": "0", "N": "10"},
+         "config field 't' must be at most 32, not 400"),
+    ],
+    ids=["p", "N", "t"],
+)
+def test_oversized_config_exits_2_naming_its_cap(tmp_path, capsys, override, message):
+    # each of these ran for longer than 20 s before the caps
+    out = tmp_path / "m"
+    assert main(["matrix", "--config", write_config(tmp_path, **override), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
+
+
+def pinned_shapes():
+    """Configs of every pinned shape: fixtures, golden and bench configs, t = 4."""
+    configs = [BASE, T2_CONFIG, dict(BASE, t="4")]
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "workloads.py"))
+    configs.append(workloads["cli_config"](0))
+    for scale in checks.SCALES.values():
+        for p, t, r, mt, nt, _seed in scale.fixtures:
+            sizes = (p, t, char_input_prec(p, t, r, mt, nt), mt, r, scale.degree)
+            configs.append(dict(BASE, **dict(zip(SIZE_CAPS, map(str, sizes)))))
+    return configs
+
+
+def test_size_caps_admit_every_pinned_shape(tmp_path):
+    assert list(SIZE_CAPS) == ["p", "t", "N", "M_T", "r", "D"]
+    for k, obj in enumerate(pinned_shapes()):
+        cfg = tmp_path / f"cfg{k}.json"
+        cfg.write_text(json.dumps(obj))
+        got = load_config(str(cfg))
+        assert (got.p, got.t, got.N, got.M_T, got.r, got.D) == tuple(
+            int(obj[key]) for key in SIZE_CAPS
+        )
+        # and as an operator file, which save_up writes without M_T
+        op = tmp_path / f"op{k}.json"
+        save_up(synth_up(got.t, got.p, got.N, got.M_T, seed=1), str(op))
+        spec = load_up(str(op), got.M_T)
+        assert (spec.p, spec.t, spec.N, spec.M_T) == (got.p, got.t, got.N, got.M_T)
+
+
+def sizes(small: dict):
+    """Size fields drawn small, up to two of them replaced past their caps."""
+    past = st.dictionaries(st.sampled_from(list(small)), st.integers(1, 10**30), max_size=2)
+    return st.tuples(st.fixed_dictionaries(small), past).map(
+        lambda drawn: {**drawn[0], **{k: str(SIZE_CAPS[k] + d) for k, d in drawn[1].items()}}
+    )
+
+
+def run_quietly(args) -> tuple:
+    """(exit code, stderr) of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, err.getvalue()
+
+
+def assert_capped(drawn: dict, code: int, err: str, prefix: str) -> None:
+    over = [key for key, val in drawn.items() if int(val) > SIZE_CAPS[key]]
+    if over:
+        assert code == 2
+        assert any(f"{prefix}{key!r} must be at most {SIZE_CAPS[key]}," in err for key in over)
+    else:
+        assert code in (0, 2, 3)
+        assert "must be at most" not in err
+
+
+SMALL_CONFIG_SIZES = {
+    "p": st.sampled_from(["2", "3", "5"]),
+    "t": st.sampled_from(["1", "2"]),
+    "N": st.integers(1, 30).map(str),
+    "M_T": st.integers(1, 12).map(str),
+    "r": st.integers(0, 3).map(str),
+    "D": st.integers(0, 4).map(str),
+}
+
+
+@settings(max_examples=40)
+@given(sizes(SMALL_CONFIG_SIZES))
+def test_fuzzed_config_sizes_exit_2_past_a_cap(drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(BASE, **drawn)))
+        code, err = run_quietly(["charpoly", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert_capped(drawn, code, err, "config field ")
+
+
+# the file's cells fix p = 3 and t = 1
+SMALL_FILE_SIZES = {
+    "p": st.just("3"),
+    "t": st.just("1"),
+    "N": st.integers(1, 40).map(str),
+    "M_T": st.integers(1, 20).map(str),
+}
+
+
+@settings(max_examples=30)
+@given(sizes(SMALL_FILE_SIZES))
+def test_fuzzed_operator_file_sizes_exit_2_past_a_cap(drawn):
+    with tempfile.TemporaryDirectory() as tmp:
+        op = Path(tmp) / "op.json"
+        save_up(synth_up(1, 3, 40, 20, seed=1), str(op))
+        op.write_text(json.dumps(dict(json.loads(op.read_text()), **drawn)))
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(BASE, source={"file": str(op)})))
+        code, err = run_quietly(["charpoly", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    assert_capped(drawn, code, err, "field ")
 
 
 def test_config_rejects_vt_outside_unit_interval(tmp_path):

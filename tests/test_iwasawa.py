@@ -9,16 +9,15 @@ from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
     MismatchedParameters,
+    OrderBound,
     PAdicNum,
     PrecisionTooLow,
-    Valuation,
 )
 from haloslopes.iwasawa import (
     DEFAULT_TRUNC,
     CharOfDelta,
     HaloElt,
     LambdaElt,
-    OrderBound,
     eval_valuation,
     mlambda_order,
 )
@@ -75,30 +74,40 @@ def test_orders_on_zero_are_precision_limited():
     assert HaloElt(0, z).halo_T_order() == OrderBound(3, False)
 
 
-def test_meets_decides_or_raises():
-    # reached (either flag), an exact shortfall, or an undecidable AtLeast
-    assert OrderBound(2, True).meets(2, "x") and OrderBound(3, False).meets(2, "x")
-    assert OrderBound(1, True).meets(2, "x") is False
+@pytest.mark.parametrize(
+    "unit, message",
+    [
+        (1, "entry (4,0) certifies only order 1, bound 2 undecidable"),
+        (Fraction(1, 3), "entry (4,0) certifies only order 1/3, bound 2/3 undecidable"),
+    ],
+    ids=["int", "Fraction"],
+)
+def test_meets_decides_or_raises(unit, message):
+    # reached (either flag), an exact shortfall, or an undecidable AtLeast;
+    # int orders and Fraction valuations follow the one rule
+    assert OrderBound(2 * unit, True).meets(2 * unit, "x")
+    assert OrderBound(3 * unit, False).meets(2 * unit, "x")
+    assert OrderBound(unit, True).meets(2 * unit, "x") is False
     with pytest.raises(PrecisionTooLow) as err:
-        OrderBound(1, False).meets(2, "entry (4,0)")
-    assert str(err.value) == "entry (4,0) certifies only order 1, bound 2 undecidable"
+        OrderBound(unit, False).meets(2 * unit, "entry (4,0)")
+    assert str(err.value) == message
 
 
 def test_eval_valuation_examples():
     p_plus_T = elt(5, 3, 4, [5, 1])
     v = eval_valuation(p_plus_T, Fraction(1, 2))
-    assert v == Valuation.exact(Fraction(1, 2))
+    assert v == OrderBound.exact(Fraction(1, 2))
     with pytest.raises(BadArgument):
         eval_valuation(p_plus_T, Fraction(1))
     v2 = eval_valuation(elt(5, 3, 4, [0, 5, 1]), Fraction(1, 2))
-    assert (v2.bound, v2.is_exact) == (Fraction(1), True)
+    assert (v2.value, v2.is_exact) == (Fraction(1), True)
 
 
 def test_eval_valuation_flags_ties():
     # p and T^2 tie at vT = 1/2: both contribute valuation 1
     x = elt(5, 4, 4, [5, 0, 1])
     v = eval_valuation(x, Fraction(1, 2))
-    assert v == Valuation.at_least(1)
+    assert v == OrderBound.at_least(1)
 
 
 @pytest.mark.xfail(strict=True, reason="eval_valuation treats digits past T^trunc as absent")
@@ -106,7 +115,7 @@ def test_eval_valuation_counts_the_truncation_tail():
     # the stored digits give min(5, 5 + 1/3) = 5, but a digit at T^2 or later
     # adds only 2/3 or more, so nothing certifies the valuation 5 as exact
     x = elt(3, 10, 2, [3**5, 3**5])
-    assert eval_valuation(x, Fraction(1, 3)) != Valuation.exact(5)
+    assert eval_valuation(x, Fraction(1, 3)) != OrderBound.exact(5)
 
 
 def test_one_plus_T_pow_small_exponents():
@@ -140,7 +149,7 @@ def test_eval_valuation_dominates_halo_order(x, vT):
     ho = mlambda_order(x)
     v = eval_valuation(x, vT)
     if ho.value >= 0:
-        assert v.bound >= ho.value * vT
+        assert v.value >= ho.value * vT
 
 
 def test_halo_elt_shifts_order():

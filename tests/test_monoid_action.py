@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from haloslopes import monoid_action
-from haloslopes.iwasawa import CharOfDelta, LambdaElt, OrderBound, mlambda_order
+from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import (
     COLUMN_GROUP,
     BoundReport,
@@ -26,9 +26,9 @@ from haloslopes.monoid_action import (
 from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
+    OrderBound,
     PAdicNum,
     PrecisionTooLow,
-    Valuation,
     q_for,
     torsion_residue,
     val_p,
@@ -71,14 +71,14 @@ def oracle_columns(delta, size, omega, trunc, nt):
         (dm(3, 10, 3, 1, 3, 2), dm(3, 10, 3 + 3**10, 1, 3, 2)),
         (CharOfDelta(5, 7), CharOfDelta(5, 3)),
         (OrderBound(4, False), OrderBound(4, False)),
-        (Valuation.exact(Fraction(2, 3)), Valuation(Fraction(4, 6), True)),
-        (PolyPoint(2, Valuation.at_least(5)), PolyPoint(2, Valuation(Fraction(5), False))),
+        (OrderBound.exact(Fraction(2, 3)), OrderBound(Fraction(4, 6), True)),
+        (PolyPoint(2, OrderBound.at_least(5)), PolyPoint(2, OrderBound(Fraction(5), False))),
         (
             BoundReport(MonoidClass.M1, 3, ((1, 0, OrderBound(0, True)),)),
             BoundReport(MonoidClass.M1, 3, ((1, 0, OrderBound(0, True)),)),
         ),
     ],
-    ids=["PAdicNum", "DeltaMat", "CharOfDelta", "OrderBound", "Valuation", "PolyPoint",
+    ids=["PAdicNum", "DeltaMat", "CharOfDelta", "OrderBound", "OrderBound-valuation", "PolyPoint",
          "BoundReport"],
 )
 def test_value_types_are_slotted_frozen_and_keep_equality(value, same):
@@ -260,7 +260,7 @@ def test_bounds_report_violation_orders_of_the_reference_path(p, up):
             for n in range(size)
             for m in range(size)
             if m - n // step + 1 > 0
-            and not mlambda_order(ref[n].entries[m]).certainly_at_least(m - n // step + 1)
+            and mlambda_order(ref[n].entries[m]).value < m - n // step + 1
         ]
         assert list(report.violations) == want
 
@@ -432,7 +432,7 @@ def test_column_support_shape():
     cols = columns(delta, size, triv(p), 6, nt)
     for col in cols:
         live = sum(
-            1 for e in col.entries if not mlambda_order(e).certainly_at_least(r)
+            1 for e in col.entries if mlambda_order(e).value < r
         )
         assert live <= col.n // p + r
 
@@ -492,4 +492,4 @@ def test_summed_scaling_column_not_divisible_by_p_squared():
         acc = col.entries[3] if acc is None else acc + col.entries[3]
     assert acc.coeffs[0] == PAdicNum(p, nt, 66)
     v = val_p(acc.coeffs[0])
-    assert v.is_exact and v.bound == 1
+    assert v == OrderBound.exact(1)

@@ -6,8 +6,9 @@ from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
     NotAUnit,
+    OrderBound,
     PAdicNum,
-    Valuation,
+    PrecisionTooLow,
     binomials,
     log_line,
     phi_q,
@@ -21,9 +22,9 @@ from oracles import binom_oracle, log_ratio_oracle, teichmuller_oracle, val_int
 
 
 def test_val_p_examples():
-    assert val_p(PAdicNum(5, 3, 50)) == Valuation.exact(2)
-    assert val_p(PAdicNum(5, 3, 0)) == Valuation.at_least(3)
-    assert val_p(PAdicNum(3, 4, 7)) == Valuation.exact(0)
+    assert val_p(PAdicNum(5, 3, 50)) == OrderBound.exact(2)
+    assert val_p(PAdicNum(5, 3, 0)) == OrderBound.at_least(3)
+    assert val_p(PAdicNum(3, 4, 7)) == OrderBound.exact(0)
 
 
 def test_conventions():
@@ -199,14 +200,16 @@ def test_val_p_multiplicative_on_exact(p, a, b):
     n = 30
     x, y = PAdicNum(p, n, a), PAdicNum(p, n, b)
     vx, vy = val_p(x), val_p(y)
-    if vx.is_exact and vy.is_exact and vx.bound + vy.bound < n:
-        assert val_p(x * y) == Valuation(vx.bound + vy.bound, True)
+    if vx.is_exact and vy.is_exact and vx.value + vy.value < n:
+        assert val_p(x * y) == OrderBound(vx.value + vy.value, True)
 
 
 def test_valuation_comparison_helpers():
-    v = Valuation.at_least(3)
-    assert v.certainly_at_least(3)
-    assert not v.certainly_at_least(Fraction(7, 2))
+    # an AtLeast value meets a floor it reaches and cannot decide one above
+    v = OrderBound.at_least(3)
+    assert v.meets(3, "x")
+    with pytest.raises(PrecisionTooLow):
+        v.meets(Fraction(7, 2), "x")
 
 
 def test_val_int_oracle_consistency():

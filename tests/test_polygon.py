@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from haloslopes import cli
 from haloslopes.charpoly import char_input_prec, char_series
 from haloslopes.iwasawa import CharOfDelta
-from haloslopes.padic_core import BadArgument, Valuation
+from haloslopes.padic_core import BadArgument, OrderBound
 from haloslopes.polygon import (
     AssertionFailure,
     LengthMismatch,
@@ -32,13 +32,13 @@ from haloslopes.polygon import (
 )
 from haloslopes.up_operator import Synthetic, synth_up
 
-from oracles import lower_hull_oracle
+from oracles import hull_floor_oracle, lower_hull_oracle
 
 F = Fraction
 
 
 def pt(x, y, exact=True):
-    v = Valuation.exact(F(y)) if exact else Valuation.at_least(F(y))
+    v = OrderBound.exact(F(y)) if exact else OrderBound.at_least(F(y))
     return PolyPoint(x, v)
 
 
@@ -117,6 +117,33 @@ def test_value_at_interpolates():
 def test_hull_matches_gift_wrapping_oracle(pts):
     poly = newton_polygon([pt(x, y) for x, y in pts])
     assert list(poly.vertices) == lower_hull_oracle(pts)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 12),
+            st.fractions(min_value=-5, max_value=5, max_denominator=8),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=12,
+        unique_by=lambda xye: xye[0],
+    ).filter(lambda pts: any(exact for _x, _y, exact in pts))
+)
+def test_hull_certifies_atleast_points_exactly_when_the_oracle_does(pts):
+    # an AtLeast point is certified when it lies on or above the hull of the
+    # Exact points, or above its end-slope extension outside the hull
+    exact = [(x, y) for x, y, is_exact in pts if is_exact]
+    floors = [(y, hull_floor_oracle(exact, x)) for x, y, is_exact in pts if not is_exact]
+    certified = all(floor is not None and y >= floor for y, floor in floors)
+    points = [pt(x, y, is_exact) for x, y, is_exact in pts]
+    if not certified:
+        with pytest.raises(UncertifiedHull):
+            newton_polygon(points)
+        return
+    poly = newton_polygon(points)
+    assert list(poly.vertices) == lower_hull_oracle(exact)
 
 
 # -- bound polygons and the gap formula ---------------------------------------
@@ -203,7 +230,7 @@ def test_series_polygon_sits_above_lower_bound():
 def test_series_points_carry_exactness():
     cs = series_for(3, 1, 3, 4, 8, seed=1)
     pts = series_points(cs, F(1, 2))
-    assert pts[0].x == 0 and pts[0].y == Valuation.exact(0)
+    assert pts[0].x == 0 and pts[0].y == OrderBound.exact(0)
     assert len(pts) == 5
 
 

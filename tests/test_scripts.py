@@ -216,3 +216,28 @@ def test_full_scale_takes_exactly_one_mode(capsys):
             FULL_SCALE["main"](argv)
         assert exc.value.code == 2
     assert "give exactly one of --here and --base" in capsys.readouterr().err
+
+
+def test_identity_smoke_record_matches_the_pinned_outputs():
+    # the in-process smoke part of scripts/identity.py, against the pins of
+    # tests/test_cli.py: every golden tree, the smoke ledger, and a ledger that
+    # FAILs exactly the faulted check and exits 1 for each registry check
+    from test_cli import BASE, GOLDEN_TREES, GOLDEN_TREES_T2, SMOKE_LEDGER, T2_CONFIG
+
+    from haloslopes.checks import CHECKS
+
+    identity = runpy.run_path(str(SCRIPTS / "identity.py"), run_name="identity")
+    assert identity["SMOKE_CONFIG"] == BASE and identity["T2_CONFIG"] == T2_CONFIG
+    record = identity["smoke_record"]()
+    for label, golden in (("tree", GOLDEN_TREES), ("tree t2", GOLDEN_TREES_T2)):
+        for command, digest in golden.items():
+            assert record[f"{label} {command}"] == {"exit": 0, "sha256": digest}
+    assert record["verify smoke"] == {
+        "exit": 0, "sha256": identity["sha256"](SMOKE_LEDGER.encode()), "failed": []
+    }
+    for name, _fn in CHECKS:
+        entry = record[f"verify smoke fault {name}"]
+        assert (entry["exit"], entry["failed"]) == (1, [name])
+    assert sorted(k for k in record if k.startswith("series ")) == [
+        "series smoke 3,1", "series smoke 5,2"
+    ]

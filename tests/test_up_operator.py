@@ -3,11 +3,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, OrderBound, mlambda_order
+from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, mlambda_order
 from haloslopes.monoid_action import DeltaMat, NotInMonoid, matrix_input_prec
 from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
+    OrderBound,
     PrecisionTooLow,
     val_p_int,
 )
@@ -249,7 +250,7 @@ def test_assembled_bounds_hold():
     for row, col, need, order in table:
         assert need == block_bound(row, col, t, p)
         assert order == mlambda_order(mat.entry(row, col))
-        assert order.certainly_at_least(need)
+        assert order.meets(need, f"entry ({row},{col})")
 
 
 def test_block_bounds_report_exact_violations():
@@ -260,7 +261,7 @@ def test_block_bounds_report_exact_violations():
     short = [
         (row, col, need, order)
         for row, col, need, order in verify_block_bounds(mat, 3)
-        if not order.certainly_at_least(need)
+        if order.value < need
     ]
     unit = OrderBound(0, True)
     assert short == [(row, col, row, unit) for row in (1, 2) for col in range(3)]
@@ -327,7 +328,7 @@ def test_rescale_synthetic_column_bound():
         need = col // t - col // (p * t)
         for row in range(out.size):
             order = out.entry(row, col).halo_T_order()
-            assert order.certainly_at_least(need)
+            assert order.meets(need, f"entry ({row},{col})")
             want.append((row, col, need, order))
     assert halo_bounds(out, p) == tuple(want)
 
