@@ -90,38 +90,34 @@ def series_digests(scale: str) -> dict:
     }
 
 
-class Runner:
-    """In-process CLI runs, each on its own config file and output directory."""
+def run_cli(tmp: Path, config: dict, argv: list) -> tuple:
+    """(exit code, output directory) of one in-process `haloslopes ARGV` run,
+    on config, in a fresh directory under tmp."""
+    from haloslopes.cli import main
 
-    def __init__(self, tmp: str):
-        self.tmp = Path(tmp)
-        self.runs = 0
+    work = Path(tempfile.mkdtemp(dir=tmp))
+    cfg = work / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = work / "out"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+    return code, out
 
-    def run(self, config: dict, argv: list) -> tuple:
-        """(exit code, output directory) of `haloslopes ARGV` on config."""
-        from haloslopes.cli import main
 
-        self.runs += 1
-        cfg = self.tmp / f"cfg{self.runs}.json"
-        cfg.write_text(json.dumps(config))
-        out = self.tmp / f"out{self.runs}"
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
-        return code, out
+def tree(tmp: Path, config: dict, command: str) -> dict:
+    code, out = run_cli(tmp, config, command.split())
+    return {"exit": code, "sha256": tree_digest(out) if out.exists() else None}
 
-    def tree(self, config: dict, command: str) -> dict:
-        code, out = self.run(config, command.split())
-        return {"exit": code, "sha256": tree_digest(out) if out.exists() else None}
 
-    def verify(self, scale: str, *flags) -> dict:
-        code, out = self.run(dict(SMOKE_CONFIG, scale=scale), ["verify", *flags])
-        ledger = out / "verify.txt"
-        if not ledger.exists():
-            return {"exit": code, "sha256": None, "failed": None}
-        text = ledger.read_text()
-        failed = [line.split()[1].rstrip(":") for line in text.splitlines()
-                  if line.startswith("FAIL ")]
-        return {"exit": code, "sha256": sha256(text.encode()), "failed": failed}
+def ledger(tmp: Path, scale: str, *flags) -> dict:
+    code, out = run_cli(tmp, dict(SMOKE_CONFIG, scale=scale), ["verify", *flags])
+    path = out / "verify.txt"
+    if not path.exists():
+        return {"exit": code, "sha256": None, "failed": None}
+    text = path.read_text()
+    failed = [line.split()[1].rstrip(":") for line in text.splitlines()
+              if line.startswith("FAIL ")]
+    return {"exit": code, "sha256": sha256(text.encode()), "failed": failed}
 
 
 def smoke_record() -> dict:
@@ -129,24 +125,22 @@ def smoke_record() -> dict:
     from haloslopes.checks import CHECKS
 
     record = series_digests("smoke")
-    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        runner = Runner(tmp)
+    with tempfile.TemporaryDirectory(prefix="identity-") as name:
+        tmp = Path(name)
         for label, config in (("tree", SMOKE_CONFIG), ("tree t2", T2_CONFIG)):
             for command in TREE_COMMANDS:
-                record[f"{label} {command}"] = runner.tree(config, command)
-        record["verify smoke"] = runner.verify("smoke")
-        for name, _fn in CHECKS:
-            record[f"verify smoke fault {name}"] = runner.verify(
-                "smoke", "--inject-fault", name
-            )
+                record[f"{label} {command}"] = tree(tmp, config, command)
+        record["verify smoke"] = ledger(tmp, "smoke")
+        for check, _fn in CHECKS:
+            record[f"verify smoke fault {check}"] = ledger(tmp, "smoke", "--inject-fault", check)
     return record
 
 
 def full_record() -> dict:
     """Full-scale series digests and the full ledger."""
     record = series_digests("full")
-    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        record["verify full"] = Runner(tmp).verify("full")
+    with tempfile.TemporaryDirectory(prefix="identity-") as name:
+        record["verify full"] = ledger(Path(name), "full")
     return record
 
 

@@ -74,7 +74,7 @@ class ExperimentConfig(NamedTuple):
 
 
 def _int_field(obj: dict, key: str, default=None, least=None) -> int:
-    # a size field must also be at most its SIZE_CAPS entry
+    """A decimal-string integer field, at most its SIZE_CAPS entry if it has one."""
     if key not in obj:
         if default is None:
             raise BadArgument(f"config is missing {key!r}")

@@ -2,7 +2,9 @@
 
 PAdicNum is a residue mod p^N together with the precision N it is known
 to.  Arithmetic keeps the minimum precision of its operands.  Zero residues
-carry AtLeast valuations and are never treated as exactly infinite.  The
+carry AtLeast valuations and are never treated as exactly infinite.
+OrderBound is the one record of an order or valuation, Exact or AtLeast,
+and its `meets` the one rule that decides one against a floor.  The
 primitives every operator entry is built from (Teichmuller lift, log(u)/q,
 binomials) take and return plain residues, with the precision they keep.
 """

@@ -34,7 +34,7 @@ from .padic_core import (
 
 # The largest p, t, N, M_T, r and D a config or operator file may give; a
 # larger one is an input error (exit 2).  Each is several times the largest
-# pinned use, but a run near several caps at once can still take hours.
+# pinned use.  They bound each size, not the run time of their product.
 SIZE_CAPS = {"p": 100, "t": 32, "N": 1000, "M_T": 256, "r": 32, "D": 64}
 
 
