@@ -213,6 +213,25 @@ def checkouts(repo: Path, commits: dict):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def here_record(script: Path, checkout: Path, *flags) -> dict:
+    """The JSON record of one `script --here FLAGS` run on a checkout's package.
+
+    The run is a fresh interpreter in the checkout whose import path starts
+    with its `src`; the record's "package" entry, the directory haloslopes
+    was imported from, must lie inside the checkout and is dropped.
+    """
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    cmd = [sys.executable, str(script), "--here", *flags]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{script.stem}: {' '.join(cmd)} in {checkout} exited "
+                         f"{proc.returncode}\n{proc.stderr}")
+    record = json.loads(proc.stdout)
+    if not Path(record.pop("package")).is_relative_to(checkout):
+        raise SystemExit(f"{script.stem}: the run in {checkout} imported another haloslopes")
+    return record
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),

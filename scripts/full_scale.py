@@ -20,8 +20,9 @@ Usage:
 
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
-measured by this file with --here in a fresh interpreter whose import path
-starts with that extract's `src`, so both sides are timed by the same code.
+measured by this file with --here through its `here_record`, in a fresh
+interpreter whose import path starts with that extract's `src`, so both
+sides are timed by the same code.
 Each round measures both sides, the parent first in even rounds.  The record
 holds every round and, per measurement, each side's median over the rounds.
 """
@@ -98,20 +99,6 @@ def verify_seconds(scale: str, repeats: int) -> dict:
     return {mode: statistics.median(values) for mode, values in times.items()}
 
 
-def measure_side(checkout: Path, scale: str, repeats: int) -> dict:
-    """One --here run of this file on the package of a checkout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, str(HERE), "--here", "--scale", scale, "--repeats", str(repeats)]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"full_scale: {' '.join(cmd)} in {checkout} exited "
-                         f"{proc.returncode}\n{proc.stderr}")
-    result = json.loads(proc.stdout)
-    if not Path(result.pop("package")).is_relative_to(checkout):
-        raise SystemExit(f"full_scale: the run in {checkout} imported another haloslopes")
-    return result
-
-
 def flatten(result: dict) -> dict:
     """{"checks_s": {"x": 1.0}} -> {"checks_s x": 1.0}."""
     return {f"{part} {key}": value
@@ -159,7 +146,9 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             entry = {"first": order[0]}
             for side in order:
-                entry[side] = measure_side(dirs[side].resolve(), args.scale, args.repeats)
+                entry[side] = pairs["here_record"](
+                    HERE, dirs[side].resolve(), "--scale", args.scale, "--repeats", str(args.repeats)
+                )
                 print(f"round {k} {side}: {json.dumps(entry[side])}", file=sys.stderr, flush=True)
             rounds.append(entry)
     record = {

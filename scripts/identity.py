@@ -17,8 +17,8 @@ the import path that a change must leave byte-identical:
 
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
-recorded by this file with --here in a fresh interpreter whose import path
-starts with that extract's `src`.  It prints both records and the items that
+recorded by this file with --here through its `here_record`, in a fresh
+interpreter whose import path starts with that extract's `src`.  It prints both records and the items that
 differ, and exits 1 if any item differs.
 """
 
@@ -29,10 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import runpy
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -144,20 +141,6 @@ def full_record() -> dict:
     return record
 
 
-def side_record(checkout: Path) -> dict:
-    """One --here run of this file on the package of a checkout."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    cmd = [sys.executable, str(HERE), "--here"]
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"identity: {' '.join(cmd)} in {checkout} exited "
-                         f"{proc.returncode}\n{proc.stderr}")
-    record = json.loads(proc.stdout)
-    if not Path(record.pop("package")).is_relative_to(checkout):
-        raise SystemExit(f"identity: the run in {checkout} imported another haloslopes")
-    return record
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="git revision of the parent side")
@@ -178,7 +161,7 @@ def main(argv=None) -> int:
     commits = {"parent": pairs["resolve"](ROOT, args.base),
                "change": pairs["resolve"](ROOT, "HEAD")}
     with pairs["checkouts"](ROOT, commits) as dirs:
-        records = {side: side_record(dirs[side].resolve()) for side in SIDES}
+        records = {side: pairs["here_record"](HERE, dirs[side].resolve()) for side in SIDES}
     items = sorted(set(records["parent"]) | set(records["change"]))
     differ = [k for k in items if records["parent"].get(k) != records["change"].get(k)]
     print(json.dumps({

@@ -145,9 +145,9 @@ def charpoly_cofactor_oracle(mat, one, zero) -> tuple:
     Entries of I - X*mat are degree-1 polynomials in X over the ring;
     `one`/`zero` are the ring constants.  Independent of the division-free
     recurrence in `berkowitz_charpoly`, which it serves as a reference for.
-    Its products are the entries' own: on `LambdaElt` entries they run the
-    packed codec Berkowitz runs on, on the per-coefficient `CoeffLambda` of
-    `tests/oracles.py` they do not.
+    Its products are the entries' own: on `LambdaElt` entries, as on the
+    `CoeffLambda` of `tests/oracles.py`, a per-coefficient convolution, so
+    none of the packed codec Berkowitz runs on reaches it.
     """
     n = len(mat)
     poly = [[[one if i == j else zero, -mat[i][j]] for j in range(n)] for i in range(n)]
@@ -491,7 +491,7 @@ def run_checks(names, scale: str, inject_fault=None) -> list:
     """(name, ok, detail) for the named checks, or all when none are named.
 
     Rows come in registry order.  `inject_fault` names the check whose fault
-    flag is set.  When the process can fork, has two usable CPUs and runs no
+    flag is set; BadArgument if it is not among the chosen ones.  When the process can fork, has two usable CPUs and runs no
     other thread, the SERIES_CHECKS run here while one forked child runs the
     rest; otherwise one loop runs them all here.  The rows are the same either
     way, and so is the error raised: that of the first check, in registry
@@ -503,6 +503,11 @@ def run_checks(names, scale: str, inject_fault=None) -> list:
         raise BadArgument(f"unknown checks: {', '.join(unknown)}")
     if inject_fault is not None and inject_fault not in known:
         raise BadArgument(f"unknown check: {inject_fault}")
+    if names and inject_fault is not None and inject_fault not in names:
+        raise BadArgument(
+            f"fault injected into {inject_fault}, which is not among the chosen "
+            f"checks: {', '.join(names)}"
+        )
     chosen = [(name, fn) for name, fn in CHECKS if not names or name in names]
     here = [check for check in chosen if check[0] in SERIES_CHECKS]
     there = [check for check in chosen if check[0] not in SERIES_CHECKS]

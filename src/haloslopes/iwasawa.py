@@ -7,9 +7,10 @@ Orders against the maximal ideal (p, T) and against the T-shifted
 outer-annulus ring are certified from coefficient valuations, honestly
 flagging anything a zero residue leaves undecidable.
 
-The packed form, in which the Mahler kernel, ring products and Berkowitz
-compute, puts T-coefficient s in bits [width*s, width*(s+1)) of one big
-integer; a product of packed values packs the convolution of their digits.
+The packed form, in which the Mahler kernel and Berkowitz compute, puts
+T-coefficient s in bits [width*s, width*(s+1)) of one big integer; a
+product of packed values packs the convolution of their digits, which a
+LambdaElt product, the cofactor oracle's, takes digit by digit instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import NamedTuple
 from .padic_core import (
     BadArgument,
     Frozen,
-    InsufficientPrecision,
     MismatchedParameters,
     OrderBound,
     PAdicNum,
@@ -51,9 +51,9 @@ class LambdaElt(Frozen):
     """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^prec.
 
     Holds p, prec and res, the T-coefficients as residues already reduced
-    mod p^prec.  LambdaElt(coeffs) takes PAdicNum sharing (p, prec) and
-    .coeffs gives them back, for the benchmark and the test oracles;
-    everything else, scalars included, works on the integers.
+    mod p^prec, on which every operation works.  LambdaElt(coeffs) takes
+    PAdicNum records sharing (p, prec) and .coeffs gives them back: the
+    forms the benchmark reads, and that the test oracles start from.
     """
 
     __slots__ = ("p", "prec", "res")
@@ -146,11 +146,9 @@ class LambdaElt(Frozen):
                 self.p, self.prec, tuple(a * other % mod for a in self.res)
             )
         n = self._join(other)
-        trunc = len(self.res)
-        # the digits are reduced at each operand's own precision
-        width = ring_width(self.p ** max(self.prec, other.prec), trunc, 1)
-        prod = pack(self.res, width) * pack(other.res, width)
-        res = unpack(reduce_digits(prod, self.p**n, width, trunc), width, trunc)
+        mod = self.p**n
+        a, b = self.res, other.res
+        res = tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % mod for k in range(len(a)))
         return LambdaElt._raw(self.p, n, res)
 
     __rmul__ = __mul__
@@ -174,17 +172,6 @@ class LambdaElt(Frozen):
         parts = [f"{c}*T^{m}" for m, c in enumerate(self.res) if c]
         body = " + ".join(parts) if parts else "0"
         return f"LambdaElt({body} mod (p^{self.prec}, T^{self.trunc}))"
-
-    def with_prec(self, n: int) -> "LambdaElt":
-        """Truncate to a lower precision (raising never allowed implicitly)."""
-        if n > self.prec:
-            raise InsufficientPrecision(
-                f"cannot raise precision {self.prec} -> {n} without exact data"
-            )
-        if n <= 0:
-            raise BadArgument(f"precision must be positive, got {n}")
-        mod = self.p**n
-        return LambdaElt._raw(self.p, n, tuple(c % mod for c in self.res))
 
     # -- serialization -------------------------------------------------------
 

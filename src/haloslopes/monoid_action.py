@@ -114,8 +114,8 @@ class MonoidClass(enum.Enum):
 class DeltaMat(Frozen):
     """Entries a, b, c, d as residues mod p^prec.
 
-    The package reads `residues` alone; .d and det() give PAdicNum values
-    for the benchmark's own matrix generator, their last reader.
+    The package reads `residues` alone; .d and det(), reduced mod p^prec, give
+    PAdicNum records for the benchmark's own matrix generator, their last reader.
     """
 
     __slots__ = ("p", "prec", "a_res", "b_res", "c_res", "d_res")

@@ -1,12 +1,12 @@
 """Exact arithmetic on p-adic integers truncated modulo p^N.
 
-PAdicNum is a residue mod p^N together with the precision N it is known
-to.  Arithmetic keeps the minimum precision of its operands.  Zero residues
-carry AtLeast valuations and are never treated as exactly infinite.
-OrderBound is the one record of an order or valuation, Exact or AtLeast,
-and its `meets` the one rule that decides one against a floor.  The
-primitives every operator entry is built from (Teichmuller lift, log(u)/q,
-binomials) take and return plain residues, with the precision they keep.
+Every computation runs on plain residues mod p^N, the precision N kept
+beside them; the primitives every operator entry is built from (Teichmuller
+lift, log(u)/q, binomials) take and return such residues.  OrderBound is
+the one record of an order or valuation, Exact or AtLeast, and its `meets`
+the one rule that decides one against a floor; a zero residue carries an
+AtLeast value, never an exact infinity.  PAdicNum is a bare record of
+(p, N, residue) with no arithmetic.
 """
 
 from __future__ import annotations
@@ -175,7 +175,11 @@ class Frozen:
 
 
 class PAdicNum(Frozen):
-    """Residue mod p^prec with tracked precision."""
+    """Record of a residue mod p^prec, reduced, equal only to the same record.
+
+    No arithmetic: the package computes on plain residues and builds these
+    only for the forms the benchmark reads (LambdaElt.coeffs, DeltaMat.d).
+    """
 
     __slots__ = ("p", "prec", "residue")
 
@@ -189,83 +193,8 @@ class PAdicNum(Frozen):
     def _key(self) -> tuple:
         return self.p, self.prec, self.residue
 
-    # -- helpers ---------------------------------------------------------
-
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
-
-    def _join(self, other: "PAdicNum") -> int:
-        if not isinstance(other, PAdicNum):
-            raise TypeError(f"expected PAdicNum, got {type(other).__name__}")
-        if self.p != other.p:
-            raise MismatchedParameters(f"primes differ: {self.p} vs {other.p}")
-        return min(self.prec, other.prec)
-
-    def with_prec(self, n: int) -> "PAdicNum":
-        """Truncate to a lower precision (raising never allowed implicitly)."""
-        if n > self.prec:
-            raise InsufficientPrecision(
-                f"cannot raise precision {self.prec} -> {n} without exact data"
-            )
-        return PAdicNum(self.p, n, self.residue)
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return PAdicNum(self.p, self.prec, self.residue + other)
-        n = self._join(other)
-        return PAdicNum(self.p, n, self.residue + other.residue)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PAdicNum(self.p, self.prec, -self.residue)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return PAdicNum(self.p, self.prec, self.residue - other)
-        n = self._join(other)
-        return PAdicNum(self.p, n, self.residue - other.residue)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PAdicNum(self.p, self.prec, self.residue * other)
-        n = self._join(other)
-        return PAdicNum(self.p, n, self.residue * other.residue)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        # ints are not accepted: no hash could agree with every int equal
-        # to the residue mod p^prec
-        if not isinstance(other, PAdicNum):
-            return NotImplemented
-        # equality at the shared precision
-        if self.p != other.p:
-            return False
-        n = min(self.prec, other.prec)
-        m = self.p ** n
-        return self.residue % m == other.residue % m
-
-    def __hash__(self):
-        # equal numbers agree at their shared precision, which is >= 1
-        return hash((self.p, self.residue % self.p))
-
-    def __repr__(self):
-        return f"PAdicNum({self.residue} mod {self.p}^{self.prec})"
-
-
-def val_p(x: PAdicNum) -> OrderBound:
-    """Exact k if p^k || residue; AtLeast prec on a zero residue."""
-    if x.residue == 0:
-        return OrderBound.at_least(x.prec)
-    return OrderBound.exact(val_p_int(x.residue, x.p))
-
-
 
 
 # -- the primitives of every operator entry ----------------------------------

@@ -5,14 +5,16 @@ Each oracle deliberately uses a different algorithm from the library code
 modular series, integer binomials instead of a running falling factorial,
 direct alternating sums instead of difference tables, cofactor expansion
 instead of division-free recurrences, gift wrapping instead of a monotone
-chain, one PAdicNum per T-coefficient instead of LambdaElt's reduced
-integers).  The reference action path (`action_column`, `one_plus_T_pow`)
-builds each entry one by one from these oracles and plain `pow`, never from
-the Teichmuller, log or binomial code of `haloslopes.padic_core` or the
-packed Mahler kernel; `tests/test_oracles.py` checks that this file names
-none of them.  The cofactor oracle lives in `haloslopes.checks`, whose
-`charpoly-oracle` check runs it too; the tests feed it `CoeffLambda`
-entries, so on their side it reaches none of the packed codec.
+chain, one PAdicNum record per T-coefficient, each reduced and multiplied
+here, instead of LambdaElt's shared residue tuple, and valuations from
+`val_int` instead of the package's early-stopping scans).  The reference
+action path (`action_column`, `one_plus_T_pow`) builds each entry one by
+one from these oracles and plain `pow`, never from the Teichmuller, log or
+binomial code of `haloslopes.padic_core` or the packed Mahler kernel;
+`tests/test_oracles.py` checks that this file names none of them.  The
+cofactor oracle lives in `haloslopes.checks`, whose `charpoly-oracle`
+check runs it too; the tests feed it `CoeffLambda` entries, and neither
+they nor LambdaElt's product reach the packed codec.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from haloslopes.padic_core import (
     OrderBound,
     PAdicNum,
     q_for,
-    val_p,
 )
 
 
@@ -219,10 +220,12 @@ def action_column(
 
 @dataclass(frozen=True)
 class CoeffLambda:
-    """Truncated Z_p[[T]] element as one PAdicNum per T-coefficient.
+    """Truncated Z_p[[T]] element as one PAdicNum record per T-coefficient.
 
-    The reference for LambdaElt: every operation goes through PAdicNum
-    arithmetic coefficient by coefficient, never through a shared modulus.
+    The reference for LambdaElt: every operation works coefficient by
+    coefficient on the records' plain residues, reduces them mod p^min(prec)
+    itself and multiplies by a schoolbook product, never through a shared
+    residue tuple or a packed integer.
     """
 
     coeffs: tuple
@@ -235,41 +238,49 @@ class CoeffLambda:
             if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
                 raise MismatchedParameters("coefficients must share (p, N)")
 
-    def _join(self, other):
-        if (self.coeffs[0].p, len(self.coeffs)) != (other.coeffs[0].p, len(other.coeffs)):
+    def _join(self, other) -> int:
+        """The shared precision of two elements of the same ring."""
+        a, b = self.coeffs[0], other.coeffs[0]
+        if (a.p, len(self.coeffs)) != (b.p, len(other.coeffs)):
             raise MismatchedParameters("different rings")
+        return min(a.prec, b.prec)
+
+    def _reduced(self, prec: int, residues) -> "CoeffLambda":
+        p = self.coeffs[0].p
+        mod = p**prec
+        return CoeffLambda(tuple(PAdicNum(p, prec, r % mod) for r in residues))
 
     def __add__(self, other):
-        self._join(other)
-        return CoeffLambda(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self._join(other)
+        return self._reduced(n, (a.residue + b.residue for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
-        self._join(other)
-        return CoeffLambda(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        n = self._join(other)
+        return self._reduced(n, (a.residue - b.residue for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return CoeffLambda(tuple(-a for a in self.coeffs))
+        return self._reduced(self.coeffs[0].prec, (-a.residue for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, (int, PAdicNum)):
-            return CoeffLambda(tuple(a * other for a in self.coeffs))
-        self._join(other)
+        if isinstance(other, int):
+            return self._reduced(self.coeffs[0].prec, (a.residue * other for a in self.coeffs))
+        n = self._join(other)
         out = []
         for k in range(len(self.coeffs)):
-            acc = self.coeffs[0] * other.coeffs[k]
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
+            acc = 0
+            for i in range(k + 1):
+                acc += self.coeffs[i].residue * other.coeffs[k - i].residue
             out.append(acc)
-        return CoeffLambda(tuple(out))
+        return self._reduced(n, out)
 
     def __eq__(self, other):
-        # PAdicNum equality is already at the shared precision
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def with_prec(self, n: int) -> "CoeffLambda":
-        return CoeffLambda(tuple(c.with_prec(n) for c in self.coeffs))
+        """Equality at the shared precision."""
+        try:
+            n = self._join(other)
+        except MismatchedParameters:
+            return False
+        m = self.coeffs[0].p ** n
+        return all(a.residue % m == b.residue % m for a, b in zip(self.coeffs, other.coeffs))
 
     def to_json(self) -> dict:
         c0 = self.coeffs[0]
@@ -280,16 +291,25 @@ class CoeffLambda:
         }
 
 
+def valuation_oracle(c: PAdicNum) -> OrderBound:
+    """Exact v_p of a nonzero residue; AtLeast prec on a zero residue."""
+    if c.residue == 0:
+        return OrderBound.at_least(c.prec)
+    return OrderBound.exact(val_int(c.residue, c.p))
+
+
 def order_oracle(x: CoeffLambda) -> OrderBound:
     """min over every m of m + v(b_m), exact iff an exact term attains it."""
-    contribs = [(val_p(c).value + m, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    contribs = [(v.value + m, v.is_exact) for m, v in enumerate(map(valuation_oracle, x.coeffs))]
     best = min(v for v, _ in contribs)
     return OrderBound(best, any(exact for v, exact in contribs if v == best))
 
 
 def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> OrderBound:
     """min over every m of v(b_m) + m*vT, exact iff one exact term attains it."""
-    contribs = [(val_p(c).value + m * vT, val_p(c).is_exact) for m, c in enumerate(x.coeffs)]
+    contribs = [
+        (v.value + m * vT, v.is_exact) for m, v in enumerate(map(valuation_oracle, x.coeffs))
+    ]
     best = min(v for v, _ in contribs)
     winners = [exact for v, exact in contribs if v == best]
     return OrderBound.exact(best) if winners == [True] else OrderBound.at_least(best)

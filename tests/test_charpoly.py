@@ -30,11 +30,10 @@ from haloslopes.padic_core import (
     PAdicNum,
     PrecisionTooLow,
     q_for,
-    val_p,
 )
 from haloslopes.up_operator import UpSpec, assemble, synth_up
 
-from oracles import CoeffLambda, charpoly_cofactor_oracle
+from oracles import CoeffLambda, charpoly_cofactor_oracle, valuation_oracle
 
 
 def elt(p, n, trunc, ints):
@@ -106,8 +105,9 @@ def test_berkowitz_diag_T_p():
 def cofactor_reference(mat):
     """det(I - X mat) by cofactor expansion over CoeffLambda entries.
 
-    CoeffLambda multiplies one PAdicNum pair at a time, so no part of the
-    packed codec that Berkowitz runs on reaches this side.
+    CoeffLambda multiplies the residues of its PAdicNum records one pair at
+    a time, so no part of the packed codec that Berkowitz runs on reaches
+    this side.
     """
     p, prec, trunc = mat[0][0].p, mat[0][0].prec, mat[0][0].trunc
     digits = [PAdicNum(p, prec, 0)] * trunc
@@ -347,7 +347,7 @@ def test_verify_char_bound_coefficientwise_form_agrees():
     lam = lambda_seq(3, 1, 6)
     for n, c in enumerate(cs.coeffs):
         for m, b in enumerate(c.coeffs):
-            assert val_p(b).meets(max(lam[n] - m, 0), f"b_{m} of c_{n}")
+            assert valuation_oracle(b).meets(max(lam[n] - m, 0), f"b_{m} of c_{n}")
 
 
 def test_verify_char_bound_two_block_rows():

@@ -390,10 +390,21 @@ def test_undecidable_stability_gap_exits_3(tmp_path, capsys):
     assert "bound 5 undecidable" in err and "differs" not in err
 
 
-def test_unknown_check_exits_2(tmp_path):
+def test_unknown_check_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     args = ["verify", "--config", cfg, "--out", str(tmp_path / "o")]
     assert main(args + ["--only", "no-such-check"]) == 2
+    # a fault in a known check left out of the selection would go unseen
+    only = ["--only", "lambda-closed-form", "--inject-fault", "vertical-gap"]
+    assert main(args + only) == 2
+    err = capsys.readouterr().err
+    assert "vertical-gap" in err and "lambda-closed-form" in err
+    cfg = write_config(tmp_path, name="listed.json", checks=["lambda-closed-form"])
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert main(args + ["--inject-fault", "vertical-gap"]) == 2
+    err = capsys.readouterr().err
+    assert "vertical-gap" in err and "lambda-closed-form" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_injected_fault_exits_1(tmp_path, capsys):
@@ -746,7 +757,9 @@ def test_truncation_stability_undecidable_gap_raises(monkeypatch):
     # cut below r digits, the series meets the S + t pass only in zero
     # residues, an order >= r - 1 that cannot decide the bound r
     p, t, D, spec, cs = checks.fixture_series("smoke")[0]
-    low = CharSeries(tuple(c.with_prec(cs.r - 1) for c in cs.coeffs), cs.r)
+    low = CharSeries(
+        tuple(LambdaElt.from_ints(p, cs.r - 1, c.trunc, c.res) for c in cs.coeffs), cs.r
+    )
     monkeypatch.setattr(checks, "fixture_series", lambda scale: ((p, t, D, spec, low),))
     with pytest.raises(PrecisionTooLow, match=f"c_0 .* bound {cs.r} undecidable"):
         checks.truncation_stability("smoke")

@@ -42,7 +42,7 @@ def modules_naming(root, name):
                 (isinstance(node, ast.Name) and node.id == name)
                 or (isinstance(node, ast.Attribute) and node.attr == name)
                 or (isinstance(node, ast.alias) and name in (node.name, node.asname))
-                or (isinstance(node, ast.ClassDef) and node.name == name)
+                or (isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name)
             )
             if named:
                 found.add(path.name)
@@ -52,3 +52,29 @@ def modules_naming(root, name):
 def test_padicnum_named_only_where_allowed():
     assert modules_naming(PACKAGE, "PAdicNum") <= PADICNUM_MODULES
     assert "padic_core.py" in modules_naming(PACKAGE, "PAdicNum")
+
+
+def test_padicnum_is_a_record_without_arithmetic():
+    # its fields, their constructor, the key equality and hashing read, and
+    # is_unit: no operator, no precision change, nothing aliased to one
+    (cls,) = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "padic_core.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "PAdicNum"
+    ]
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assigned = {
+        target.id
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+    }
+    assert methods == {"__init__", "_key", "is_unit"}
+    assert assigned == {"__slots__"}
+
+
+def test_no_module_keeps_the_object_path():
+    # valuations come from val_p_int on plain residues, precision changes
+    # from constructing the value again
+    for name in ("val_p", "with_prec"):
+        assert modules_naming(PACKAGE, name) == set(), name

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from haloslopes.padic_core import (
     BadArgument,
-    InsufficientPrecision,
     MismatchedParameters,
     OrderBound,
     PAdicNum,
@@ -21,6 +20,8 @@ from haloslopes.iwasawa import (
     eval_valuation,
     mlambda_order,
 )
+
+from haloslopes.monoid_action import DeltaMat
 
 from oracles import CoeffLambda, eval_valuation_oracle, one_plus_T_pow, order_oracle
 
@@ -229,13 +230,6 @@ def test_packed_element_matches_coefficient_oracle(pair, k):
     assert x.to_json() == rx.to_json()
     for vT in VTS:
         assert eval_valuation(x, vT) == eval_valuation_oracle(rx, vT)
-    for m in range(1, x.prec + 1):
-        assert_same(x.with_prec(m), rx.with_prec(m))
-        assert x == x.with_prec(m) and hash(x) == hash(x.with_prec(m))
-    with pytest.raises(InsufficientPrecision):
-        x.with_prec(x.prec + 1)
-    with pytest.raises(BadArgument):
-        x.with_prec(0)
     if x == y:
         assert hash(x) == hash(y)
 
@@ -251,8 +245,6 @@ def test_equal_at_shared_precision_hash_equal(p, n, m, ints):
     x = LambdaElt.from_ints(p, n, len(ints), ints)
     y = LambdaElt.from_ints(p, m, len(ints), ints)
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
-    a, b = PAdicNum(p, n, ints[0]), PAdicNum(p, m, ints[0])
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_compatibility_surface():
@@ -272,6 +264,37 @@ def test_compatibility_surface():
         LambdaElt(())
     with pytest.raises(BadArgument):
         LambdaElt.from_ints(3, 0, 2, [1])
+    # PAdicNum is a (p, prec, residue) record, the residue reduced mod
+    # p^prec: a residue bumped past p^prec is the same record
+    assert PAdicNum(3, 4, 80 + 3**4).residue == 80
+    assert PAdicNum(3, 4, -1) == PAdicNum(3, 4, 80)
+    assert hash(PAdicNum(3, 4, -1)) == hash(PAdicNum(3, 4, 80))
+    assert len({PAdicNum(3, 4, 80), PAdicNum(3, 4, 161), PAdicNum(3, 4, 80)}) == 1
+    # equal values only: no agreement at a shared precision
+    assert PAdicNum(3, 4, 80) != PAdicNum(3, 5, 80)
+    assert PAdicNum(3, 4, 1) != PAdicNum(5, 4, 1)
+    assert PAdicNum(3, 4, 1).is_unit() and not PAdicNum(3, 4, 9).is_unit()
+    assert not PAdicNum(3, 4, 0).is_unit()
+    with pytest.raises(BadArgument):
+        PAdicNum(3, 0, 1)
+    # the record carries no arithmetic
+    with pytest.raises(TypeError):
+        PAdicNum(3, 4, 1) + PAdicNum(3, 4, 1)
+    with pytest.raises(TypeError):
+        PAdicNum(3, 4, 1) * 2
+    # DeltaMat.d and det() are records at the matrix's precision
+    p, prec = 3, 4
+    mod = p**prec
+    unit = DeltaMat(p, prec, 2, 1, 3, 5)
+    assert unit.d == PAdicNum(p, prec, 5) and unit.d.is_unit()
+    assert unit.det() == PAdicNum(p, prec, 2 * 5 - 1 * 3)
+    assert not DeltaMat(p, prec, 2, 1, 3, 6).d.is_unit()
+    # the determinant residue lies in [0, p^prec), 0 exactly when it vanishes
+    assert DeltaMat(p, prec, 1, 5, 3, 1).det().residue == mod - 14
+    vanishing = DeltaMat(p, prec, 1 + mod, 1, 3, 3)
+    assert vanishing.det().residue == 0 and vanishing.det().prec == prec
+    near = DeltaMat(p, prec, 1, 1, 3, 3 + 3**3)
+    assert near.det().residue == 3**3
 
 
 def test_packed_element_is_immutable_and_hashable():

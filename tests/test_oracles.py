@@ -92,9 +92,10 @@ def reached_names(roots) -> set:
 
 def test_cofactor_reference_side_never_reaches_the_packed_codec():
     # the Berkowitz tests feed charpoly_cofactor_oracle CoeffLambda entries,
-    # whose coefficients are PAdicNum; a codec fault must reach only one side
-    reference = reached_names([charpoly_cofactor_oracle, oracles.CoeffLambda])
-    assert "PAdicNum" in reference
+    # whose coefficients are PAdicNum records, and the charpoly-oracle check
+    # LambdaElt entries; a codec fault must reach only Berkowitz's side
+    reference = reached_names([charpoly_cofactor_oracle, oracles.CoeffLambda, LambdaElt.__mul__])
+    assert {"PAdicNum", "LambdaElt"} <= reference
     assert not reference & CODEC
     # the walk does find the codec where it is used
-    assert CODEC <= reached_names([berkowitz_charpoly, LambdaElt])
+    assert CODEC <= reached_names([berkowitz_charpoly])

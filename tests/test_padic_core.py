@@ -14,30 +14,24 @@ from haloslopes.padic_core import (
     phi_q,
     q_for,
     torsion_residue,
-    val_p,
     val_p_factorial,
+    val_p_int,
 )
 
 from oracles import binom_oracle, log_ratio_oracle, teichmuller_oracle, val_int
 
 
 def test_val_p_examples():
-    assert val_p(PAdicNum(5, 3, 50)) == OrderBound.exact(2)
-    assert val_p(PAdicNum(5, 3, 0)) == OrderBound.at_least(3)
-    assert val_p(PAdicNum(3, 4, 7)) == OrderBound.exact(0)
+    assert val_p_int(50, 5) == 2 and val_p_int(-50, 5) == 2
+    assert val_p_int(7, 3) == 0
+    # a zero residue has no exact valuation; callers flag it AtLeast prec
+    with pytest.raises(BadArgument):
+        val_p_int(0, 5)
 
 
 def test_conventions():
     assert q_for(3) == 3 and q_for(2) == 4
     assert phi_q(5) == 4 and phi_q(2) == 2
-
-
-def test_arithmetic_min_precision():
-    x = PAdicNum(5, 4, 7)
-    y = PAdicNum(5, 2, 3)
-    assert (x * y).prec == 2
-    assert (x + y).prec == 2
-    assert (x - y).residue == 4
 
 
 def test_equality_refuses_plain_ints():
@@ -197,11 +191,8 @@ def test_binom_pascal(p, u, r):
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 10 ** 8), st.integers(1, 10 ** 8))
 def test_val_p_multiplicative_on_exact(p, a, b):
-    n = 30
-    x, y = PAdicNum(p, n, a), PAdicNum(p, n, b)
-    vx, vy = val_p(x), val_p(y)
-    if vx.is_exact and vy.is_exact and vx.value + vy.value < n:
-        assert val_p(x * y) == OrderBound(vx.value + vy.value, True)
+    assert val_p_int(a * b, p) == val_p_int(a, p) + val_p_int(b, p)
+    assert val_p_int(a, p) == val_int(a, p)
 
 
 def test_valuation_comparison_helpers():
