@@ -146,9 +146,8 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             entry = {"first": order[0]}
             for side in order:
-                entry[side] = pairs["here_record"](
-                    HERE, dirs[side].resolve(), "--scale", args.scale, "--repeats", str(args.repeats)
-                )
+                flags = ("--scale", args.scale, "--repeats", str(args.repeats))
+                entry[side] = pairs["here_record"](HERE, dirs[side].resolve(), *flags)
                 print(f"round {k} {side}: {json.dumps(entry[side])}", file=sys.stderr, flush=True)
             rounds.append(entry)
     record = {

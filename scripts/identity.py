@@ -18,8 +18,8 @@ the import path that a change must leave byte-identical:
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
 recorded by this file with --here through its `here_record`, in a fresh
-interpreter whose import path starts with that extract's `src`.  It prints both records and the items that
-differ, and exits 1 if any item differs.
+interpreter whose import path starts with that extract's `src`.  It prints
+both records and the items that differ, and exits 1 if any item differs.
 """
 
 from __future__ import annotations

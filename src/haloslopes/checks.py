@@ -491,11 +491,12 @@ def run_checks(names, scale: str, inject_fault=None) -> list:
     """(name, ok, detail) for the named checks, or all when none are named.
 
     Rows come in registry order.  `inject_fault` names the check whose fault
-    flag is set; BadArgument if it is not among the chosen ones.  When the process can fork, has two usable CPUs and runs no
-    other thread, the SERIES_CHECKS run here while one forked child runs the
-    rest; otherwise one loop runs them all here.  The rows are the same either
-    way, and so is the error raised: that of the first check, in registry
-    order, that raised one.
+    flag is set, and must be one of the chosen checks, or BadArgument.  When
+    the process can fork, has two usable CPUs and runs no other thread, the
+    SERIES_CHECKS run here while one forked child runs the rest; otherwise
+    one loop runs them all here.  The rows are the same either way, and so
+    is the error raised: that of the first check, in registry order, that
+    raised one.
     """
     known = [name for name, _fn in CHECKS]
     unknown = [name for name in names if name not in known]
