@@ -20,7 +20,6 @@ from haloslopes.iwasawa import (
     eval_valuation,
     mlambda_order,
 )
-
 from haloslopes.monoid_action import DeltaMat
 
 from oracles import CoeffLambda, eval_valuation_oracle, one_plus_T_pow, order_oracle
