@@ -12,8 +12,10 @@ the import path that a change must leave byte-identical:
 - `tree COMMAND` and `tree t2 COMMAND`: exit code and digest of each smoke
   output tree that `tests/test_cli.py` pins in GOLDEN_TREES and
   GOLDEN_TREES_T2;
-- `verify smoke`, `verify smoke fault NAME` for each registry check, and
-  `verify full`: exit code, sha256 of `verify.txt` and the checks it FAILs.
+- `verify smoke`, `verify smoke fault NAME` for each registry check,
+  `verify full`, and `verify full fault NAME` for the two entry-bound
+  checks, each run alone (`--only NAME --inject-fault NAME`): exit code,
+  sha256 of `verify.txt` and the checks it FAILs.
 
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
@@ -63,6 +65,8 @@ T2_CONFIG = {
     "scale": "smoke",
 }
 TREE_COMMANDS = ("matrix", "matrix --rescale", "charpoly", "polygon")
+# the checks whose failing path, the violation report, runs at full scale too
+ENTRY_CHECKS = ("entry-bounds-up", "entry-bounds-m1")
 
 
 def sha256(data: bytes) -> str:
@@ -134,10 +138,15 @@ def smoke_record() -> dict:
 
 
 def full_record() -> dict:
-    """Full-scale series digests and the full ledger."""
+    """Full-scale series digests, the full ledger and the entry-bound fault ledgers."""
     record = series_digests("full")
     with tempfile.TemporaryDirectory(prefix="identity-") as name:
-        record["verify full"] = ledger(Path(name), "full")
+        tmp = Path(name)
+        record["verify full"] = ledger(tmp, "full")
+        for check in ENTRY_CHECKS:
+            record[f"verify full fault {check}"] = ledger(
+                tmp, "full", "--only", check, "--inject-fault", check
+            )
     return record
 
 

@@ -51,7 +51,8 @@ class LambdaElt(Frozen):
     """Element of Z_p[[T]] truncated at T^trunc, coefficients mod p^prec.
 
     Holds p, prec and res, the T-coefficients as residues already reduced
-    mod p^prec, on which every operation works.  LambdaElt(coeffs) takes
+    mod p^prec, on which every operation works; equality and hash are the
+    record's, so elements at different precisions differ.  LambdaElt(coeffs) takes
     PAdicNum records sharing (p, prec) and .coeffs gives them back: the
     forms the benchmark reads, and that the test oracles start from.
     """
@@ -153,20 +154,8 @@ class LambdaElt(Frozen):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        """Equality at the shared precision."""
-        if not isinstance(other, LambdaElt):
-            return NotImplemented
-        if self.p != other.p or len(self.res) != len(other.res):
-            return False
-        if self.prec == other.prec:
-            return self.res == other.res
-        m = self.p ** min(self.prec, other.prec)
-        return all(a % m == b % m for a, b in zip(self.res, other.res))
-
-    def __hash__(self):
-        # equal elements agree at their shared precision, which is >= 1
-        return hash((self.p, len(self.res), tuple(c % self.p for c in self.res)))
+    def _key(self) -> tuple:
+        return self.p, self.prec, self.res
 
     def __repr__(self):
         parts = [f"{c}*T^{m}" for m, c in enumerate(self.res) if c]

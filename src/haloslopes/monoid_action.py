@@ -73,9 +73,9 @@ trunc fields; a group row is one integer with trunc * COLUMN_GROUP fields.
    p^(trunc-1) * p^(e_max), so a width with bits(p^(e_max)) more bits, for
    the largest e_n of any group, keeps |d| < 2^(width-5) and the test above
    exact over trunc * COLUMN_GROUP fields.
-A failing group row is read once, biased as `_unbiased` reads a first
-difference, and column n's digits divided by p^(e_n) are its own; only the
-columns that miss their own demand are reported, in (n, m) order.
+The scan only certifies: it stops at the first failing group row.  The
+report then reads every entry once through `action_digits` at n_target
+digits and lists those whose order misses their demand, in (n, m) order.
 """
 
 from __future__ import annotations
@@ -334,24 +334,6 @@ def _divisible(packed: int, pi: int, fill: int, mask: int) -> bool:
     return not rem and not (quo + fill) & mask
 
 
-def _group_violations(packed, m, group, shifts, p, width, trunc, n_target) -> list:
-    """(m, n, order) for each column n of group whose own row m misses m - shifts[n]."""
-    fields = trunc * COLUMN_GROUP
-    # bias the signed row like a first difference to read it
-    half = 1 << (width - 1)
-    digits = _unbiased(packed + pack((half,) * fields, width), 1, half, width, fields)
-    found = []
-    for j, n in enumerate(group):
-        scale = p ** (shifts[n] - shifts[group[0]])
-        own = [d // scale for d in digits[j * trunc : (j + 1) * trunc]]
-        need = m - shifts[n]
-        if need > 0 and any(d % p**need for d in own):
-            own = [d // p**s for s, d in enumerate(own)]
-            entry = LambdaElt.from_ints(p, n_target, trunc, own)
-            found.append((m, n, mlambda_order(entry)))
-    return found
-
-
 def verify_entry_bounds(
     delta: DeltaMat,
     size: int,
@@ -399,7 +381,6 @@ def verify_entry_bounds(
     )
     block = width * trunc
     tests = _order_tests(p, width, trunc * COLUMN_GROUP, n_target)
-    violations = []
     for group in groups:
         first = shifts[group[0]]
         # column group[j] fills fields j*trunc .. (j+1)*trunc - 1 of a row
@@ -410,10 +391,16 @@ def verify_entry_bounds(
         ]
         rows = [pack(samples, block) for samples in zip(*columns)]
         firsts = difference_triangle(rows, 0)
-        for m in range(max(first + 1, 0), size):
-            if not _divisible(firsts[m], *tests[m - first]):
-                violations += _group_violations(
-                    firsts[m], m, group, shifts, p, width, trunc, n_target
-                )
-    violations.sort(key=lambda v: (v[1], v[0]))
+        if not all(
+            _divisible(firsts[m], *tests[m - first]) for m in range(max(first + 1, 0), size)
+        ):
+            break
+    else:
+        return BoundReport(cls, size, ())
+    # a group row failed: report every entry short of its demand
+    violations = []
+    for m, n, digits in action_digits(delta, size, omega, trunc, n_target):
+        order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))
+        if order.value < m - shifts[n]:
+            violations.append((m, n, order))
     return BoundReport(cls, size, tuple(violations))

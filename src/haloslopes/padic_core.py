@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 
@@ -96,27 +97,7 @@ def phi_q(p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin: these bases decide every n below 3.3e24
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if n < 2:
-        return False
-    for b in bases:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def val_p_int(n: int, p: int) -> int:

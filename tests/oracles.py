@@ -273,15 +273,6 @@ class CoeffLambda:
             out.append(acc)
         return self._reduced(n, out)
 
-    def __eq__(self, other):
-        """Equality at the shared precision."""
-        try:
-            n = self._join(other)
-        except MismatchedParameters:
-            return False
-        m = self.coeffs[0].p ** n
-        return all(a.residue % m == b.residue % m for a, b in zip(self.coeffs, other.coeffs))
-
     def to_json(self) -> dict:
         c0 = self.coeffs[0]
         return {

@@ -240,10 +240,14 @@ def test_packed_element_matches_coefficient_oracle(pair, k):
     st.lists(st.integers(-(10**5), 10**5), min_size=1, max_size=4),
 )
 @example(3, 5, 3, [246, 30])  # 246 = 3 and 30 = 3 mod 27
-def test_equal_at_shared_precision_hash_equal(p, n, m, ints):
+def test_equality_is_the_record(p, n, m, ints):
+    # elements at different precisions differ, even where their residues
+    # agree at the shared one; equal records hash equal
     x = LambdaElt.from_ints(p, n, len(ints), ints)
     y = LambdaElt.from_ints(p, m, len(ints), ints)
-    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert (x == y) == (n == m)
+    same = LambdaElt.from_ints(p, n, len(ints), [c + p**n for c in ints])
+    assert x == same and hash(x) == hash(same) and len({x, same}) == 1
 
 
 def test_compatibility_surface():

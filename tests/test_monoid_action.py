@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from haloslopes import monoid_action
-from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
+from haloslopes.checks import random_monoid_matrix
+from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order, unpack
 from haloslopes.monoid_action import (
     COLUMN_GROUP,
     BoundReport,
@@ -20,6 +21,7 @@ from haloslopes.monoid_action import (
     action_digits,
     check_monoid,
     column_input_prec,
+    difference_triangle,
     matrix_input_prec,
     verify_entry_bounds,
 )
@@ -29,6 +31,7 @@ from haloslopes.padic_core import (
     OrderBound,
     PAdicNum,
     PrecisionTooLow,
+    phi_q,
     q_for,
     torsion_residue,
     val_p_int,
@@ -287,9 +290,11 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
     digit = [(target - 1) * p**s for s in range(trunc)]
     kernel = monoid_action._kernel_samples
 
-    def extreme_samples(*args, **kwargs):
-        _scalars, _series, width = kernel(*args, **kwargs)
-        packed = sum(d << (width * s) for s, d in enumerate(digit))
+    def extreme_samples(*args, t_scale=1, **kwargs):
+        # series digits (target - 1) * t_scale^s serve the scan (t_scale p)
+        # and the report (t_scale 1) alike
+        _scalars, _series, width = kernel(*args, t_scale=t_scale, **kwargs)
+        packed = sum((target - 1) * t_scale**s << (width * s) for s in range(trunc))
         return [[x * (z % 2) for x in scalar] for z in range(size)], [packed] * size, width
 
     monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_samples)
@@ -307,6 +312,35 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
                 want.append((m, n, mlambda_order(LambdaElt.from_ints(p, size, trunc, b))))
     assert want
     assert list(report.violations) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+def test_sample_factors_meet_their_mahler_bounds(p, up):
+    # the i-th Mahler coefficient of scalar column n, C(f(z), n) * omega(d0),
+    # is divisible by p^(i - n//step), and the j-th of each series digit
+    # scaled by p^s by p^j; C(z,i) C(z,j) has integer Mahler coefficients
+    # only at max(i,j) <= k <= i+j, so the two bounds multiply to the entry
+    # bound that verify_entry_bounds certifies
+    trunc = 8
+    step = p if up else 1
+    for size in (12, 40):
+        rng = random.Random(40_000 + 100 * size + 10 * p + up)
+        prec = matrix_input_prec(p, size, trunc, size)
+        for _ in range(4):
+            delta = random_monoid_matrix(rng, p, prec, up)
+            omega = CharOfDelta(p, rng.randrange(phi_q(p)))
+            scalars, series, width = monoid_action._kernel_samples(
+                delta, size, omega, trunc, size, t_scale=p
+            )
+            for n, column in enumerate(zip(*scalars)):
+                for i, coeff in enumerate(difference_triangle(list(column), 0)):
+                    assert coeff % p ** max(i - n // step, 0) == 0, (n, i)
+            digits = [unpack(packed, width, trunc) for packed in series]
+            for s, column in enumerate(zip(*digits)):
+                for j, coeff in enumerate(difference_triangle(list(column), 0)):
+                    assert coeff % p**j == 0, (s, j)
+            assert verify_entry_bounds(delta, size, omega, trunc).ok
 
 
 def test_bounds_refuse_orders_past_the_certified_digits():

@@ -10,6 +10,7 @@ from haloslopes.padic_core import (
     PAdicNum,
     PrecisionTooLow,
     binomials,
+    is_prime,
     log_line,
     phi_q,
     q_for,
@@ -32,6 +33,15 @@ def test_val_p_examples():
 def test_conventions():
     assert q_for(3) == 3 and q_for(2) == 4
     assert phi_q(5) == 4 and phi_q(2) == 2
+
+
+def test_is_prime_matches_a_sieve():
+    top = 100
+    sieve = [False, False] + [True] * (top - 1)
+    for d in range(2, top + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [is_prime(n) for n in range(-2, top + 1)] == [False, False] + sieve
 
 
 def test_equality_refuses_plain_ints():
