@@ -397,7 +397,8 @@ def verify_entry_bounds(
             break
     else:
         return BoundReport(cls, size, ())
-    # a group row failed: report every entry short of its demand
+    # a group row failed: report every entry short of its demand (an order
+    # is never negative, so an entry with no demand is never reported)
     violations = []
     for m, n, digits in action_digits(delta, size, omega, trunc, n_target):
         order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))
