@@ -401,7 +401,9 @@ def verify_entry_bounds(
     # is never negative, so an entry with no demand is never reported)
     violations = []
     for m, n, digits in action_digits(delta, size, omega, trunc, n_target):
-        order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))
-        if order.value < m - shifts[n]:
-            violations.append((m, n, order))
+        need = m - shifts[n]
+        if need > 0:
+            order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))
+            if order.value < need:
+                violations.append((m, n, order))
     return BoundReport(cls, size, tuple(violations))

@@ -277,10 +277,12 @@ def test_bounds_report_violation_orders_of_the_reference_path(p, up):
 @pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
 def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
     # samples alternating between zero and near-largest reduced values
-    # drive every m-th difference to 2^(m-1) times the largest row digit,
-    # the growth the scan's width is sized for; the scan must report
-    # exactly the entries whose own digits miss their bound, here raised
-    # by one so that p = 2, whose 2^(m-1) factor meets most bounds, fails too
+    # drive every m-th difference to 2^(m-1) times the largest row digit;
+    # the report must list exactly the entries whose own digits miss their
+    # bound, here raised by one so that p = 2, whose 2^(m-1) factor meets
+    # most bounds, fails too.  P_{1,0} fails, so the scan stops in group 0;
+    # test_bound_scan_walks_every_group_at_its_largest_digits drives the
+    # scan itself through every group at these digits
     size, trunc = 2 * COLUMN_GROUP + 3, 4
     target = p**size
     rng = random.Random(60_000 + 10 * p + up)
@@ -312,6 +314,63 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
                 want.append((m, n, mlambda_order(LambdaElt.from_ints(p, size, trunc, b))))
     assert want
     assert list(report.violations) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+@pytest.mark.parametrize("raise_by", [0, 1])
+@pytest.mark.parametrize("late_fault", [False, True], ids=["held", "late-fault"])
+def test_bound_scan_walks_every_group_at_its_largest_digits(
+    monkeypatch, p, up, raise_by, late_fault
+):
+    # every column alternates between zero and a near-largest reduced value
+    # of valuation exactly its largest demand, so each m-th difference is
+    # 2^(m-1) times the largest row digit and every bound holds (for odd p
+    # the last row's with equality): the scan must certify through every
+    # group at full growth without reading a digit through action_digits.  With
+    # late_fault the last live column instead holds one value, at the last
+    # sample, one order short of its demand, so that only the last row of
+    # the last group fails; the scan must walk there and find it
+    size, trunc = 2 * COLUMN_GROUP + 3, 4
+    target = p**size
+    step = p if up else 1
+    rng = random.Random(61_000 + 100 * p + 10 * up + raise_by)
+    demand = [size - 1 - n // step + raise_by for n in range(size)]
+    last = max(n for n in range(size) if demand[n] > 0)
+    powers = [d if d > 0 else rng.randrange(size) for d in demand]
+    shape = [[z % 2 for _n in range(size)] for z in range(size)]
+    if late_fault:
+        powers[last] -= 1
+        for z in range(size):
+            shape[z][last] = int(z == size - 1)
+    scalar = [(target - 1) // p**c * p**c for c in powers]
+    kernel = monoid_action._kernel_samples
+
+    def extreme_samples(*args, t_scale=1, **kwargs):
+        _scalars, _series, width = kernel(*args, t_scale=t_scale, **kwargs)
+        packed = sum((target - 1) * t_scale**s << (width * s) for s in range(trunc))
+        rows = [[x * f for x, f in zip(scalar, fs)] for fs in shape]
+        return rows, [packed] * size, width
+
+    reads = []
+    reader = monoid_action.action_digits
+
+    def counted_digits(*args):
+        reads.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_samples)
+    monkeypatch.setattr(monoid_action, "action_digits", counted_digits)
+    delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
+    report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=raise_by)
+    want = []
+    if late_fault:
+        # the m-th difference at 0 of R * (z == size - 1) is R at m = size - 1
+        own = [scalar[last] * (target - 1)] * trunc
+        want.append((size - 1, last, mlambda_order(LambdaElt.from_ints(p, size, trunc, own))))
+        assert want[0][2].value == demand[last] - 1
+    assert list(report.violations) == want
+    assert len(reads) == late_fault
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
