@@ -12,70 +12,45 @@ differences: P_{m,n} = m-th difference of h_n at 0.
 
 One packed kernel computes the residues: all T-coefficients of a sample
 sit in a single big integer, so the difference triangle runs in whole-row
-operations.  It backs both block assembly (`up_operator.assemble`) and the
-bound scan over large matrices, and takes its Teichmuller lifts, logs and
-binomials from `padic_core`; the per-entry reference it is tested against
+operations.  It backs block assembly (`up_operator.assemble`) and the
+entry-bound certificate and report, and takes its Teichmuller lifts, logs
+and binomials from `padic_core`; the per-entry reference it is tested against
 lives with the test oracles and uses none of them.
 
 The kernel reduces the scalars C(f(z), n) * omega(d0) and the series
-digits mod p^n_target, the precision its caller certifies, and may scale
-the digit at T^s by t_scale^s.  The triangle (`difference_triangle`) is an
-integer combination of rows, so every digit of its output is congruent mod
-p^n_target to t_scale^s times the T-coefficient of P_{m,n}.  A row digit
-is below p^n_target * p^n_target * t_scale^(trunc-1), times a further
-factor below 2^headroom that the caller may apply to whole rows; an m-th
-difference digit is below 2^m times that in absolute value.  The width
+digits mod p^n_target, the precision its caller certifies.  The triangle
+(`difference_triangle`) is an integer combination of rows, so every digit
+of its output is congruent mod p^n_target to the T-coefficient of P_{m,n}.
+A row digit is below p^n_target * p^n_target, and an m-th difference digit
+is below 2^m times that in absolute value, m < size.  The width
 
-    2 * bits(p^n_target) + bits(t_scale^(trunc-1)) + headroom + size + 4
+    2 * bits(p^n_target) + size + 5
 
-therefore keeps every digit d of the triangle at |d| < 2^(width-5).
+therefore keeps every digit d of the triangle at |d| < 2^(width-6).
+`assemble` adds the bias block, 2^(width-1) in every digit, once to each
+first difference; each digit is then a nonnegative field of the packed
+value and unpacks to the exact integer difference.  The same function
+gives the Mahler coefficients of plain integer samples with a zero bias.
 
-`assemble` runs at t_scale 1 and adds the bias block, 2^(width-1) in
-every digit, once to each first difference; each digit is then a
-nonnegative field of the packed value and unpacks to the exact integer
-difference.  The same function gives the Mahler coefficients of plain
-integer samples with a zero bias.
-
-`verify_entry_bounds` runs at t_scale p with a zero bias and tests each
-entry X = sum_s d_s 2^(width s) at once.  An entry sum_s b_s T^s lies in
-(p, T)^r exactly when v(b_s) >= r - s for all s, that is, when p^r divides
-every d_s = p^s b_s: the order `mlambda_order` computes is the p-adic
-order of the image under T -> pT.  Let pi = p^r, L = bits(pi - 1),
-k = width - 1 - L, K the block with 2^k in every digit and M the block with
-bits k+1 .. width-1 of every digit set, together with every bit from
-width * trunc up.  X passes when X % pi == 0 and (X // pi + K) & M == 0.
-This is exact, because a representation sum_s e_s 2^(width s) with every
-e_s in [-2^(width-1), 2^(width-1)) is unique.  If pi divides every d_s,
-then X // pi has the digits d_s / pi, and |d_s / pi| < 2^(width-5) / 2^(L-1)
-<= 2^k, so adding K leaves every field in [0, 2^(k+1)) and the AND is 0.
-Conversely, if the AND is 0, then X // pi + K has fields f_s in
-[0, 2^(k+1)) and nothing above them, so X = sum_s pi (f_s - 2^k)
-2^(width s), and pi <= 2^L puts every pi (f_s - 2^k) in
-[-2^(width-1), 2^(width-1)); by uniqueness d_s = pi (f_s - 2^k), which pi
-divides.  The demanded order never exceeds n_target = size, where the
-digits are certified.
-
-The scan tests COLUMN_GROUP consecutive columns at once.  Column n demands
-order m - shift_n of row m, with shift_n = n // step - raise_by
-nondecreasing in n.  In a group whose first column is f, column n is packed
-as p^(e_n) times its samples, e_n = shift_n - shift_f, in its own block of
-trunc fields; a group row is one integer with trunc * COLUMN_GROUP fields.
- - Scaling commutes with the triangle, which is an integer combination of
-   rows, and multiplies every digit by p^(e_n).  So p^r divides every
-   scaled digit of column n exactly when p^(r - e_n) divides every digit
-   of its own row, for r > e_n, and always for r <= e_n.
- - At r = m - shift_f, r - e_n = m - shift_n is column n's own demand, so
-   the one test of order r on the group row passes exactly when every
-   column of the group meets its own demand at row m.
- - A row with no demand for column n (m - shift_n <= 0) has r <= e_n and
-   passes for that column, as it is not tested on its own.
- - The scaled row digits are below p^n_target * p^n_target *
-   p^(trunc-1) * p^(e_max), so a width with bits(p^(e_max)) more bits, for
-   the largest e_n of any group, keeps |d| < 2^(width-5) and the test above
-   exact over trunc * COLUMN_GROUP fields.
-The scan only certifies: it stops at the first failing group row.  The
-report then reads every entry once through `action_digits` at n_target
-digits and lists those whose order misses their demand, in (n, m) order.
+`verify_entry_bounds` certifies from the two sample factors, in plain
+integers.  Column n demands order m - shift_n of row m, with
+shift_n = n // step - raise_by, and an entry sum_s b_s T^s lies in (p, T)^r
+exactly when v(b_s) >= r - s for every s.  Over the samples z < size, write
+scalar column n as sum_i a_i C(z, i) and series digit s as
+sum_j c_j C(z, j), their Mahler expansions, one triangle each.  The
+certificate tests with `%` that p^(i - shift_n) divides a_i and p^(j - s)
+divides c_j wherever the exponent is positive.  C(z, i) C(z, j) is an
+integer combination of the C(z, k) with max(i, j) <= k <= i + j, so every
+term that a_i c_j adds to digit s of P_{k,n} has valuation at least
+(i - shift_n) + (j - s) >= k - shift_n - s, and every entry meets its
+demand.  The factors are the kernel's reduced samples, whose product
+`action_digits` expands, so the certificate holds for the digits it yields;
+demands never exceed n_target = size, where those digits are certified.
+Columns whose demand is never positive (shift_n + 1 >= size) are a suffix
+and are not tested.  When a factor bound fails, the report reads every
+entry once through `action_digits` and lists those whose order misses
+their demand, in (n, m) order; it is exact on its own, so the certificate
+decides only how fast an empty report comes back.
 """
 
 from __future__ import annotations
@@ -203,25 +178,18 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
 
 
 def _kernel_samples(
-    delta: DeltaMat,
-    size: int,
-    omega: CharOfDelta,
-    trunc: int,
-    n_target: int,
-    t_scale: int = 1,
-    headroom: int = 0,
+    delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int, n_target: int
 ):
     """Return (scalars, series, width) for the samples z < size.
 
     scalars[z][n] is omega(d0) * C(f(z), n) and series[z] packs the
-    T-coefficients of (1+T)^{g(z)}, the one at T^s multiplied by t_scale^s,
-    in bits [width*s, width*(s+1)); both are reduced mod p^n_target, so
+    T-coefficients of (1+T)^{g(z)}, the one at T^s in bits
+    [width*s, width*(s+1)); both are reduced mod p^n_target, so
     scalars[z][n] * series[z] packs h_n(z).  Any integer combination of
     these rows, the difference triangle included, is then congruent mod
     p^n_target to the same combination of the true samples; the width
-    leaves room for the 2^m growth of m-fold differences and for a further
-    factor below 2^headroom on each row, so every digit stays exact
-    integer data.
+    leaves room for the 2^m growth of m-fold differences, so every digit
+    stays exact integer data.
     """
     p, prec = delta.p, delta.prec
     mod = p**prec
@@ -229,15 +197,7 @@ def _kernel_samples(
     d0 = torsion_residue(delta.d_res, p, prec)
     w_res = pow(d0, omega.exponent, target)
     a, b, c, d = delta.residues
-
-    width = (
-        2 * target.bit_length()
-        + (t_scale ** (trunc - 1)).bit_length()
-        + headroom
-        + size
-        + 4
-    )
-    scales = [t_scale**s for s in range(trunc)]
+    width = 2 * target.bit_length() + size + 5
 
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
@@ -247,8 +207,7 @@ def _kernel_samples(
     for z, g in enumerate(gs):
         fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
         scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
-        binoms = binomials(g, trunc, p, prec)
-        series.append(pack([x % target * s for x, s in zip(binoms, scales)], width))
+        series.append(pack([x % target for x in binomials(g, trunc, p, prec)], width))
     return scalars, series, width
 
 
@@ -306,32 +265,27 @@ class BoundReport(NamedTuple):
         return not self.violations
 
 
-# live columns packed side by side into one row per sample in the bound scan
-COLUMN_GROUP = 4
+def _factors_meet_bounds(
+    p: int, size: int, shifts: list, scalars: list, digits: list
+) -> bool:
+    """Whether both sample factors meet their Mahler bounds (module docstring).
 
-
-@lru_cache(maxsize=None)
-def _order_tests(p: int, width: int, trunc: int, top: int) -> tuple:
-    """(p^r, K, M) for r = 1..top at index r: the one-entry test of (p, T)^r.
-
-    A signed packed value X passes for r when X % p^r == 0 and
-    (X // p^r + K) & M == 0; see the module docstring.
+    p^(i - shifts[n]) must divide the i-th Mahler coefficient of scalar
+    column n, and p^(j - s) the j-th of series digit s, digits[z][s].
     """
-    ones = pack((1,) * trunc, width)
-    field = (1 << width) - 1
-    above = -(1 << (width * trunc))
-    tests = [None]
-    for r in range(1, top + 1):
-        pi = p**r
-        k = width - 1 - (pi - 1).bit_length()
-        tests.append((pi, ones << k, (field ^ ((2 << k) - 1)) * ones | above))
-    return tuple(tests)
-
-
-def _divisible(packed: int, pi: int, fill: int, mask: int) -> bool:
-    """Whether pi divides every balanced digit of packed (one _order_tests row)."""
-    quo, rem = divmod(packed, pi)
-    return not rem and not (quo + fill) & mask
+    powers = [p**r for r in range(size + 1)]
+    for n, column in enumerate(zip(*scalars)):
+        shift = shifts[n]
+        if shift + 1 >= size:
+            break  # no row demands anything of this column or the ones after it
+        firsts = difference_triangle(list(column), 0)
+        if any(firsts[i] % powers[i - shift] for i in range(max(shift + 1, 0), size)):
+            return False
+    for s, column in enumerate(zip(*digits)):
+        firsts = difference_triangle(list(column), 0)
+        if any(firsts[j] % powers[j - s] for j in range(s + 1, size)):
+            return False
+    return True
 
 
 def verify_entry_bounds(
@@ -368,36 +322,14 @@ def verify_entry_bounds(
             f"size {size} needs entry precision {need} to certify all "
             f"bounds, have {delta.prec}"
         )
-    # column n demands order m - shifts[n] of row m, at most size - 1 +
-    # raise_by; the live columns, those with a demand in some row, are a
-    # prefix, tested COLUMN_GROUP at a time at the demand of each group's first
+    # column n demands order m - shifts[n] of row m, at most size - 1 + raise_by
     step = p if cls is MonoidClass.UpMonoid else 1
     shifts = [n // step - raise_by for n in range(size)]
-    live = [n for n in range(size) if shifts[n] + 1 < size]
-    groups = [live[i : i + COLUMN_GROUP] for i in range(0, len(live), COLUMN_GROUP)]
-    e_max = max((shifts[g[-1]] - shifts[g[0]] for g in groups), default=0)
-    scalars, series, width = _kernel_samples(
-        delta, size, omega, trunc, n_target, t_scale=p, headroom=(p**e_max).bit_length()
-    )
-    block = width * trunc
-    tests = _order_tests(p, width, trunc * COLUMN_GROUP, n_target)
-    for group in groups:
-        first = shifts[group[0]]
-        # column group[j] fills fields j*trunc .. (j+1)*trunc - 1 of a row
-        scaled = [(n, p ** (shifts[n] - first)) for n in group]
-        columns = [
-            [column[n] * scale * packed for column, packed in zip(scalars, series)]
-            for n, scale in scaled
-        ]
-        rows = [pack(samples, block) for samples in zip(*columns)]
-        firsts = difference_triangle(rows, 0)
-        if not all(
-            _divisible(firsts[m], *tests[m - first]) for m in range(max(first + 1, 0), size)
-        ):
-            break
-    else:
+    scalars, series, width = _kernel_samples(delta, size, omega, trunc, n_target)
+    series_digits = [unpack(packed, width, trunc) for packed in series]
+    if _factors_meet_bounds(p, size, shifts, scalars, series_digits):
         return BoundReport(cls, size, ())
-    # a group row failed: report every entry short of its demand (an order
+    # a factor bound failed: report every entry short of its demand (an order
     # is never negative, so an entry with no demand is never reported)
     violations = []
     for m, n, digits in action_digits(delta, size, omega, trunc, n_target):

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 from haloslopes import monoid_action
 from haloslopes.checks import random_monoid_matrix
-from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order, unpack
+from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order, pack, unpack
 from haloslopes.monoid_action import (
-    COLUMN_GROUP,
     BoundReport,
     DeltaMat,
     MonoidClass,
     NotInMonoid,
-    _divisible,
-    _order_tests,
     action_digits,
     check_monoid,
     column_input_prec,
@@ -34,7 +31,6 @@ from haloslopes.padic_core import (
     phi_q,
     q_for,
     torsion_residue,
-    val_p_int,
 )
 from haloslopes.polygon import PolyPoint
 
@@ -251,11 +247,11 @@ def test_bounds_m1_class_does_not_assert_up_shape():
 def test_bounds_report_violation_orders_of_the_reference_path(p, up):
     # a bound raised by one must fail at the unit P_{0,0}; the reported
     # entries are exactly those whose reference order misses the raised
-    # claim, in column order across the column groups of the scan, and
-    # every reported order matches the object path
+    # claim, in column order, and every reported order matches the object
+    # path
     trunc = 6
     step = p if up else 1
-    for size in (10, 2 * COLUMN_GROUP + 1):
+    for size in (10, 9):
         rng = random.Random(70_000 + 10 * p + up)
         delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
         omega = CharOfDelta(p, rng.randrange(4))
@@ -273,6 +269,45 @@ def test_bounds_report_violation_orders_of_the_reference_path(p, up):
         assert list(report.violations) == want
 
 
+def extreme_kernel(scalar_rows, series_rows):
+    """A _kernel_samples stand-in: the given samples at the kernel's own width.
+
+    series_rows[z][s] is series digit s at sample z, packed as the kernel
+    packs it, so that the certificate and the report read the same samples.
+    """
+    kernel = monoid_action._kernel_samples
+
+    def samples(*args):
+        _scalars, _series, width = kernel(*args)
+        packed = [pack(row, width) for row in series_rows]
+        return scalar_rows, packed, width
+
+    return samples
+
+
+def counted_reads(monkeypatch):
+    """Record every call of action_digits, the report's one reader."""
+    reads = []
+    reader = monoid_action.action_digits
+
+    def counted_digits(*args):
+        reads.append(args)
+        return reader(*args)
+
+    monkeypatch.setattr(monoid_action, "action_digits", counted_digits)
+    return reads
+
+
+def held_series(p, size, trunc):
+    """Series digit s alternating between p^size - 1 and that less the largest
+    multiple of p^(size-1-s) below it, so that its j-th difference is 2^(j-1)
+    times that multiple and meets its bound p^(j - s), for odd p at
+    j = size - 1 with equality."""
+    top = p**size - 1
+    drops = [top // p ** (size - 1 - s) * p ** (size - 1 - s) for s in range(trunc)]
+    return [[top - (z % 2) * e for e in drops] for z in range(size)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
 def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
@@ -280,26 +315,20 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
     # drive every m-th difference to 2^(m-1) times the largest row digit;
     # the report must list exactly the entries whose own digits miss their
     # bound, here raised by one so that p = 2, whose 2^(m-1) factor meets
-    # most bounds, fails too.  P_{1,0} fails, so the scan stops in group 0;
+    # most bounds, fails too.  Column 0 is a unit, so the certificate fails
+    # and the report reads these digits through action_digits;
     # test_bound_scan_walks_every_group_at_its_largest_digits drives the
-    # scan itself through every group at these digits
-    size, trunc = 2 * COLUMN_GROUP + 3, 4
+    # certificate itself at these digits
+    size, trunc = 11, 4
     target = p**size
     rng = random.Random(60_000 + 10 * p + up)
-    # column 0 a unit, so that P_{1,0} fails its raised bound
     powers = [0] + [rng.randrange(size) for _ in range(size - 1)]
     scalar = [(target - 1) // p**c * p**c for c in powers]
-    digit = [(target - 1) * p**s for s in range(trunc)]
-    kernel = monoid_action._kernel_samples
-
-    def extreme_samples(*args, t_scale=1, **kwargs):
-        # series digits (target - 1) * t_scale^s serve the scan (t_scale p)
-        # and the report (t_scale 1) alike
-        _scalars, _series, width = kernel(*args, t_scale=t_scale, **kwargs)
-        packed = sum((target - 1) * t_scale**s << (width * s) for s in range(trunc))
-        return [[x * (z % 2) for x in scalar] for z in range(size)], [packed] * size, width
-
-    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_samples)
+    rows = [[x * (z % 2) for x in scalar] for z in range(size)]
+    series = [[target - 1] * trunc] * size
+    monkeypatch.setattr(
+        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
+    )
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=1)
     step = p if up else 1
@@ -307,11 +336,10 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
     for n in range(size):
         for m in range(1, size):
             # the m-th difference of R * (z odd) at 0 is (-1)^(m-1) 2^(m-1) R
-            own = [(-1) ** (m - 1) * 2 ** (m - 1) * scalar[n] * d for d in digit]
+            own = [(-1) ** (m - 1) * 2 ** (m - 1) * scalar[n] * d for d in series[0]]
             need = m - n // step + 1
-            if need > 0 and any(d % p**need for d in own):
-                b = [d // p**s for s, d in enumerate(own)]
-                want.append((m, n, mlambda_order(LambdaElt.from_ints(p, size, trunc, b))))
+            if need > 0 and any(d % p ** max(need - s, 0) for s, d in enumerate(own)):
+                want.append((m, n, mlambda_order(LambdaElt.from_ints(p, size, trunc, own))))
     assert want
     assert list(report.violations) == want
 
@@ -323,15 +351,17 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
 def test_bound_scan_walks_every_group_at_its_largest_digits(
     monkeypatch, p, up, raise_by, late_fault
 ):
-    # every column alternates between zero and a near-largest reduced value
-    # of valuation exactly its largest demand, so each m-th difference is
-    # 2^(m-1) times the largest row digit and every bound holds (for odd p
-    # the last row's with equality): the scan must certify through every
-    # group at full growth without reading a digit through action_digits.  With
-    # late_fault the last live column instead holds one value, at the last
-    # sample, one order short of its demand, so that only the last row of
-    # the last group fails; the scan must walk there and find it
-    size, trunc = 2 * COLUMN_GROUP + 3, 4
+    # the certificate walks every live scalar column and every series digit.
+    # Each column alternates between zero and a near-largest reduced value
+    # of valuation exactly its largest demand, so each i-th difference is
+    # 2^(i-1) times the largest sample and every factor bound holds (for odd
+    # p the last row's with equality), and the series digits are held at
+    # their largest too: the certificate must pass without reading a digit
+    # through action_digits.  With late_fault the last live column instead
+    # holds one value, at the last sample, one order short of its demand, so
+    # that only the last row of the last live column fails; the certificate
+    # must walk there, and the report must list exactly that entry
+    size, trunc = 11, 4
     target = p**size
     step = p if up else 1
     rng = random.Random(61_000 + 100 * p + 10 * up + raise_by)
@@ -344,43 +374,69 @@ def test_bound_scan_walks_every_group_at_its_largest_digits(
         for z in range(size):
             shape[z][last] = int(z == size - 1)
     scalar = [(target - 1) // p**c * p**c for c in powers]
-    kernel = monoid_action._kernel_samples
-
-    def extreme_samples(*args, t_scale=1, **kwargs):
-        _scalars, _series, width = kernel(*args, t_scale=t_scale, **kwargs)
-        packed = sum((target - 1) * t_scale**s << (width * s) for s in range(trunc))
-        rows = [[x * f for x, f in zip(scalar, fs)] for fs in shape]
-        return rows, [packed] * size, width
-
-    reads = []
-    reader = monoid_action.action_digits
-
-    def counted_digits(*args):
-        reads.append(args)
-        return reader(*args)
-
-    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_samples)
-    monkeypatch.setattr(monoid_action, "action_digits", counted_digits)
+    rows = [[x * f for x, f in zip(scalar, fs)] for fs in shape]
+    series = held_series(p, size, trunc)
+    monkeypatch.setattr(
+        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
+    )
+    reads = counted_reads(monkeypatch)
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=raise_by)
     want = []
     if late_fault:
-        # the m-th difference at 0 of R * (z == size - 1) is R at m = size - 1
-        own = [scalar[last] * (target - 1)] * trunc
+        # the m-th difference at 0 of R * (z == size - 1) * G is R * G(size - 1)
+        # at m = size - 1, and 0 below it
+        own = [scalar[last] * d for d in series[size - 1]]
         want.append((size - 1, last, mlambda_order(LambdaElt.from_ints(p, size, trunc, own))))
         assert want[0][2].value == demand[last] - 1
     assert list(report.violations) == want
     assert len(reads) == late_fault
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+def test_certificate_finds_a_series_digit_one_order_short(monkeypatch, p, up):
+    # column 0 is a constant unit and every other scalar column is zero, so
+    # P_{m,0} is the m-th difference of the series itself.  The series is
+    # held at its largest digits, except digit s0, which holds one value, at
+    # the last sample, one order below its bound p^(size-1-s0): the
+    # certificate must test that digit's last row, and the report must list
+    # exactly (size - 1, 0), one order short of its demand size - 1
+    size, trunc = 11, 4
+    target = p**size
+    rng = random.Random(62_000 + 10 * p + up)
+    s0 = rng.randrange(trunc)
+    rows = [[target - 1] + [0] * (size - 1) for _z in range(size)]
+    series = held_series(p, size, trunc)
+    short = (target - 1) // p ** (size - 2 - s0) * p ** (size - 2 - s0)
+    for z in range(size):
+        series[z][s0] = short * (z == size - 1)
+    monkeypatch.setattr(
+        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
+    )
+    reads = counted_reads(monkeypatch)
+    delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
+    report = verify_entry_bounds(delta, size, triv(p), trunc)
+    assert len(reads) == 1
+    # digit s of P_{size-1,0} is (target - 1) times the last difference of
+    # series digit s
+    own = [
+        (target - 1) * difference_triangle([row[s] for row in series], 0)[-1]
+        for s in range(trunc)
+    ]
+    order = mlambda_order(LambdaElt.from_ints(p, size, trunc, own))
+    assert order.value == size - 2
+    assert list(report.violations) == [(size - 1, 0, order)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
 def test_sample_factors_meet_their_mahler_bounds(p, up):
     # the i-th Mahler coefficient of scalar column n, C(f(z), n) * omega(d0),
-    # is divisible by p^(i - n//step), and the j-th of each series digit
-    # scaled by p^s by p^j; C(z,i) C(z,j) has integer Mahler coefficients
-    # only at max(i,j) <= k <= i+j, so the two bounds multiply to the entry
-    # bound that verify_entry_bounds certifies
+    # is divisible by p^(i - n//step), and the j-th of series digit s by
+    # p^(j - s); C(z,i) C(z,j) has integer Mahler coefficients only at
+    # max(i,j) <= k <= i+j, so the two bounds multiply to the entry bound
+    # that verify_entry_bounds certifies
     trunc = 8
     step = p if up else 1
     for size in (12, 40):
@@ -390,7 +446,7 @@ def test_sample_factors_meet_their_mahler_bounds(p, up):
             delta = random_monoid_matrix(rng, p, prec, up)
             omega = CharOfDelta(p, rng.randrange(phi_q(p)))
             scalars, series, width = monoid_action._kernel_samples(
-                delta, size, omega, trunc, size, t_scale=p
+                delta, size, omega, trunc, size
             )
             for n, column in enumerate(zip(*scalars)):
                 for i, coeff in enumerate(difference_triangle(list(column), 0)):
@@ -398,8 +454,34 @@ def test_sample_factors_meet_their_mahler_bounds(p, up):
             digits = [unpack(packed, width, trunc) for packed in series]
             for s, column in enumerate(zip(*digits)):
                 for j, coeff in enumerate(difference_triangle(list(column), 0)):
-                    assert coeff % p**j == 0, (s, j)
+                    assert coeff % p ** max(j - s, 0) == 0, (s, j)
             assert verify_entry_bounds(delta, size, omega, trunc).ok
+
+
+@given(st.integers(0, 15), st.integers(0, 15))
+def test_binomial_products_expand_from_the_larger_index_to_the_sum(i, j):
+    # the lemma the certificate rests on: C(z,i) C(z,j) has integer Mahler
+    # coefficients, nonzero exactly at max(i,j) <= k <= i+j
+    coeffs = difference_triangle([math.comb(z, i) * math.comb(z, j) for z in range(32)], 0)
+    assert all(type(c) is int for c in coeffs)
+    assert [k for k, c in enumerate(coeffs) if c] == list(range(max(i, j), i + j + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("up", [True, False], ids=["UpMonoid", "M1"])
+def test_bench_shape_matrices_take_the_certificate(monkeypatch, p, up):
+    # seeded matrices of the benchmark's shape certify from their factors
+    # alone: a factor bound stricter than the truth would send them to the
+    # report, which reads every entry through action_digits
+    size, trunc = 40, 8
+    reads = counted_reads(monkeypatch)
+    rng = random.Random(41_000 + 10 * p + up)
+    prec = matrix_input_prec(p, size, trunc, size)
+    for _ in range(5):
+        delta = random_monoid_matrix(rng, p, prec, up)
+        omega = CharOfDelta(p, rng.randrange(phi_q(p)))
+        assert verify_entry_bounds(delta, size, omega, trunc).ok
+    assert reads == []
 
 
 def test_bounds_refuse_orders_past_the_certified_digits():
@@ -417,108 +499,6 @@ def test_bounds_need_enough_precision():
 def test_bounds_reject_non_monoid():
     with pytest.raises(NotInMonoid):
         verify_entry_bounds(dm(3, 40, 1, 0, 1, 1), 5, triv(3))
-
-
-@st.composite
-def packed_entries(draw):
-    # an entry at the bound scan's width: digits anywhere in the certified
-    # range, at its ends, zero, or multiples of the tested p^r
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    size = draw(st.integers(1, 14))
-    trunc = draw(st.integers(1, 8))
-    r = draw(st.integers(1, size))
-    width = 2 * (p**size).bit_length() + (p ** (trunc - 1)).bit_length() + size + 4
-    top = (1 << (width - 5)) - 1
-    pi = p**r
-    digit = st.one_of(
-        st.sampled_from([top, -top, 0]),
-        st.integers(-(top // pi), top // pi).map(lambda k: k * pi),
-        st.integers(-top, top),
-    )
-    digits = draw(st.lists(digit, min_size=trunc, max_size=trunc))
-    return p, size, trunc, r, width, digits
-
-
-def pack(digits, width):
-    return sum(d << (width * s) for s, d in enumerate(digits))
-
-
-@given(packed_entries())
-def test_order_test_matches_digitwise_divisibility(case):
-    p, size, trunc, r, width, digits = case
-    tests = _order_tests(p, width, trunc, size)
-    assert _divisible(pack(digits, width), *tests[r]) == all(
-        d % p**r == 0 for d in digits
-    )
-
-
-@given(packed_entries(), st.data())
-def test_order_test_finds_the_one_short_coefficient(case, data):
-    # kernel form d_s = p^s b_s: in (p, T)^r iff v(b_s) >= r - s for s < r
-    p, size, trunc, r, width, _digits = case
-    tests = _order_tests(p, width, trunc, size)
-    top = (1 << (width - 5)) - 1
-    # room for the one-coefficient change below
-    cap = [(top - p**r) // p ** max(r, s) for s in range(trunc)]
-    good = [p ** max(r - s, 0) * data.draw(st.integers(-c, c)) for s, c in enumerate(cap)]
-    assert _divisible(pack([p**s * b for s, b in enumerate(good)], width), *tests[r])
-    assert _divisible(0, *tests[r])
-    for s in range(min(r, trunc)):
-        unit = data.draw(st.integers(1, p - 1)) * data.draw(st.sampled_from([1, -1]))
-        bad = list(good)
-        bad[s] = good[s] + unit * p ** (r - s - 1)
-        assert val_p_int(bad[s], p) == r - s - 1
-        digits = [p**j * b for j, b in enumerate(bad)]
-        assert max(map(abs, digits)) <= top
-        assert not _divisible(pack(digits, width), *tests[r])
-
-
-@st.composite
-def grouped_entries(draw):
-    # up to COLUMN_GROUP entries, column j scaled by p^e_j with e_0 = 0, at
-    # the bound scan's width with its bits(p^e_max) term; each column's
-    # digits anywhere in its certified range, at its ends, zero, or
-    # multiples of p^(r - e_j), the order its own column demands, and half
-    # of the columns drawn from the multiples alone
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    size = draw(st.integers(1, 14))
-    trunc = draw(st.integers(1, 8))
-    r = draw(st.integers(1, size))
-    steps = draw(st.lists(st.integers(0, 2), min_size=0, max_size=COLUMN_GROUP - 1))
-    exps = [sum(steps[:j]) for j in range(len(steps) + 1)]
-    width = (
-        2 * (p**size).bit_length()
-        + (p ** (trunc - 1)).bit_length()
-        + (p ** exps[-1]).bit_length()
-        + size
-        + 4
-    )
-    top = (1 << (width - 5)) - 1
-    columns = []
-    for e in exps:
-        cap = top // p**e
-        pi = p ** max(r - e, 0)
-        multiple = st.integers(-(cap // pi), cap // pi).map(lambda k, pi=pi: k * pi)
-        ends = st.sampled_from([cap // pi * pi, -(cap // pi) * pi, 0])
-        digit = st.one_of(ends, multiple)
-        if draw(st.booleans()):
-            digit = st.one_of(digit, st.sampled_from([cap, -cap]), st.integers(-cap, cap))
-        columns.append(draw(st.lists(digit, min_size=trunc, max_size=trunc)))
-    return p, size, trunc, r, width, exps, columns
-
-
-@given(grouped_entries())
-def test_group_test_passes_iff_every_column_passes(case):
-    # one test of order r on the scaled, packed group decides each column
-    # at its own demand r - e_j, which a column with r <= e_j meets always
-    p, size, trunc, r, width, exps, columns = case
-    tests = _order_tests(p, width, trunc * COLUMN_GROUP, size)
-    scaled = [p**e * d for e, digits in zip(exps, columns) for d in digits]
-    own = all(
-        r <= e or all(d % p ** (r - e) == 0 for d in digits)
-        for e, digits in zip(exps, columns)
-    )
-    assert _divisible(pack(scaled, width), *tests[r]) == own
 
 
 def test_column_support_shape():
