@@ -326,9 +326,7 @@ def test_bound_scan_is_exact_at_its_largest_digits(monkeypatch, p, up):
     scalar = [(target - 1) // p**c * p**c for c in powers]
     rows = [[x * (z % 2) for x in scalar] for z in range(size)]
     series = [[target - 1] * trunc] * size
-    monkeypatch.setattr(
-        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
-    )
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_kernel(rows, series))
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=1)
     step = p if up else 1
@@ -376,9 +374,7 @@ def test_bound_scan_walks_every_group_at_its_largest_digits(
     scalar = [(target - 1) // p**c * p**c for c in powers]
     rows = [[x * f for x, f in zip(scalar, fs)] for fs in shape]
     series = held_series(p, size, trunc)
-    monkeypatch.setattr(
-        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
-    )
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_kernel(rows, series))
     reads = counted_reads(monkeypatch)
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     report = verify_entry_bounds(delta, size, triv(p), trunc, raise_by=raise_by)
@@ -411,9 +407,7 @@ def test_certificate_finds_a_series_digit_one_order_short(monkeypatch, p, up):
     short = (target - 1) // p ** (size - 2 - s0) * p ** (size - 2 - s0)
     for z in range(size):
         series[z][s0] = short * (z == size - 1)
-    monkeypatch.setattr(
-        monoid_action, "_kernel_samples", extreme_kernel(rows, series)
-    )
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_kernel(rows, series))
     reads = counted_reads(monkeypatch)
     delta = rand_delta(rng, p, matrix_input_prec(p, size, trunc, size), up)
     report = verify_entry_bounds(delta, size, triv(p), trunc)
