@@ -10,9 +10,10 @@ Usage:
 - `char_series_s`: seconds of `char_series` on each pinned fixture of the
   scale, keyed "p,t", the median of --repeats runs on the specs of
   `checks.fixture_series`;
-- `checks_s`: seconds of each acceptance check in one process, in registry
-  order, after `fixture_series` (timed on its own) has built the series the
-  checks share;
+- `checks_s`: seconds of `fixture_series`, which builds the series the
+  checks share, and of each acceptance check in one process, in registry
+  order, each the median of --repeats runs; `fixture_series`' cache is
+  cleared before each of its runs, so each one builds the series;
 - `verify_s`: wall seconds of a whole `python3 -m haloslopes verify` process
   at the scale, the median of --repeats runs: `fork` as it runs, where
   `checks.run_checks` may split the checks over two processes, and
@@ -52,25 +53,33 @@ def _seconds(fn) -> float:
     return time.perf_counter() - start
 
 
+def _median_seconds(fn, repeats: int) -> float:
+    return statistics.median(_seconds(fn) for _ in range(repeats))
+
+
 def measure(scale: str, repeats: int) -> dict:
-    """char_series and per-check seconds of the package on the import path."""
+    """char_series and per-check seconds of the package on the import path,
+    each the median of repeats runs."""
     from haloslopes import checks
     from haloslopes.charpoly import char_series
     from haloslopes.iwasawa import CharOfDelta
 
-    checks_s = {"fixture_series": _seconds(lambda: checks.fixture_series(scale))}
+    def build_series():
+        checks.fixture_series.cache_clear()
+        checks.fixture_series(scale)
+
+    def run(name, fn):
+        ok, detail = fn(scale)
+        if not ok:
+            raise SystemExit(f"full_scale: {name} failed: {detail}")
+
+    checks_s = {"fixture_series": _median_seconds(build_series, repeats)}
     series_s = {}
     for p, t, D, spec, cs in checks.fixture_series(scale):
         omega = CharOfDelta(p, 0)
-        series_s[f"{p},{t}"] = statistics.median(
-            _seconds(lambda: char_series(spec, D, cs.r, omega)) for _ in range(repeats)
-        )
+        series_s[f"{p},{t}"] = _median_seconds(lambda: char_series(spec, D, cs.r, omega), repeats)
     for name, fn in checks.CHECKS:
-        start = time.perf_counter()
-        ok, detail = fn(scale)
-        checks_s[name] = time.perf_counter() - start
-        if not ok:
-            raise SystemExit(f"full_scale: {name} failed: {detail}")
+        checks_s[name] = _median_seconds(lambda: run(name, fn), repeats)
     return {"char_series_s": series_s, "checks_s": checks_s}
 
 

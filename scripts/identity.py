@@ -16,6 +16,9 @@ the import path that a change must leave byte-identical:
   `verify full`, and `verify full fault NAME` for the two entry-bound
   checks, each run alone (`--only NAME --inject-fault NAME`): exit code,
   sha256 of `verify.txt` and the checks it FAILs.
+- `entry reports`: count, violation count and sha256 of a seeded set of
+  144 `verify_entry_bounds` reports, their `repr`s joined by newlines
+  (`entry_reports`), half of them failing and half passing.
 
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
@@ -150,6 +153,38 @@ def full_record() -> dict:
     return record
 
 
+def entry_reports() -> dict:
+    """The seeded entry-bound reports: for raise_by 0 and 1, sizes 11, 12 and
+    40, p = 2, 3, 5 and both monoid classes, 4 matrices at the budgeted
+    precision, with trunc 8 and omega from the same generator."""
+    import random
+
+    from haloslopes.checks import random_monoid_matrix
+    from haloslopes.iwasawa import CharOfDelta
+    from haloslopes.monoid_action import matrix_input_prec, verify_entry_bounds
+    from haloslopes.padic_core import phi_q
+
+    trunc = 8
+    reports = []
+    for raise_by in (0, 1):
+        for size in (11, 12, 40):
+            for p in (2, 3, 5):
+                for up in (True, False):
+                    rng = random.Random(20000 + 100 * size + 10 * p + up)
+                    prec = matrix_input_prec(p, size, trunc, size)
+                    for _ in range(4):
+                        delta = random_monoid_matrix(rng, p, prec, up)
+                        omega = CharOfDelta(p, rng.randrange(phi_q(p)))
+                        reports.append(
+                            verify_entry_bounds(delta, size, omega, trunc, raise_by)
+                        )
+    return {
+        "reports": len(reports),
+        "violations": sum(len(r.violations) for r in reports),
+        "sha256": sha256("\n".join(map(repr, reports)).encode()),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", help="git revision of the parent side")
@@ -161,7 +196,7 @@ def main(argv=None) -> int:
     if args.here:
         import haloslopes
 
-        record = {**smoke_record(), **full_record()}
+        record = {**smoke_record(), **full_record(), "entry reports": entry_reports()}
         record["package"] = str(Path(haloslopes.__file__).resolve().parent)
         print(json.dumps(record, sort_keys=True))
         return 0

@@ -280,7 +280,7 @@ def charpoly_oracle(scale, fault=False):
 
 
 def mahler_round_trip(scale, fault=False):
-    # the kernel's difference triangle on plain residues, bias 0; summing
+    # the kernel's difference triangle on plain residues; summing
     # C(z, m) * a_m over the coefficients must give back every sample
     sc = SCALES[scale]
     rng = random.Random(sc.mahler_seed)
@@ -290,7 +290,7 @@ def mahler_round_trip(scale, fault=False):
         p = primes[case % len(primes)]
         length = rng.randrange(1, 13)
         vals = [rng.randrange(p**prec) for _ in range(length)]
-        coeffs = difference_triangle(vals, 0)
+        coeffs = difference_triangle(vals)
         for z, want in enumerate(vals):
             got = sum(math.comb(z, m) * a for m, a in enumerate(coeffs))
             if fault:
@@ -382,7 +382,7 @@ def non_compactness(scale, fault=False):
         count = p ** (m - 1) + 1
         mod = p**prec
         samples = [sum(math.comb(p * j + i, p**m) for i in range(p)) for j in range(count)]
-        coeff = difference_triangle(samples, 0)[p ** (m - 1)] % mod
+        coeff = difference_triangle(samples)[p ** (m - 1)] % mod
         if fault:
             coeff = coeff * p % mod
         if coeff != expected[p]:

@@ -10,47 +10,51 @@ with f(z) = (az+b)/(cz+d), d0 the torsion component of d, and
 g(z) = log((cz+d)/d0)/q, then expanded back into the basis by finite
 differences: P_{m,n} = m-th difference of h_n at 0.
 
-One packed kernel computes the residues: all T-coefficients of a sample
-sit in a single big integer, so the difference triangle runs in whole-row
-operations.  It backs block assembly (`up_operator.assemble`) and the
-entry-bound certificate and report, and takes its Teichmuller lifts, logs
-and binomials from `padic_core`; the per-entry reference it is tested against
-lives with the test oracles and uses none of them.
+`_kernel_samples` gives the two factors of every sample as plain ints:
+the scalars C(f(z), n) * omega(d0) and the series digits, reduced mod
+p^n_target, the precision its caller certifies.  It takes its Teichmuller
+lifts, logs and binomials from `padic_core`; the per-entry reference it
+is tested against lives with the test oracles and uses none of them.
+`difference_triangle`, the Mahler transform, is an integer combination of
+its rows, so on products of the factors every digit it gives is congruent
+mod p^n_target to the T-coefficient of P_{m,n}.
 
-The kernel reduces the scalars C(f(z), n) * omega(d0) and the series
-digits mod p^n_target, the precision its caller certifies.  The triangle
-(`difference_triangle`) is an integer combination of rows, so every digit
-of its output is congruent mod p^n_target to the T-coefficient of P_{m,n}.
-A row digit is below p^n_target * p^n_target, and an m-th difference digit
-is below 2^m times that in absolute value, m < size.  The width
+`action_digits` owns the packed form, which backs block assembly
+(`up_operator.assemble`) and the entry-bound report: the T-coefficients
+of a sample sit in one big integer, so a column's triangle runs in
+whole-row operations.  A row digit is below p^n_target * p^n_target, and
+an m-th difference digit is below 2^m times that in absolute value,
+m < size.  The width
 
     2 * bits(p^n_target) + size + 5
 
 therefore keeps every digit d of the triangle at |d| < 2^(width-6).
-`assemble` adds the bias block, 2^(width-1) in every digit, once to each
-first difference; each digit is then a nonnegative field of the packed
-value and unpacks to the exact integer difference.  The same function
-gives the Mahler coefficients of plain integer samples with a zero bias.
+`action_digits` adds the bias block, 2^(width-1) in every digit, to every
+level, row 0 (nonnegative digits) included; each digit is then a
+nonnegative field of the packed value and unpacks, less the bias, to the
+exact integer difference.
 
 `verify_entry_bounds` certifies from the two sample factors, in plain
 integers.  Column n demands order m - shift_n of row m, with
 shift_n = n // step - raise_by, and an entry sum_s b_s T^s lies in (p, T)^r
 exactly when v(b_s) >= r - s for every s.  Over the samples z < size, write
 scalar column n as sum_i a_i C(z, i) and series digit s as
-sum_j c_j C(z, j), their Mahler expansions, one triangle each.  The
-certificate tests with `%` that p^(i - shift_n) divides a_i and p^(j - s)
-divides c_j wherever the exponent is positive.  C(z, i) C(z, j) is an
-integer combination of the C(z, k) with max(i, j) <= k <= i + j, so every
-term that a_i c_j adds to digit s of P_{k,n} has valuation at least
-(i - shift_n) + (j - s) >= k - shift_n - s, and every entry meets its
-demand.  The factors are the kernel's reduced samples, whose product
-`action_digits` expands, so the certificate holds for the digits it yields;
-demands never exceed n_target = size, where those digits are certified.
-Columns whose demand is never positive (shift_n + 1 >= size) are a suffix
-and are not tested.  When a factor bound fails, the report reads every
-entry once through `action_digits` and lists those whose order misses
-their demand, in (n, m) order; it is exact on its own, so the certificate
-decides only how fast an empty report comes back.
+sum_j c_j C(z, j), their Mahler expansions, one triangle each.  One rule
+(`_meets_mahler_bounds`) tests both factors with `%`: p^(i - shift)
+divides the i-th Mahler coefficient wherever the exponent is positive,
+with shift = shift_n for scalar column n and shift = s for series digit s.
+C(z, i) C(z, j) is an integer combination of the C(z, k) with
+max(i, j) <= k <= i + j, so every term that a_i c_j adds to digit s of
+P_{k,n} has valuation at least (i - shift_n) + (j - s) >= k - shift_n - s,
+and every entry meets its demand.  The factors are the kernel's reduced
+samples, whose product `action_digits` expands, so the certificate holds
+for the digits it yields; demands never exceed n_target = size, where
+those digits are certified.  Columns with no positive exponent
+(shift + 1 >= size) are a suffix of each factor and are not tested.  When
+a factor bound fails, the report reads every entry once through
+`action_digits` and lists those whose order misses their demand, in
+(n, m) order; it is exact on its own, so the certificate decides only how
+fast an empty report comes back.
 """
 
 from __future__ import annotations
@@ -180,16 +184,13 @@ def matrix_input_prec(p: int, size: int, trunc: int, n_target: int) -> int:
 def _kernel_samples(
     delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int, n_target: int
 ):
-    """Return (scalars, series, width) for the samples z < size.
+    """Return (scalars, series) for the samples z < size, as plain ints.
 
-    scalars[z][n] is omega(d0) * C(f(z), n) and series[z] packs the
-    T-coefficients of (1+T)^{g(z)}, the one at T^s in bits
-    [width*s, width*(s+1)); both are reduced mod p^n_target, so
-    scalars[z][n] * series[z] packs h_n(z).  Any integer combination of
-    these rows, the difference triangle included, is then congruent mod
-    p^n_target to the same combination of the true samples; the width
-    leaves room for the 2^m growth of m-fold differences, so every digit
-    stays exact integer data.
+    scalars[z][n] is omega(d0) * C(f(z), n) and series[z][s] the T^s digit
+    of (1+T)^{g(z)}, both reduced mod p^n_target, so h_n(z) is congruent
+    mod p^n_target to scalars[z][n] * sum_s series[z][s] T^s.  Any integer
+    combination of these samples, the difference triangle included, is
+    then congruent mod p^n_target to the same combination of the true ones.
     """
     p, prec = delta.p, delta.prec
     mod = p**prec
@@ -197,7 +198,6 @@ def _kernel_samples(
     d0 = torsion_residue(delta.d_res, p, prec)
     w_res = pow(d0, omega.exponent, target)
     a, b, c, d = delta.residues
-    width = 2 * target.bit_length() + size + 5
 
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
@@ -207,23 +207,18 @@ def _kernel_samples(
     for z, g in enumerate(gs):
         fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
         scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
-        series.append(pack([x % target for x in binomials(g, trunc, p, prec)], width))
-    return scalars, series, width
+        series.append([x % target for x in binomials(g, trunc, p, prec)])
+    return scalars, series
 
 
-def difference_triangle(rows: list, bc: int) -> list:
-    """Forward differences at 0: [rows[0], D^1 rows + bc, D^2 rows + bc, ...].
-
-    Levels are signed, so a negative digit borrows from the one above it;
-    bc, added once per first difference, pays every borrow back as long as
-    each digit of D^m lies in [-bias, bias).  bc = 0 leaves the signed
-    differences themselves.
-    """
+def difference_triangle(rows: list) -> list:
+    """Forward differences at 0, the Mahler coefficients of the samples rows:
+    [rows[0], D^1 rows, D^2 rows, ...], each an integer combination of rows."""
     firsts = [rows[0]]
     cur = rows
     for _level in range(1, len(rows)):
         cur = list(map(sub, cur[1:], cur))
-        firsts.append(cur[0] + bc)
+        firsts.append(cur[0])
     return firsts
 
 
@@ -233,23 +228,23 @@ def action_digits(
     """Yield (m, n, digits) for all m, n < size, column by column.
 
     digits are trunc integers congruent mod p^n_target to the
-    T-coefficients of P_{m,n}(delta): the biased triangle of each packed
-    column, unpacked.  Sums of them stay congruent, so callers may add
-    digits of several matrices before one reduction.
+    T-coefficients of P_{m,n}(delta): the difference triangle of each
+    packed column, biased and unpacked.  Sums of them stay congruent, so
+    callers may add digits of several matrices before one reduction.
     """
-    scalars, series, width = _kernel_samples(delta, size, omega, trunc, n_target)
+    scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
+    width = 2 * (delta.p**n_target).bit_length() + size + 5
     bias = 1 << (width - 1)
     bc = pack((bias,) * trunc, width)
+    packed = [pack(row, width) for row in series]
     for n, column in enumerate(zip(*scalars)):
-        firsts = difference_triangle(list(map(mul, column, series)), bc)
-        for m, packed in enumerate(firsts):
-            yield m, n, _unbiased(packed, m, bias, width, trunc)
+        for m, level in enumerate(difference_triangle(list(map(mul, column, packed)))):
+            yield m, n, _unbiased(level + bc, bias, width, trunc)
 
 
-def _unbiased(packed: int, m: int, bias: int, width: int, trunc: int) -> list:
-    """Row m's digits as integers congruent to the T-coefficients of P_{m,n}."""
-    off = bias if m else 0
-    return [d - off for d in unpack(packed, width, trunc)]
+def _unbiased(packed: int, bias: int, width: int, trunc: int) -> list:
+    """The signed digits of a level that carries the bias block."""
+    return [d - bias for d in unpack(packed, width, trunc)]
 
 
 # -- bound verification ----------------------------------------------------
@@ -265,25 +260,19 @@ class BoundReport(NamedTuple):
         return not self.violations
 
 
-def _factors_meet_bounds(
-    p: int, size: int, shifts: list, scalars: list, digits: list
-) -> bool:
-    """Whether both sample factors meet their Mahler bounds (module docstring).
+def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
+    """Whether p^(i - shift) divides the i-th Mahler coefficient of every column.
 
-    p^(i - shifts[n]) must divide the i-th Mahler coefficient of scalar
-    column n, and p^(j - s) the j-th of series digit s, digits[z][s].
+    rows[z][k] is column k at sample z, and shifts[k] its shift.  Shifts
+    never decrease, so once a column has no i > shift below len(rows),
+    neither has any column after it, and the test stops there.
     """
-    powers = [p**r for r in range(size + 1)]
-    for n, column in enumerate(zip(*scalars)):
-        shift = shifts[n]
+    size = len(rows)
+    for column, shift in zip(zip(*rows), shifts):
         if shift + 1 >= size:
-            break  # no row demands anything of this column or the ones after it
-        firsts = difference_triangle(list(column), 0)
-        if any(firsts[i] % powers[i - shift] for i in range(max(shift + 1, 0), size)):
-            return False
-    for s, column in enumerate(zip(*digits)):
-        firsts = difference_triangle(list(column), 0)
-        if any(firsts[j] % powers[j - s] for j in range(s + 1, size)):
+            break
+        firsts = difference_triangle(list(column))
+        if any(firsts[i] % p ** (i - shift) for i in range(max(shift + 1, 0), size)):
             return False
     return True
 
@@ -325,9 +314,10 @@ def verify_entry_bounds(
     # column n demands order m - shifts[n] of row m, at most size - 1 + raise_by
     step = p if cls is MonoidClass.UpMonoid else 1
     shifts = [n // step - raise_by for n in range(size)]
-    scalars, series, width = _kernel_samples(delta, size, omega, trunc, n_target)
-    series_digits = [unpack(packed, width, trunc) for packed in series]
-    if _factors_meet_bounds(p, size, shifts, scalars, series_digits):
+    scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
+    if _meets_mahler_bounds(p, scalars, shifts) and _meets_mahler_bounds(
+        p, series, range(trunc)
+    ):
         return BoundReport(cls, size, ())
     # a factor bound failed: report every entry short of its demand (an order
     # is never negative, so an entry with no demand is never reported)

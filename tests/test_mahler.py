@@ -11,29 +11,29 @@ from oracles import mahler_coeff_oracle
 
 
 def test_square_function_coeffs():
-    assert difference_triangle([z * z for z in range(4)], 0) == [0, 1, 2, 0]
+    assert difference_triangle([z * z for z in range(4)]) == [0, 1, 2, 0]
 
 
 def test_constant_coeffs():
-    assert difference_triangle([7] * 6, 0) == [7, 0, 0, 0, 0, 0]
+    assert difference_triangle([7] * 6) == [7, 0, 0, 0, 0, 0]
 
 
 def test_binomial_round_trip():
     vals = [math.comb(z, 3) for z in range(6)]
-    coeffs = difference_triangle(vals, 0)
+    coeffs = difference_triangle(vals)
     assert coeffs == [0, 0, 0, 1, 0, 0]
     assert [sum(math.comb(z, m) * a for m, a in enumerate(coeffs)) for z in range(6)] == vals
 
 
 @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=9))
 def test_coeffs_match_signed_sum(vals):
-    coeffs = difference_triangle(vals, 0)
+    coeffs = difference_triangle(vals)
     assert coeffs == [mahler_coeff_oracle(vals, m) for m in range(len(vals))]
 
 
 @given(st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=8))
 def test_round_trip_on_sample_points(vals):
-    coeffs = difference_triangle(vals, 0)
+    coeffs = difference_triangle(vals)
     for z, want in enumerate(vals):
         assert sum(math.comb(z, m) * a for m, a in enumerate(coeffs)) == want
 
@@ -42,7 +42,7 @@ def test_round_trip_on_sample_points(vals):
 def test_difference_commutes_with_expansion(vals):
     # expanding the differenced samples gives the left-shifted coefficients
     dvals = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    assert difference_triangle(dvals, 0) == difference_triangle(vals, 0)[1:]
+    assert difference_triangle(dvals) == difference_triangle(vals)[1:]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -50,7 +50,7 @@ def test_geometric_samples_have_pure_power_coeffs(p):
     # differences of (1+p)^z at 0 collapse to p^m by the binomial theorem
     prec = 12
     mod = p**prec
-    coeffs = difference_triangle([pow(1 + p, z, mod) for z in range(8)], 0)
+    coeffs = difference_triangle([pow(1 + p, z, mod) for z in range(8)])
     assert [a % mod for a in coeffs] == [p**m % mod for m in range(8)]
 
 
@@ -78,12 +78,14 @@ def packed_rows(draw):
 def test_biased_triangle_unpacks_to_integer_differences(case):
     p, prec, trunc, digits = case
     size = len(digits)
-    # the kernel's packing: rows are products of two residues mod p^prec
+    # the packing of action_digits: rows are products of two residues mod
+    # p^prec, and every level, row 0 included, carries the bias block
     width = 2 * (p**prec).bit_length() + size + 4
     bias = 1 << (width - 1)
     rows = [sum(d << (width * s) for s, d in enumerate(row)) for row in digits]
-    firsts = difference_triangle(rows, pack((bias,) * trunc, width))
+    bc = pack((bias,) * trunc, width)
+    firsts = difference_triangle(rows)
     assert len(firsts) == size
-    for m, packed in enumerate(firsts):
+    for m, level in enumerate(firsts):
         want = [mahler_coeff_oracle([row[s] for row in digits], m) for s in range(trunc)]
-        assert _unbiased(packed, m, bias, width, trunc) == want
+        assert _unbiased(level + bc, bias, width, trunc) == want

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from haloslopes import monoid_action
 from haloslopes.checks import random_monoid_matrix
-from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order, pack, unpack
+from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import (
     BoundReport,
     DeltaMat,
     MonoidClass,
     NotInMonoid,
+    _meets_mahler_bounds,
     action_digits,
     check_monoid,
     column_input_prec,
@@ -38,6 +39,7 @@ from oracles import (
     ActionColumn,
     action_column,
     log_ratio_oracle,
+    mahler_coeff_oracle,
     teichmuller_oracle,
     valuation_oracle,
 )
@@ -270,19 +272,10 @@ def test_bounds_report_violation_orders_of_the_reference_path(p, up):
 
 
 def extreme_kernel(scalar_rows, series_rows):
-    """A _kernel_samples stand-in: the given samples at the kernel's own width.
-
-    series_rows[z][s] is series digit s at sample z, packed as the kernel
-    packs it, so that the certificate and the report read the same samples.
-    """
-    kernel = monoid_action._kernel_samples
-
-    def samples(*args):
-        _scalars, _series, width = kernel(*args)
-        packed = [pack(row, width) for row in series_rows]
-        return scalar_rows, packed, width
-
-    return samples
+    """A _kernel_samples stand-in returning the given samples, so that the
+    certificate and the report read the same ones; series_rows[z][s] is
+    series digit s at sample z."""
+    return lambda *_args: (scalar_rows, series_rows)
 
 
 def counted_reads(monkeypatch):
@@ -415,7 +408,7 @@ def test_certificate_finds_a_series_digit_one_order_short(monkeypatch, p, up):
     # digit s of P_{size-1,0} is (target - 1) times the last difference of
     # series digit s
     own = [
-        (target - 1) * difference_triangle([row[s] for row in series], 0)[-1]
+        (target - 1) * difference_triangle([row[s] for row in series])[-1]
         for s in range(trunc)
     ]
     order = mlambda_order(LambdaElt.from_ints(p, size, trunc, own))
@@ -443,15 +436,12 @@ def test_sample_factors_meet_their_mahler_bounds(monkeypatch, p, up):
         for _ in range(4):
             delta = random_monoid_matrix(rng, p, prec, up)
             omega = CharOfDelta(p, rng.randrange(phi_q(p)))
-            scalars, series, width = monoid_action._kernel_samples(
-                delta, size, omega, trunc, size
-            )
+            scalars, series = monoid_action._kernel_samples(delta, size, omega, trunc, size)
             for n, column in enumerate(zip(*scalars)):
-                for i, coeff in enumerate(difference_triangle(list(column), 0)):
+                for i, coeff in enumerate(difference_triangle(list(column))):
                     assert coeff % p ** max(i - n // step, 0) == 0, (n, i)
-            digits = [unpack(packed, width, trunc) for packed in series]
-            for s, column in enumerate(zip(*digits)):
-                for j, coeff in enumerate(difference_triangle(list(column), 0)):
+            for s, column in enumerate(zip(*series)):
+                for j, coeff in enumerate(difference_triangle(list(column))):
                     assert coeff % p ** max(j - s, 0) == 0, (s, j)
             assert verify_entry_bounds(delta, size, omega, trunc).ok
     assert reads == []
@@ -461,9 +451,62 @@ def test_sample_factors_meet_their_mahler_bounds(monkeypatch, p, up):
 def test_binomial_products_expand_from_the_larger_index_to_the_sum(i, j):
     # the lemma the certificate rests on: C(z,i) C(z,j) has integer Mahler
     # coefficients, nonzero exactly at max(i,j) <= k <= i+j
-    coeffs = difference_triangle([math.comb(z, i) * math.comb(z, j) for z in range(32)], 0)
+    coeffs = difference_triangle([math.comb(z, i) * math.comb(z, j) for z in range(32)])
     assert all(type(c) is int for c in coeffs)
     assert [k for k, c in enumerate(coeffs) if c] == list(range(max(i, j), i + j + 1))
+
+
+@st.composite
+def mahler_columns(draw):
+    """Nondecreasing shifts and, per column, Mahler coefficients
+    p^max(i - shift, 0) times a unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    samples = draw(st.integers(1, 12))
+    count = draw(st.integers(1, 6))
+    shifts = sorted(draw(st.lists(st.integers(-1, samples), min_size=count, max_size=count)))
+    unit = st.integers(-(p**3), p**3).filter(lambda u: u % p)
+    coeffs = [[p ** max(i - shift, 0) * draw(unit) for i in range(samples)] for shift in shifts]
+    return p, shifts, coeffs
+
+
+def mahler_samples(coeffs):
+    """rows[z][k] = sum_i coeffs[k][i] C(z, i) at as many samples as coefficients."""
+    return [
+        [sum(a * math.comb(z, i) for i, a in enumerate(column)) for column in coeffs]
+        for z in range(len(coeffs[0]))
+    ]
+
+
+def oracle_meets_mahler_bounds(p, rows, shifts, coeffs):
+    """The rule on every column, from the coefficients of mahler_coeff_oracle,
+    which must be the ones the columns were built from."""
+    meets = True
+    for k, shift in enumerate(shifts):
+        column = [row[k] for row in rows]
+        got = [mahler_coeff_oracle(column, i) for i in range(len(rows))]
+        assert got == coeffs[k]
+        meets &= all(got[i] % p ** (i - shift) == 0 for i in range(max(shift + 1, 0), len(rows)))
+    return meets
+
+
+@given(mahler_columns(), st.data())
+def test_mahler_bound_rule_matches_the_coefficient_oracle(case, data):
+    # columns whose i-th Mahler coefficient is p^(i - shift) times a unit
+    # meet the rule; one coefficient lowered by one power of p, where its
+    # exponent is positive, breaks it.  The oracle tests every column, so it
+    # also checks that the columns past the first with no demand are safe
+    # to skip
+    p, shifts, coeffs = case
+    rows = mahler_samples(coeffs)
+    assert oracle_meets_mahler_bounds(p, rows, shifts, coeffs)
+    assert _meets_mahler_bounds(p, rows, shifts)
+    live = [(k, i) for k, shift in enumerate(shifts) for i in range(max(shift + 1, 0), len(rows))]
+    if live:
+        k, i = data.draw(st.sampled_from(live))
+        coeffs[k][i] //= p
+        rows = mahler_samples(coeffs)
+        assert not oracle_meets_mahler_bounds(p, rows, shifts, coeffs)
+        assert not _meets_mahler_bounds(p, rows, shifts)
 
 
 def test_bounds_refuse_orders_past_the_certified_digits():

@@ -1,4 +1,5 @@
 import csv
+import functools
 import runpy
 import subprocess
 from pathlib import Path
@@ -189,13 +190,34 @@ def test_bench_pairs_extracts_committed_files_only(tmp_path):
 FULL_SCALE = runpy.run_path(str(SCRIPTS / "full_scale.py"), run_name="full_scale")
 
 
-def test_full_scale_measures_the_series_side_in_process_at_smoke_scale():
-    from haloslopes.checks import CHECKS
+def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypatch):
+    # every timing is the median of --repeats runs: each check runs that
+    # often, and fixture_series builds the series afresh each time
+    from haloslopes import checks
 
-    got = FULL_SCALE["measure"]("smoke", 1)
+    builds, runs = [], []
+    build = checks.fixture_series.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def fixture_series(scale):
+        builds.append(scale)
+        return build(scale)
+
+    def counted(name, fn):
+        def check(scale, fault=False):
+            runs.append(name)
+            return fn(scale, fault)
+        return check
+
+    names = [name for name, _fn in checks.CHECKS]
+    monkeypatch.setattr(checks, "fixture_series", fixture_series)
+    monkeypatch.setattr(checks, "CHECKS", tuple((n, counted(n, fn)) for n, fn in checks.CHECKS))
+    got = FULL_SCALE["measure"]("smoke", 3)
     assert list(got["char_series_s"]) == ["3,1", "5,2"]
-    assert list(got["checks_s"]) == ["fixture_series", *(name for name, _fn in CHECKS)]
+    assert list(got["checks_s"]) == ["fixture_series", *names]
     assert all(s >= 0 for part in got.values() for s in part.values())
+    assert builds == ["smoke"] * 3
+    assert runs == [name for name in names for _ in range(3)]
 
 
 def test_full_scale_medians_are_per_side_and_per_measurement():
@@ -241,3 +263,15 @@ def test_identity_smoke_record_matches_the_pinned_outputs():
     assert sorted(k for k in record if k.startswith("series ")) == [
         "series smoke 3,1", "series smoke 5,2"
     ]
+
+
+def test_identity_entry_reports_match_the_pinned_set():
+    # the seeded set of scripts/identity.py: the 72 reports at raise_by 0 pass
+    # and the 72 at raise_by 1 fail, so the digest pins both the certificate
+    # and every violation the report lists
+    identity = runpy.run_path(str(SCRIPTS / "identity.py"), run_name="identity")
+    assert identity["entry_reports"]() == {
+        "reports": 144,
+        "violations": 8314,
+        "sha256": "0dda7de1d4375aa28016e33265652391fbd4d728e5d3c76039e1a9e651d9cb9e",
+    }
