@@ -10,6 +10,9 @@ Usage:
 - `char_series_s`: seconds of `char_series` on each pinned fixture of the
   scale, keyed "p,t", the median of --repeats runs on the specs of
   `checks.fixture_series`;
+- `assemble_s`: seconds of `assemble(spec, n_blocks)` on the same fixtures,
+  at the `n_blocks` that `char_series` assembles first, the median of
+  --repeats runs;
 - `checks_s`: seconds of `fixture_series`, which builds the series the
   checks share, and of each acceptance check in one process, in registry
   order, each the median of --repeats runs; `fixture_series`' cache is
@@ -58,10 +61,10 @@ def _median_seconds(fn, repeats: int) -> float:
 
 
 def measure(scale: str, repeats: int) -> dict:
-    """char_series and per-check seconds of the package on the import path,
-    each the median of repeats runs."""
-    from haloslopes import checks
-    from haloslopes.charpoly import char_series
+    """char_series, assemble and per-check seconds of the package on the
+    import path, each the median of repeats runs."""
+    from haloslopes import checks, up_operator
+    from haloslopes.charpoly import char_series, window_blocks
     from haloslopes.iwasawa import CharOfDelta
 
     def build_series():
@@ -74,13 +77,17 @@ def measure(scale: str, repeats: int) -> dict:
             raise SystemExit(f"full_scale: {name} failed: {detail}")
 
     checks_s = {"fixture_series": _median_seconds(build_series, repeats)}
-    series_s = {}
+    series_s, assemble_s = {}, {}
     for p, t, D, spec, cs in checks.fixture_series(scale):
         omega = CharOfDelta(p, 0)
+        n_blocks = window_blocks(p, t, cs.r, D)
         series_s[f"{p},{t}"] = _median_seconds(lambda: char_series(spec, D, cs.r, omega), repeats)
+        assemble_s[f"{p},{t}"] = _median_seconds(
+            lambda: up_operator.assemble(spec, n_blocks, omega), repeats
+        )
     for name, fn in checks.CHECKS:
         checks_s[name] = _median_seconds(lambda: run(name, fn), repeats)
-    return {"char_series_s": series_s, "checks_s": checks_s}
+    return {"char_series_s": series_s, "assemble_s": assemble_s, "checks_s": checks_s}
 
 
 def _one_cpu():

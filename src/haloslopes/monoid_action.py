@@ -20,26 +20,25 @@ its rows, so on products of the factors every digit it gives is congruent
 mod p^n_target to the T-coefficient of P_{m,n}.
 
 `action_digits` owns the packed form, which backs block assembly
-(`up_operator.assemble`) and the entry-bound report: the T-coefficients
-of a sample sit in one big integer, so a column's triangle runs in
-whole-row operations.  A row digit is below p^n_target * p^n_target, and
-an m-th difference digit is below 2^m times that in absolute value,
-m < size.  The width
+(`up_operator.assemble`) and the entry-bound report, and sums k matrices
+(one for the report): the T-coefficients of a sample sit in one big
+integer, so a column's triangle runs in whole-row operations.  A row digit
+of one matrix is a product of two residues, at most (p^n_target - 1)^2,
+so its m-th difference digit has |d| <= 2^m (p^n_target - 1)^2, m < size,
+and the sum of k of them stays below 2^(width-1) at the width
 
-    2 * bits(p^n_target) + size + 5
+    2 * bits(p^n_target) + size + bits(k - 1).
 
-therefore keeps every digit d of the triangle at |d| < 2^(width-6).
-`action_digits` adds the bias block, 2^(width-1) in every digit, to every
-level, row 0 (nonnegative digits) included; each digit is then a
-nonnegative field of the packed value and unpacks, less the bias, to the
-exact integer difference.
+The levels of the k triangles are added to the bias block, 2^(width-1) in
+every digit, row 0 included; each digit is then a nonnegative field of the
+packed value and unpacks, less the bias, to the exact integer sum.
 
 `verify_entry_bounds` certifies from the two sample factors, in plain
 integers.  Column n demands order m - shift_n of row m, with
 shift_n = n // step - raise_by, and an entry sum_s b_s T^s lies in (p, T)^r
 exactly when v(b_s) >= r - s for every s.  Over the samples z < size, write
 scalar column n as sum_i a_i C(z, i) and series digit s as
-sum_j c_j C(z, j), their Mahler expansions, one triangle each.  One rule
+sum_j c_j C(z, j), their Mahler expansions.  One rule
 (`_meets_mahler_bounds`) tests both factors with `%`: p^(i - shift)
 divides the i-th Mahler coefficient wherever the exponent is positive,
 with shift = shift_n for scalar column n and shift = s for series digit s.
@@ -49,9 +48,12 @@ P_{k,n} has valuation at least (i - shift_n) + (j - s) >= k - shift_n - s,
 and every entry meets its demand.  The factors are the kernel's reduced
 samples, whose product `action_digits` expands, so the certificate holds
 for the digits it yields; demands never exceed n_target = size, where
-those digits are certified.  Columns with no positive exponent
-(shift + 1 >= size) are a suffix of each factor and are not tested.  When
-a factor bound fails, the report reads every entry once through
+those digits are certified.  The rule runs once, on the scalar columns
+followed by the series digits, and walks one difference level of all
+their columns at a time.  A column with no positive exponent
+(shift + 1 >= size) is dead and skipped wherever it sits, as the M1
+class's last scalar column at raise_by 0 is, before live series columns.
+When a factor bound fails, the report reads every entry once through
 `action_digits` and lists those whose order misses their demand, in
 (n, m) order; it is exact on its own, so the certificate decides only how
 fast an empty report comes back.
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order, pack, unpack
@@ -222,29 +224,30 @@ def difference_triangle(rows: list) -> list:
     return firsts
 
 
-def action_digits(
-    delta: DeltaMat, size: int, omega: CharOfDelta, trunc: int, n_target: int
-):
+def action_digits(deltas, size: int, omega: CharOfDelta, trunc: int, n_target: int):
     """Yield (m, n, digits) for all m, n < size, column by column.
 
-    digits are trunc integers congruent mod p^n_target to the
-    T-coefficients of P_{m,n}(delta): the difference triangle of each
-    packed column, biased and unpacked.  Sums of them stay congruent, so
-    callers may add digits of several matrices before one reduction.
+    digits are trunc integers congruent mod p^n_target to the T-coefficients
+    of the sum of P_{m,n}(delta) over the k matrices deltas.  A level digit
+    of one matrix has |d| <= 2^m (p^n_target - 1)^2, m < size, so a sum of
+    k stays below 2^(width-1): each column adds the packed levels of every
+    matrix to the bias block and unpacks each entry once.
     """
-    scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
-    width = 2 * (delta.p**n_target).bit_length() + size + 5
+    p = deltas[0].p
+    width = 2 * (p**n_target).bit_length() + size + (len(deltas) - 1).bit_length()
     bias = 1 << (width - 1)
     bc = pack((bias,) * trunc, width)
-    packed = [pack(row, width) for row in series]
-    for n, column in enumerate(zip(*scalars)):
-        for m, level in enumerate(difference_triangle(list(map(mul, column, packed)))):
-            yield m, n, _unbiased(level + bc, bias, width, trunc)
-
-
-def _unbiased(packed: int, bias: int, width: int, trunc: int) -> list:
-    """The signed digits of a level that carries the bias block."""
-    return [d - bias for d in unpack(packed, width, trunc)]
+    columns = []
+    for delta in deltas:
+        scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
+        columns.append((list(zip(*scalars)), [pack(row, width) for row in series]))
+    for n in range(size):
+        levels = [bc] * size
+        for scalars, packed in columns:
+            rows = list(map(mul, scalars[n], packed))
+            levels = list(map(add, levels, difference_triangle(rows)))
+        for m, level in enumerate(levels):
+            yield m, n, [d - bias for d in unpack(level, width, trunc)]
 
 
 # -- bound verification ----------------------------------------------------
@@ -263,17 +266,20 @@ class BoundReport(NamedTuple):
 def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
     """Whether p^(i - shift) divides the i-th Mahler coefficient of every column.
 
-    rows[z][k] is column k at sample z, and shifts[k] its shift.  Shifts
-    never decrease, so once a column has no i > shift below len(rows),
-    neither has any column after it, and the test stops there.
+    rows[z][k] is column k at sample z, and shifts[k] its shift, in any
+    order.  The walk takes one difference level of every live column
+    (shift + 1 < len(rows), wherever it sits) at a time, and at level i
+    tests the first row of each column with i > shift.
     """
     size = len(rows)
-    for column, shift in zip(zip(*rows), shifts):
-        if shift + 1 >= size:
-            break
-        firsts = difference_triangle(list(column))
-        if any(firsts[i] % p ** (i - shift) for i in range(max(shift + 1, 0), size)):
+    live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
+    shifts = [shifts[k] for k in live]
+    powers = [p**e for e in range(size - min(shifts, default=0))]
+    level = [[row[k] for k in live] for row in rows]
+    for i in range(size):
+        if any(x % powers[i - shift] for x, shift in zip(level[0], shifts) if i > shift):
             return False
+        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
     return True
 
 
@@ -315,14 +321,13 @@ def verify_entry_bounds(
     step = p if cls is MonoidClass.UpMonoid else 1
     shifts = [n // step - raise_by for n in range(size)]
     scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
-    if _meets_mahler_bounds(p, scalars, shifts) and _meets_mahler_bounds(
-        p, series, range(trunc)
-    ):
+    rows = list(map(add, scalars, series))
+    if _meets_mahler_bounds(p, rows, shifts + list(range(trunc))):
         return BoundReport(cls, size, ())
     # a factor bound failed: report every entry short of its demand (an order
     # is never negative, so an entry with no demand is never reported)
     violations = []
-    for m, n, digits in action_digits(delta, size, omega, trunc, n_target):
+    for m, n, digits in action_digits((delta,), size, omega, trunc, n_target):
         need = m - shifts[n]
         if need > 0:
             order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))

@@ -241,18 +241,17 @@ def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
     """Entry ((m,i),(n,j)) = sum over cell (i,j) of P_{m,n}(delta).
 
     Output component i collects the matrices stored at (i, j) applied to
-    input component j.  Each cell matrix runs through the packed Mahler
-    kernel once; its unbiased digits are summed per entry as integers and
-    reduced once, to the largest precision the budget certifies for
-    n_blocks blocks.  Invariants are checked where specs enter the system
-    (synthesis, file ingestion), not here, so partial cell lists can be
-    assembled and summed.
+    input component j.  The matrices of each cell run through the packed
+    Mahler kernel together, which sums them per entry; each sum is reduced
+    once, to the largest precision the budget certifies for n_blocks
+    blocks, and a cell with no matrices gives zero entries.  Invariants are
+    checked where specs enter the system (synthesis, file ingestion), not
+    here, so partial cell lists can be assembled and summed.
     """
     p, t, trunc = spec.p, spec.t, spec.M_T
     n_target = certified_target(spec, n_blocks)
     need = matrix_input_prec(p, n_blocks, trunc, n_target)
-    size = t * n_blocks
-    grid = [[[0] * trunc for _ in range(size)] for _ in range(size)]
+    cells = {}
     for i, j, delta in spec.cells:
         if check_monoid(delta) is MonoidClass.Neither:
             raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
@@ -261,17 +260,13 @@ def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
                 f"{n_blocks} basis blocks need entry precision {need}, "
                 f"have {delta.prec}"
             )
-        for m, n, digits in action_digits(delta, n_blocks, omega, trunc, n_target):
-            acc = grid[m * t + i][n * t + j]
-            for s, digit in enumerate(digits):
-                acc[s] += digit
-    return BlockMatrix(
-        t,
-        tuple(
-            tuple(LambdaElt.from_ints(p, n_target, trunc, acc) for acc in row)
-            for row in grid
-        ),
-    )
+        cells.setdefault((i, j), []).append(delta)
+    size = t * n_blocks
+    grid = [[LambdaElt.zero(p, n_target, trunc)] * size for _ in range(size)]
+    for (i, j), deltas in cells.items():
+        for m, n, digits in action_digits(deltas, n_blocks, omega, trunc, n_target):
+            grid[m * t + i][n * t + j] = LambdaElt.from_ints(p, n_target, trunc, digits)
+    return BlockMatrix(t, tuple(map(tuple, grid)))
 
 
 def block_bound(row: int, col: int, t: int, p: int) -> int:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from haloslopes.iwasawa import pack
-from haloslopes.monoid_action import _unbiased, difference_triangle
+from haloslopes.iwasawa import pack, unpack
+from haloslopes.monoid_action import difference_triangle
 
 from oracles import mahler_coeff_oracle
 
@@ -78,9 +78,10 @@ def packed_rows(draw):
 def test_biased_triangle_unpacks_to_integer_differences(case):
     p, prec, trunc, digits = case
     size = len(digits)
-    # the packing of action_digits: rows are products of two residues mod
-    # p^prec, and every level, row 0 included, carries the bias block
-    width = 2 * (p**prec).bit_length() + size + 4
+    # the packing of action_digits for one matrix: rows are products of two
+    # residues mod p^prec, and every level, row 0 included, carries the bias
+    # block, which each digit sheds on unpacking
+    width = 2 * (p**prec).bit_length() + size
     bias = 1 << (width - 1)
     rows = [sum(d << (width * s) for s, d in enumerate(row)) for row in digits]
     bc = pack((bias,) * trunc, width)
@@ -88,4 +89,4 @@ def test_biased_triangle_unpacks_to_integer_differences(case):
     assert len(firsts) == size
     for m, level in enumerate(firsts):
         want = [mahler_coeff_oracle([row[s] for row in digits], m) for s in range(trunc)]
-        assert _unbiased(level + bc, bias, width, trunc) == want
+        assert [d - bias for d in unpack(level + bc, width, trunc)] == want

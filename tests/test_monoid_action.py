@@ -56,7 +56,7 @@ def triv(p):
 def columns(delta, size, omega, trunc, nt):
     """Packed-kernel columns 0..size-1, each with rows 0..size-1, at nt digits."""
     entries = [[] for _ in range(size)]
-    for m, n, digits in action_digits(delta, size, omega, trunc, nt):
+    for m, n, digits in action_digits((delta,), size, omega, trunc, nt):
         assert m == len(entries[n])
         entries[n].append(LambdaElt.from_ints(delta.p, nt, trunc, digits))
     return [ActionColumn(n, tuple(col)) for n, col in enumerate(entries)]
@@ -447,6 +447,30 @@ def test_sample_factors_meet_their_mahler_bounds(monkeypatch, p, up):
     assert reads == []
 
 
+
+@pytest.mark.parametrize("p, nt", [(2, 6), (3, 5), (5, 3), (7, 2)])
+@pytest.mark.parametrize("size", [1, 8])
+def test_summed_kernel_is_exact_at_its_largest_digits(monkeypatch, p, nt, size):
+    # every sample factor at its largest reduced value p^nt - 1, scalar
+    # column n only at samples z with z + n even, so that each level m > 0
+    # reaches 2^(m-1) (p^nt - 1)^2 in absolute value, with either sign
+    # among the columns; k = p matrices summed must give k times the
+    # plain-integer differences of one.  At size 1, row 0 meets the width's
+    # bound with no slack from the 2^m factor
+    top = p**nt - 1
+    trunc = 3
+    scalars = [[top * ((z + n + 1) % 2) for n in range(size)] for z in range(size)]
+    series = [[top] * trunc for _z in range(size)]
+    monkeypatch.setattr(monoid_action, "_kernel_samples", extreme_kernel(scalars, series))
+    deltas = [dm(p, 40, 1, 0, 0, 1)] * p
+    got = list(action_digits(deltas, size, triv(p), trunc, nt))
+    want = []
+    for n in range(size):
+        products = [[a[n] * b[s] for a, b in zip(scalars, series)] for s in range(trunc)]
+        for m in range(size):
+            want.append((m, n, [p * mahler_coeff_oracle(digit, m) for digit in products]))
+    assert got == want
+
 @given(st.integers(0, 15), st.integers(0, 15))
 def test_binomial_products_expand_from_the_larger_index_to_the_sum(i, j):
     # the lemma the certificate rests on: C(z,i) C(z,j) has integer Mahler
@@ -458,12 +482,14 @@ def test_binomial_products_expand_from_the_larger_index_to_the_sum(i, j):
 
 @st.composite
 def mahler_columns(draw):
-    """Nondecreasing shifts and, per column, Mahler coefficients
-    p^max(i - shift, 0) times a unit."""
+    """Shifts in any order, led by up to two dead ones (no i > shift below
+    the sample count), and per column Mahler coefficients p^max(i - shift, 0)
+    times a unit."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     samples = draw(st.integers(1, 12))
     count = draw(st.integers(1, 6))
-    shifts = sorted(draw(st.lists(st.integers(-1, samples), min_size=count, max_size=count)))
+    dead = draw(st.lists(st.integers(samples - 1, samples), max_size=2))
+    shifts = dead + draw(st.lists(st.integers(-1, samples), min_size=count, max_size=count))
     unit = st.integers(-(p**3), p**3).filter(lambda u: u % p)
     coeffs = [[p ** max(i - shift, 0) * draw(unit) for i in range(samples)] for shift in shifts]
     return p, shifts, coeffs
@@ -493,9 +519,9 @@ def oracle_meets_mahler_bounds(p, rows, shifts, coeffs):
 def test_mahler_bound_rule_matches_the_coefficient_oracle(case, data):
     # columns whose i-th Mahler coefficient is p^(i - shift) times a unit
     # meet the rule; one coefficient lowered by one power of p, where its
-    # exponent is positive, breaks it.  The oracle tests every column, so it
-    # also checks that the columns past the first with no demand are safe
-    # to skip
+    # exponent is positive, breaks it, also behind a dead column or a larger
+    # shift.  The oracle tests every column, so it also checks that the dead
+    # columns are safe to skip
     p, shifts, coeffs = case
     rows = mahler_samples(coeffs)
     assert oracle_meets_mahler_bounds(p, rows, shifts, coeffs)
@@ -508,6 +534,24 @@ def test_mahler_bound_rule_matches_the_coefficient_oracle(case, data):
         assert not oracle_meets_mahler_bounds(p, rows, shifts, coeffs)
         assert not _meets_mahler_bounds(p, rows, shifts)
 
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mahler_bound_rule_walks_past_a_dead_scalar_tail(p):
+    # the joined rows of verify_entry_bounds for the M1 class at raise_by 0:
+    # scalar column n has shift n, so the last one is dead, and the live
+    # series digits s, with shift s, follow it.  One series digit whose last
+    # Mahler coefficient is one power of p short must fail the rule
+    size, trunc = 6, 3
+    rng = random.Random(63_000 + p)
+    shifts = list(range(size)) + list(range(trunc))
+    coeffs = [
+        [p ** max(i - shift, 0) * (1 + p * rng.randrange(p**2)) for i in range(size)]
+        for shift in shifts
+    ]
+    assert _meets_mahler_bounds(p, mahler_samples(coeffs), shifts)
+    coeffs[size + rng.randrange(trunc)][size - 1] //= p
+    assert not _meets_mahler_bounds(p, mahler_samples(coeffs), shifts)
 
 def test_bounds_refuse_orders_past_the_certified_digits():
     delta = dm(3, matrix_input_prec(3, 10, 6, 10), 3, 1, 3, 2)

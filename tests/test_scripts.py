@@ -192,11 +192,18 @@ FULL_SCALE = runpy.run_path(str(SCRIPTS / "full_scale.py"), run_name="full_scale
 
 def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypatch):
     # every timing is the median of --repeats runs: each check runs that
-    # often, and fixture_series builds the series afresh each time
-    from haloslopes import checks
+    # often, fixture_series builds the series afresh each time, and each
+    # fixture is assembled that often at the block count char_series takes
+    from haloslopes import checks, up_operator
+    from haloslopes.charpoly import window_blocks
 
-    builds, runs = [], []
+    builds, runs, assembled = [], [], []
     build = checks.fixture_series.__wrapped__
+    assemble = up_operator.assemble
+
+    def counted_assemble(spec, n_blocks, omega):
+        assembled.append((spec.p, spec.t, n_blocks))
+        return assemble(spec, n_blocks, omega)
 
     @functools.lru_cache(maxsize=None)
     def fixture_series(scale):
@@ -212,8 +219,12 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
     names = [name for name, _fn in checks.CHECKS]
     monkeypatch.setattr(checks, "fixture_series", fixture_series)
     monkeypatch.setattr(checks, "CHECKS", tuple((n, counted(n, fn)) for n, fn in checks.CHECKS))
+    monkeypatch.setattr(up_operator, "assemble", counted_assemble)
     got = FULL_SCALE["measure"]("smoke", 3)
     assert list(got["char_series_s"]) == ["3,1", "5,2"]
+    assert list(got["assemble_s"]) == ["3,1", "5,2"]
+    fixtures = [(p, t, window_blocks(p, t, cs.r, D)) for p, t, D, _spec, cs in build("smoke")]
+    assert assembled == [f for f in fixtures for _ in range(3)]
     assert list(got["checks_s"]) == ["fixture_series", *names]
     assert all(s >= 0 for part in got.values() for s in part.values())
     assert builds == ["smoke"] * 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from haloslopes.iwasawa import CharOfDelta, HaloElt, LambdaElt, mlambda_order
-from haloslopes.monoid_action import DeltaMat, NotInMonoid, matrix_input_prec
+from haloslopes.monoid_action import DeltaMat, NotInMonoid, action_digits, matrix_input_prec
 from haloslopes.padic_core import (
     BadArgument,
     InsufficientPrecision,
@@ -22,6 +22,7 @@ from haloslopes.up_operator import (
     assemble,
     attainable_target,
     block_bound,
+    certified_target,
     halo_bound,
     halo_bounds,
     load_up,
@@ -207,6 +208,45 @@ def test_assemble_matches_reference_path(p, t, seed):
     assert {e.prec for row in mat.entries for e in row} == {nt}
     assert [list(row) for row in mat.entries] == oracle_assemble(spec, nb, omega, nt)
 
+
+
+@st.composite
+def synth_assemblies(draw):
+    """A synth_up operator, or a prefix of its cells, with 1 to 3 blocks."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    t = draw(st.integers(1, 2))
+    n_blocks = draw(st.integers(1, 3))
+    trunc = draw(st.integers(1, 4))
+    N = max(matrix_input_prec(p, n_blocks, trunc, draw(st.integers(1, 6))), 2)
+    spec = synth_up(t, p, N, trunc, seed=draw(st.integers(0, 2**16)))
+    cells = spec.cells[: draw(st.integers(1, len(spec.cells)))]
+    return spec._replace(cells=cells), n_blocks, CharOfDelta(p, draw(st.integers(0, 3)))
+
+
+@given(synth_assemblies())
+def test_assemble_sums_the_kernel_digits_of_each_cell(case):
+    # every entry is the sum over its cell's matrices of the digits that the
+    # kernel gives for each matrix alone, reduced once; an empty cell's
+    # entries are zero
+    spec, n_blocks, omega = case
+    p, t, trunc = spec.p, spec.t, spec.M_T
+    nt = certified_target(spec, n_blocks)
+    size = t * n_blocks
+    sums = [[[0] * trunc for _ in range(size)] for _ in range(size)]
+    for i, j, delta in spec.cells:
+        for m, n, digits in action_digits((delta,), n_blocks, omega, trunc, nt):
+            acc = sums[m * t + i][n * t + j]
+            for s, digit in enumerate(digits):
+                acc[s] += digit
+    filled = {(i, j) for i, j, _delta in spec.cells}
+    mat = assemble(spec, n_blocks, omega)
+    for row in range(size):
+        for col in range(size):
+            entry = mat.entry(row, col)
+            assert (entry.p, entry.prec) == (p, nt)
+            assert entry.res == tuple(d % p**nt for d in sums[row][col])
+            if (row % t, col % t) not in filled:
+                assert entry == LambdaElt.zero(p, nt, trunc)
 
 def test_assemble_rejects_bad_matrix_and_short_precision():
     good = DeltaMat.from_ints(3, 24, 3, 0, 0, 1)
