@@ -447,7 +447,6 @@ def test_sample_factors_meet_their_mahler_bounds(monkeypatch, p, up):
     assert reads == []
 
 
-
 @pytest.mark.parametrize("p, nt", [(2, 6), (3, 5), (5, 3), (7, 2)])
 @pytest.mark.parametrize("size", [1, 8])
 def test_summed_kernel_is_exact_at_its_largest_digits(monkeypatch, p, nt, size):
@@ -470,6 +469,7 @@ def test_summed_kernel_is_exact_at_its_largest_digits(monkeypatch, p, nt, size):
         for m in range(size):
             want.append((m, n, [p * mahler_coeff_oracle(digit, m) for digit in products]))
     assert got == want
+
 
 @given(st.integers(0, 15), st.integers(0, 15))
 def test_binomial_products_expand_from_the_larger_index_to_the_sum(i, j):
@@ -535,7 +535,6 @@ def test_mahler_bound_rule_matches_the_coefficient_oracle(case, data):
         assert not _meets_mahler_bounds(p, rows, shifts)
 
 
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_mahler_bound_rule_walks_past_a_dead_scalar_tail(p):
     # the joined rows of verify_entry_bounds for the M1 class at raise_by 0:
@@ -552,6 +551,7 @@ def test_mahler_bound_rule_walks_past_a_dead_scalar_tail(p):
     assert _meets_mahler_bounds(p, mahler_samples(coeffs), shifts)
     coeffs[size + rng.randrange(trunc)][size - 1] //= p
     assert not _meets_mahler_bounds(p, mahler_samples(coeffs), shifts)
+
 
 def test_bounds_refuse_orders_past_the_certified_digits():
     delta = dm(3, matrix_input_prec(3, 10, 6, 10), 3, 1, 3, 2)

@@ -209,7 +209,6 @@ def test_assemble_matches_reference_path(p, t, seed):
     assert [list(row) for row in mat.entries] == oracle_assemble(spec, nb, omega, nt)
 
 
-
 @st.composite
 def synth_assemblies(draw):
     """A synth_up operator, or a prefix of its cells, with 1 to 3 blocks."""
@@ -247,6 +246,7 @@ def test_assemble_sums_the_kernel_digits_of_each_cell(case):
             assert entry.res == tuple(d % p**nt for d in sums[row][col])
             if (row % t, col % t) not in filled:
                 assert entry == LambdaElt.zero(p, nt, trunc)
+
 
 def test_assemble_rejects_bad_matrix_and_short_precision():
     good = DeltaMat.from_ints(3, 24, 3, 0, 0, 1)
