@@ -27,7 +27,7 @@ from haloslopes.checks import random_monoid_matrix
 from haloslopes.iwasawa import CharOfDelta
 from haloslopes.monoid_action import matrix_input_prec, verify_entry_bounds
 from haloslopes.padic_core import phi_q, q_for
-from haloslopes.polygon import max_vertical_gap
+from haloslopes.polygon import bound_gap, max_vertical_gap
 
 
 def radius(text: str) -> Fraction:
@@ -78,10 +78,9 @@ def main(argv=None) -> int:
                 Fraction(p, q * (p - 1)) * lam[q * t] == Fraction(q * t, 2)
             )
             gap = max_vertical_gap(p, q, t, cfg.vT)
-            want = t * cfg.vT if p == 2 else Fraction((p * p - 1) * t, 8) * cfg.vT
             rows.append(
                 (p, t, cfg.count, cfg.size, violations, lam_ok,
-                 gap, int(gap == want), f"{dt:.2f}")
+                 gap, int(gap == bound_gap(p, t, cfg.vT)), f"{dt:.2f}")
             )
             total_violations += violations
             print(f"p={p} t={t}: {cfg.count} matrices, "

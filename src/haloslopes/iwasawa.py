@@ -3,9 +3,11 @@
 A LambdaElt is the image of a weight-ring element after a torsion character
 has been evaluated: the prime p, the precision N and the residues mod p^N
 of the T-coefficients, stored densely up to T^M_T as plain integers.
-Orders against the maximal ideal (p, T) and against the T-shifted
-outer-annulus ring are certified from coefficient valuations, honestly
-flagging anything a zero residue leaves undecidable.
+Orders against (p, T) and the T-shifted outer-annulus ring, and valuations
+at a radius vT, come from one walk over the stored digits (`_least_terms`),
+a zero residue counting at v = prec.  An order is exact when a nonzero
+residue attains the least term, a valuation only when one alone does:
+tied terms of one value can cancel.
 
 The packed form, in which the Mahler kernel and Berkowitz compute, puts
 T-coefficient s in bits [width*s, width*(s+1)) of one big integer; a
@@ -211,26 +213,34 @@ def reduce_digits(x: int, pn: int, width: int, count: int) -> int:
     return out
 
 
+def _least_terms(x: LambdaElt, num: int, den: int) -> tuple:
+    """(least, flags): least is the minimum over stored m of den*v(b_m) + num*m,
+    a zero residue only bounding v(b_m) below by prec; flags holds one bool
+    per m that attains it, True where b_m != 0.  Term m is at least num*m, so
+    the walk stops once num*m > least: nothing later can lower or tie it."""
+    p, prec = x.p, x.prec
+    least, flags = None, []
+    for m, c in enumerate(x.res):
+        if least is not None and m * num > least:
+            break
+        term = (val_p_int(c, p) if c else prec) * den + m * num
+        if least is None or term < least:
+            least, flags = term, [bool(c)]
+        elif term == least:
+            flags.append(bool(c))
+    return least, flags
+
+
 def mlambda_order(x: LambdaElt) -> OrderBound:
     """Largest r with x in (p, T)^r, i.e. v(b_m) >= r - m for all stored m.
 
-    This is also the halo T-order of x: membership in T^k * Z_p[[T, p/T]]
-    for an honest power series means v(b_m) >= k - m for every m.  The two
+    The walk's least term at vT = 1, exact iff a nonzero residue attains it.
+    It is also the halo T-order of x: membership in T^k * Z_p[[T, p/T]] for
+    an honest power series means v(b_m) >= k - m for every m.  The two
     differ only on T-shifted values, which HaloElt handles.
     """
-    # a zero residue only bounds v(b_m) below by prec; coefficient m
-    # contributes at least m, so past the minimum nothing can lower or tie it
-    p, prec = x.p, x.prec
-    best, best_exact = None, False
-    for m, c in enumerate(x.res):
-        if best is not None and m > best:
-            break
-        contrib = (val_p_int(c, p) if c else prec) + m
-        if best is None or contrib < best:
-            best, best_exact = contrib, bool(c)
-        elif contrib == best and c:
-            best_exact = True
-    return OrderBound(best, best_exact)
+    least, flags = _least_terms(x, 1, 1)
+    return OrderBound(least, any(flags))
 
 
 class HaloElt(NamedTuple):
@@ -254,26 +264,12 @@ class HaloElt(NamedTuple):
 def eval_valuation(x: LambdaElt, vT: Fraction) -> OrderBound:
     """The valuation of x(T) at a point with v(T) = vT.
 
-    The value is min_m (v(b_m) + m*vT); it is the exact valuation iff a
-    unique m attains the minimum and that coefficient's valuation is exact.
-    Otherwise the returned value is only a certified lower bound.
+    The value is the least term min_m (v(b_m) + m*vT) of the walk; it is
+    the exact valuation iff a unique m attains it and that residue is
+    nonzero.  Otherwise the returned value is only a certified lower bound.
     """
     vT = Fraction(vT)
     if not 0 < vT < 1:
         raise BadArgument(f"vT must lie in (0,1), got {vT}")
-    # compare den * (v(b_m) + m*vT) as integers; coefficient m contributes
-    # at least m*vT, so past the minimum nothing can lower or tie it
-    num, den = vT.numerator, vT.denominator
-    p, prec = x.p, x.prec
-    best = None
-    best_exact = False
-    tie = False
-    for m, c in enumerate(x.res):
-        if best is not None and m * num > best:
-            break
-        contrib = (val_p_int(c, p) if c else prec) * den + m * num
-        if best is None or contrib < best:
-            best, best_exact, tie = contrib, bool(c), False
-        elif contrib == best:
-            tie = True
-    return OrderBound(Fraction(best, den), best_exact and not tie)
+    least, flags = _least_terms(x, vT.numerator, vT.denominator)
+    return OrderBound(Fraction(least, vT.denominator), flags == [True])

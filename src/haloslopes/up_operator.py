@@ -244,15 +244,18 @@ def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
     input component j.  The matrices of each cell run through the packed
     Mahler kernel together, which sums them per entry; each sum is reduced
     once, to the largest precision the budget certifies for n_blocks
-    blocks, and a cell with no matrices gives zero entries.  Invariants are
-    checked where specs enter the system (synthesis, file ingestion), not
-    here, so partial cell lists can be assembled and summed.
+    blocks, and a cell with no matrices gives zero entries.  Only indices,
+    the monoid test and precision are checked here; counts and the U_p class
+    are checked where specs enter (synthesis, file ingestion), so partial
+    cell lists can be assembled and summed.
     """
     p, t, trunc = spec.p, spec.t, spec.M_T
     n_target = certified_target(spec, n_blocks)
     need = matrix_input_prec(p, n_blocks, trunc, n_target)
     cells = {}
     for i, j, delta in spec.cells:
+        if not (0 <= i < t and 0 <= j < t):
+            raise InvariantViolation(f"cell index ({i},{j}) out of range")
         if check_monoid(delta) is MonoidClass.Neither:
             raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
         if delta.prec < need:

@@ -263,6 +263,16 @@ def test_assemble_needs_precision():
         assemble(scaling_spec(3, 2), 9, triv(3))
 
 
+@pytest.mark.parametrize("i, j", [(0, -1), (2, 0)])
+def test_assemble_rejects_cell_indices_out_of_range(i, j):
+    # a negative index would wrap into the last block column, and one past
+    # t would index past the grid
+    delta = DeltaMat.from_ints(3, 24, 3, 0, 0, 1)
+    spec = UpSpec(2, 3, 24, 4, ((i, j, delta),), None)
+    with pytest.raises(InvariantViolation, match=rf"cell index \({i},{j}\) out of range"):
+        assemble(spec, 2, triv(3))
+
+
 # -- block bounds -----------------------------------------------------------
 
 
