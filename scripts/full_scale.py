@@ -17,6 +17,11 @@ Usage:
   checks share, and of each acceptance check in one process, in registry
   order, each the median of --repeats runs; `fixture_series`' cache is
   cleared before each of its runs, so each one builds the series;
+- `layers_s`: seconds of one call of each entry-side layer at the scale's
+  entry shape, keyed "NAME p" for p = 2, 3, 5, on the first matrix of the
+  `entry-bounds-up` stream: `torsion_residue` and `log_line` on its entries,
+  `_kernel_samples`, and `_meets_mahler_bounds` on its samples, each the
+  median of --repeats runs;
 - `verify_s`: wall seconds of a whole `python3 -m haloslopes verify` process
   at the scale, the median of --repeats runs: `fork` as it runs, where
   `checks.run_checks` may split the checks over two processes, and
@@ -37,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import runpy
 import statistics
 import subprocess
@@ -61,8 +67,8 @@ def _median_seconds(fn, repeats: int) -> float:
 
 
 def measure(scale: str, repeats: int) -> dict:
-    """char_series, assemble and per-check seconds of the package on the
-    import path, each the median of repeats runs."""
+    """char_series, assemble, per-check and per-layer seconds of the package
+    on the import path, each the median of repeats runs."""
     from haloslopes import checks, up_operator
     from haloslopes.charpoly import char_series, window_blocks
     from haloslopes.iwasawa import CharOfDelta
@@ -87,7 +93,43 @@ def measure(scale: str, repeats: int) -> dict:
         )
     for name, fn in checks.CHECKS:
         checks_s[name] = _median_seconds(lambda: run(name, fn), repeats)
-    return {"char_series_s": series_s, "assemble_s": assemble_s, "checks_s": checks_s}
+    return {"char_series_s": series_s, "assemble_s": assemble_s, "checks_s": checks_s,
+            "layers_s": layer_seconds(scale, repeats)}
+
+
+def layer_seconds(scale: str, repeats: int) -> dict:
+    """Seconds of one call of each entry-side layer, per prime, each the
+    median of repeats runs; only names and signatures the parent shares."""
+    from haloslopes import checks, monoid_action, padic_core
+    from haloslopes.iwasawa import CharOfDelta
+
+    sc = checks.SCALES[scale]
+    size, trunc = sc.entry_size, sc.entry_trunc
+    out = {}
+    for p in (2, 3, 5):
+        # the first matrix and character of the entry-bounds-up check
+        rng = random.Random(sc.entry_streams[0] + p)
+        N = monoid_action.matrix_input_prec(p, size, trunc, size)
+        delta = checks.random_monoid_matrix(rng, p, N, True)
+        omega = CharOfDelta(p, rng.randrange(padic_core.phi_q(p)))
+        _a, _b, c, d = delta.residues
+        mod = p**N
+        d0 = padic_core.torsion_residue(d, p, N)
+        v, u = d * pow(d0, -1, mod) % mod, c * pow(d, -1, mod) % mod
+        scalars, series = monoid_action._kernel_samples(delta, size, omega, trunc, size)
+        rows = [x + y for x, y in zip(scalars, series)]
+        shifts = [n // p for n in range(size)] + list(range(trunc))
+        calls = {
+            "torsion_residue": lambda: padic_core.torsion_residue(d, p, N),
+            "log_line": lambda: padic_core.log_line(v, u, size, p, N),
+            "_kernel_samples": lambda: monoid_action._kernel_samples(
+                delta, size, omega, trunc, size),
+            "_meets_mahler_bounds": lambda: monoid_action._meets_mahler_bounds(
+                p, rows, shifts),
+        }
+        for name, fn in calls.items():
+            out[f"{name} {p}"] = _median_seconds(fn, repeats)
+    return out
 
 
 def _one_cpu():

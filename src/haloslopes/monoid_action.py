@@ -13,8 +13,11 @@ differences: P_{m,n} = m-th difference of h_n at 0.
 `_kernel_samples` gives the two factors of every sample as plain ints:
 the scalars C(f(z), n) * omega(d0) and the series digits, reduced mod
 p^n_target, the precision its caller certifies.  It takes its Teichmuller
-lifts, logs and binomials from `padic_core`; the per-entry reference it
-is tested against lives with the test oracles and uses none of them.
+lifts, logs and binomials from `padic_core`, inverts every denominator
+cz + d through one inversion of their product, and lets `binomials` fold
+omega(d0) into its divisors, so each digit costs one reduction mod
+p^n_target; the per-entry reference it is tested against lives with the
+test oracles and uses none of them.
 `difference_triangle`, the Mahler transform, is an integer combination of
 its rows, so on products of the factors every digit it gives is congruent
 mod p^n_target to the T-coefficient of P_{m,n}.
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -198,19 +202,22 @@ def _kernel_samples(
     mod = p**prec
     target = p**n_target
     d0 = torsion_residue(delta.d_res, p, prec)
-    w_res = pow(d0, omega.exponent, target)
     a, b, c, d = delta.residues
 
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
     gs, _eff = log_line(d * pow(d0, -1, mod) % mod, c * inv_d % mod, size, p, prec)
-    scalars = []
-    series = []
-    for z, g in enumerate(gs):
-        fz = (a * z + b) * pow((c * z + d) % mod, -1, mod) % mod
-        scalars.append([x * w_res % target for x in binomials(fz, size, p, prec)])
-        series.append([x % target for x in binomials(g, trunc, p, prec)])
-    return scalars, series
+    # f(z) = (az + b)/(cz + d): the denominators are units (q | c), so one
+    # inversion of their product and a walk back give every 1/(cz + d)
+    dens = [(c * z + d) % mod for z in range(size)]
+    prefix = list(accumulate(dens, lambda x, y: x * y % mod, initial=1))
+    inv = pow(prefix[-1], -1, mod)
+    fs = [0] * size
+    for z in reversed(range(size)):
+        fs[z] = (a * z + b) * inv * prefix[z] % mod
+        inv = inv * dens[z] % mod
+    scalars = binomials(fs, size, p, prec, target, pow(d0, omega.exponent, target))
+    return scalars, binomials(gs, trunc, p, prec, target)
 
 
 def difference_triangle(rows: list) -> list:
@@ -325,12 +332,13 @@ def verify_entry_bounds(
     if _meets_mahler_bounds(p, rows, shifts + list(range(trunc))):
         return BoundReport(cls, size, ())
     # a factor bound failed: report every entry short of its demand (an order
-    # is never negative, so an entry with no demand is never reported)
+    # is never negative, so an entry with no demand is never reported).  meets
+    # never raises here: an AtLeast order is at least n_target, every demand.
     violations = []
     for m, n, digits in action_digits((delta,), size, omega, trunc, n_target):
         need = m - shifts[n]
         if need > 0:
             order = mlambda_order(LambdaElt.from_ints(p, n_target, trunc, digits))
-            if order.value < need:
+            if not order.meets(need, f"entry P_{m},{n}"):
                 violations.append((m, n, order))
     return BoundReport(cls, size, tuple(violations))

@@ -274,9 +274,10 @@ def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
     coeffs = _log_coeffs(u % modulus, p, prec, top)[::-1]
     out = []
     for z in range(count):
+        # exact integers: the accumulator grows by bits(z) per coefficient
         acc = 0
         for c in coeffs:
-            acc = (acc + c) * z % top
+            acc = (acc + c) * z
         total = (base + acc) % top
         if total % q != 0:
             raise BadArgument("log value not divisible by q; argument not 1 mod q?")
@@ -311,18 +312,23 @@ def _binom_divisors(p: int, count: int, prec: int) -> tuple:
     return tuple(zip(pvs, reversed(invs)))
 
 
-def binomials(x: int, count: int, p: int, prec: int) -> list:
-    """C(x, r) for r < count as residues mod p^prec, from one falling factorial.
+def binomials(xs, count: int, p: int, prec: int, target: int, scale: int = 1) -> list:
+    """scale * C(x, r) mod target for r < count, one row per x in xs.
 
-    The running product x(x-1)...(x-r+1) is r! times an integer, so its
-    residue mod p^prec stays divisible by p^v_p(r!); dividing that out
-    leaves C(x, r) certified to prec - v_p(r!) digits, which callers budget
-    for.  InsufficientPrecision if some v_p(r!) reaches prec.
+    x is a residue mod p^prec.  The running product x(x-1)...(x-r+1) is r!
+    times an integer, so its residue mod p^prec stays divisible by
+    p^v_p(r!); dividing that out leaves C(x, r) certified to
+    prec - v_p(r!) digits, which callers budget for: target must divide
+    p^prec, and the row is exact where it divides p^(prec - v_p(r!)).  The
+    scale is folded into the r!-unit inverses once, so each digit takes one
+    reduction mod target.  InsufficientPrecision if some v_p(r!) reaches prec.
     """
     mod = p**prec
-    out = [1]
-    ff = 1
-    for r, (pv, inv) in enumerate(_binom_divisors(p, count, prec), 1):
-        ff = ff * (x - r + 1) % mod
-        out.append(ff // pv * inv % mod)
-    return out
+    divisors = [(pv, inv * scale % target) for pv, inv in _binom_divisors(p, count, prec)]
+    first = scale % target
+    rows = []
+    for x in xs:
+        ff = 1
+        rows.append([first] + [(ff := ff * y % mod) // pv * inv % target
+                               for y, (pv, inv) in zip(range(x, x - count, -1), divisors)])
+    return rows

@@ -20,6 +20,7 @@ they nor LambdaElt's product reach the packed codec.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,3 +305,29 @@ def eval_valuation_oracle(x: CoeffLambda, vT: Fraction) -> OrderBound:
     best = min(v for v, _ in contribs)
     winners = [exact for v, exact in contribs if v == best]
     return OrderBound.exact(best) if winners == [True] else OrderBound.at_least(best)
+
+
+def char_at_point_oracle(entries, tau: int, modulus: int, degree: int) -> list:
+    """c_0..c_degree of det(I - X A(tau)) mod modulus, by Newton's identities.
+
+    A(tau) evaluates each entry's stored T-digits at T = tau in exact
+    integers.  For an integer matrix, n c_n = -sum_{i=1..n} tr(A^i) c_{n-i};
+    the traces come from exact matrix powers and each c_n from an exact
+    integer division, reduced only at the end: no packed digits, width or
+    digitwise reduction, unlike the Berkowitz recurrence it witnesses.
+    When tau = p*u and modulus divides p^min(prec, trunc), T -> tau is a ring
+    map from the entries' ring onto Z/modulus, so the result equals the
+    characteristic series evaluated at tau.
+    """
+    a = [[sum(b * tau**s for s, b in enumerate(e.res)) for e in row] for row in entries]
+    columns = list(zip(*a))
+    power, traces = a, []
+    for _ in range(degree):
+        traces.append(sum(power[j][j] for j in range(len(a))))
+        power = [[sum(map(operator.mul, row, col)) for col in columns] for row in power]
+    c = [1]
+    for n in range(1, degree + 1):
+        total = -sum(traces[i - 1] * c[n - i] for i in range(1, n + 1))
+        assert total % n == 0, f"c_{n} is not an integer"
+        c.append(total // n)
+    return [x % modulus for x in c]

@@ -21,7 +21,9 @@ from haloslopes.charpoly import (
     lambda_seq,
     truncation_size,
     verify_char_bound,
+    window_blocks,
 )
+from haloslopes import checks
 from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import DeltaMat
 from haloslopes.padic_core import (
@@ -33,7 +35,12 @@ from haloslopes.padic_core import (
 )
 from haloslopes.up_operator import UpSpec, assemble, synth_up
 
-from oracles import CoeffLambda, charpoly_cofactor_oracle, valuation_oracle
+from oracles import (
+    CoeffLambda,
+    char_at_point_oracle,
+    charpoly_cofactor_oracle,
+    valuation_oracle,
+)
 
 
 def elt(p, n, trunc, ints):
@@ -307,6 +314,19 @@ def test_char_series_detects_unstable_tail():
     spec = UpSpec(1, 3, N, 6, ((0, 0, ident),), None)
     with pytest.raises(StabilityFailure):
         char_series(spec, 1, 1, triv(3))
+
+
+@pytest.mark.parametrize("scale", ["smoke", "full"])
+def test_fixture_series_match_the_newton_identity_witness(scale):
+    # T -> tau = p*u maps Z/p^prec[T]/T^M_T onto Z/p^k, k = min(prec, M_T),
+    # so each certified c_n at tau is the X^n coefficient of det(I - X A(tau))
+    # mod p^k, computed by an algorithm with no packed codec
+    for p, t, D, spec, cs in checks.fixture_series(scale):
+        mat = assemble(spec, window_blocks(p, t, cs.r, D), CharOfDelta(p, 0))
+        k = min(mat.entry(0, 0).prec, spec.M_T)
+        for tau in (p, 2 * p):
+            got = [sum(b * tau**s for s, b in enumerate(c.res)) % p**k for c in cs.coeffs]
+            assert got == char_at_point_oracle(mat.entries, tau, p**k, D), (p, t, tau)
 
 
 def test_char_series_undecidable_gap_is_precision_shortfall():

@@ -156,27 +156,52 @@ def test_log_line_rejects_bad_arguments():
         log_line(6, 5, 3, 5, 1)
 
 
+def test_log_line_at_a_large_shape_matches_the_oracle():
+    # Horner runs unreduced, so at this shape the accumulator reaches about
+    # k_max * bits(count) bits past top before its one reduction per sample
+    for p, prec, count in ((2, 300, 200), (3, 300, 200), (5, 320, 210)):
+        q, mod = q_for(p), p**prec
+        c, d = q * 123456789, p * 987654321 + 1
+        d0 = torsion_residue(d, p, prec)
+        inv_d0 = pow(d0, -1, mod)
+        line, eff = log_line(d * inv_d0 % mod, c * pow(d, -1, mod) % mod, count, p, prec)
+        assert len(line) == count and eff >= prec - 10
+        for z in [*range(0, count, 7), count - 1]:
+            u = (c * z + d) * inv_d0 % mod
+            # every digit against the series summed at the point, no Horner
+            assert ([line[z]], eff) == log_line(u, 0, 1, p, prec)
+            assert line[z] % p**40 == log_ratio_oracle(p, q, u, 40)
+
+
+def binomial(x, r, p, prec):
+    # C(x, r) mod p^prec from the row routine, one sample and scale 1
+    return binomials([x], r + 1, p, prec, p**prec)[0][r]
+
+
 def test_binom_examples():
-    assert binomials(7, 3, 5, 4)[2] == 21
-    assert binomials(123, 1, 7, 3) == [1]
-    got = binomials(7, 6, 5, 4)
+    assert binomial(7, 2, 5, 4) == 21
+    assert binomials([123], 1, 7, 3, 7**3) == [[1]]
+    (got,) = binomials([7], 6, 5, 4, 5**4)
     assert got[:5] == [1, 7, 21, 35, 35]
     # C(7, 5) is certified to 4 - v_5(5!) = 3 digits
     assert 4 - val_p_factorial(5, 5) == 3
     assert got[5] % 125 == binom_oracle(7, 5, 5, 3) == 21 % 125
+    # one row per sample, each scaled and reduced to the target
+    assert binomials([7, 8], 3, 5, 4, 25, 3) == [[3, 21, 13], [3, 24, 9]]
+    assert binomials([], 3, 5, 4, 25, 3) == []
 
 
 def test_binom_large_r_matches_oracle():
     # r = 1200 once overflowed the recursion limit in the unit factorial
     p, prec, u, r = 3, 2000, 12345, 1200
-    got = binomials(u, r + 1, p, prec)[r]
+    got = binomial(u, r, p, prec)
     certified = prec - val_p_factorial(r, p)
     assert got % p**certified == binom_oracle(u, r, p, certified)
 
 
 def test_binom_insufficient_precision():
     with pytest.raises(InsufficientPrecision):
-        binomials(3, 6, 5, 1)
+        binomials([3], 6, 5, 1, 5)
 
 
 @given(
@@ -186,16 +211,38 @@ def test_binom_insufficient_precision():
 )
 def test_binom_matches_integer_oracle(p, u, r):
     n = 12
-    got = binomials(u, r + 1, p, n + val_p_factorial(r, p))[r]
+    got = binomial(u, r, p, n + val_p_factorial(r, p))
     assert got % p ** n == binom_oracle(u, r, p, n)
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.lists(st.integers(0, 10**12), max_size=6),
+    st.integers(1, 30),
+    st.integers(0, 6),
+    st.integers(1, 10**6),
+    st.integers(0, 5),
+)
+def test_binomial_rows_are_scaled_binomials_mod_the_target(p, xs, count, pad, d, e):
+    # every digit of row x is scale * C(x, r) mod target, for a torsion
+    # scale omega(d)^e and any target dividing p^(prec - v_p(r!)), r < count
+    prec = val_p_factorial(count - 1, p) + 1 + pad
+    target = p ** (prec - val_p_factorial(count - 1, p))
+    mod = p**prec
+    d = d * p + 1 + d % (p - 1)
+    scale = pow(torsion_residue(d, p, prec), e, target)
+    xs = [x % mod for x in xs]
+    rows = binomials(xs, count, p, prec, target, scale)
+    assert len(rows) == len(xs)
+    for x, row in zip(xs, rows):
+        assert row == [scale * binom_oracle(x, r, p, prec) % target for r in range(count)]
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 10 ** 9), st.integers(1, 20))
 def test_binom_pascal(p, u, r):
     n = 8
     pad = n + val_p_factorial(r, p)
-    lhs = binomials(u, r + 1, p, pad)
-    rhs = binomials(u + 1, r + 1, p, pad)
+    lhs, rhs = binomials([u, u + 1], r + 1, p, pad, p**n)
     assert (lhs[r] + lhs[r - 1] - rhs[r]) % p ** n == 0
 
 

@@ -192,43 +192,87 @@ FULL_SCALE = runpy.run_path(str(SCRIPTS / "full_scale.py"), run_name="full_scale
 
 def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypatch):
     # every timing is the median of --repeats runs: each check runs that
-    # often, fixture_series builds the series afresh each time, and each
-    # fixture is assembled that often at the block count char_series takes
-    from haloslopes import checks, up_operator
+    # often, fixture_series builds the series afresh each time, each fixture
+    # is assembled that often at the block count char_series takes, and each
+    # entry-side layer is called that often per prime at the entry shape
+    from haloslopes import charpoly, checks, monoid_action, padic_core, up_operator
     from haloslopes.charpoly import window_blocks
 
-    builds, runs, assembled = [], [], []
+    builds, runs, assembled, layers = [], [], [], []
+    busy = []  # inside a check, a series or an assembly, whose calls are not counted
     build = checks.fixture_series.__wrapped__
     assemble = up_operator.assemble
 
+    def inside(fn):
+        def call(*args):
+            busy.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                busy.pop()
+        return call
+
     def counted_assemble(spec, n_blocks, omega):
         assembled.append((spec.p, spec.t, n_blocks))
-        return assemble(spec, n_blocks, omega)
+        return inside(assemble)(spec, n_blocks, omega)
 
     @functools.lru_cache(maxsize=None)
     def fixture_series(scale):
         builds.append(scale)
-        return build(scale)
+        return inside(build)(scale)
 
     def counted(name, fn):
         def check(scale, fault=False):
             runs.append(name)
-            return fn(scale, fault)
+            return inside(fn)(scale, fault)
         return check
+
+    def layer(module, name, key):
+        fn = getattr(module, name)
+
+        def call(*args):
+            out = fn(*args)
+            if not busy:
+                layers.append((name, key(*args), out if out is True else None))
+            return out
+        monkeypatch.setattr(module, name, call)
 
     names = [name for name, _fn in checks.CHECKS]
     monkeypatch.setattr(checks, "fixture_series", fixture_series)
     monkeypatch.setattr(checks, "CHECKS", tuple((n, counted(n, fn)) for n, fn in checks.CHECKS))
     monkeypatch.setattr(up_operator, "assemble", counted_assemble)
+    monkeypatch.setattr(charpoly, "char_series", inside(charpoly.char_series))
+    layer(padic_core, "torsion_residue", lambda d, p, prec: (p, None))
+    layer(padic_core, "log_line", lambda v, u, count, p, prec: (p, count))
+    layer(monoid_action, "_kernel_samples", lambda delta, size, *_: (delta.p, size))
+    layer(monoid_action, "_meets_mahler_bounds", lambda p, rows, shifts: (p, len(rows)))
     got = FULL_SCALE["measure"]("smoke", 3)
+    measured = list(layers)
     assert list(got["char_series_s"]) == ["3,1", "5,2"]
     assert list(got["assemble_s"]) == ["3,1", "5,2"]
     fixtures = [(p, t, window_blocks(p, t, cs.r, D)) for p, t, D, _spec, cs in build("smoke")]
     assert assembled == [f for f in fixtures for _ in range(3)]
     assert list(got["checks_s"]) == ["fixture_series", *names]
+    assert list(got["layers_s"]) == [
+        f"{name} {p}" for p in (2, 3, 5)
+        for name in ("torsion_residue", "log_line", "_kernel_samples", "_meets_mahler_bounds")
+    ]
     assert all(s >= 0 for part in got.values() for s in part.values())
     assert builds == ["smoke"] * 3
     assert runs == [name for name in names for _ in range(3)]
+    # one untimed call of each of the first two layers builds the next
+    # layer's inputs; the samples satisfy the bounds the walk tests
+    size = checks.SCALES["smoke"].entry_size
+    assert measured == [
+        call for p in (2, 3, 5) for call in [
+            ("torsion_residue", (p, None), None),
+            ("_kernel_samples", (p, size), None),
+            *[("torsion_residue", (p, None), None)] * 3,
+            *[("log_line", (p, size), None)] * 3,
+            *[("_kernel_samples", (p, size), None)] * 3,
+            *[("_meets_mahler_bounds", (p, size), True)] * 3,
+        ]
+    ]
 
 
 def test_full_scale_medians_are_per_side_and_per_measurement():
