@@ -12,12 +12,9 @@ differences: P_{m,n} = m-th difference of h_n at 0.
 
 `_kernel_samples` gives the two factors of every sample as plain ints:
 the scalars C(f(z), n) * omega(d0) and the series digits, reduced mod
-p^n_target, the precision its caller certifies.  It takes its Teichmuller
-lifts, logs and binomials from `padic_core`, inverts every denominator
-cz + d through one inversion of their product, and lets `binomials` fold
-omega(d0) into its divisors, so each digit costs one reduction mod
-p^n_target; the per-entry reference it is tested against lives with the
-test oracles and uses none of them.
+p^n_target, the precision its caller certifies, each by one reduction.  It
+takes its Teichmuller lifts, logs and binomials from `padic_core`; the
+per-entry reference it is tested against lives with the test oracles.
 `difference_triangle`, the Mahler transform, is an integer combination of
 its rows, so on products of the factors every digit it gives is congruent
 mod p^n_target to the T-coefficient of P_{m,n}.
@@ -36,26 +33,26 @@ The levels of the k triangles are added to the bias block, 2^(width-1) in
 every digit, row 0 included; each digit is then a nonnegative field of the
 packed value and unpacks, less the bias, to the exact integer sum.
 
-`verify_entry_bounds` certifies from the two sample factors, in plain
-integers.  Column n demands order m - shift_n of row m, with
-shift_n = n // step - raise_by, and an entry sum_s b_s T^s lies in (p, T)^r
-exactly when v(b_s) >= r - s for every s.  Over the samples z < size, write
-scalar column n as sum_i a_i C(z, i) and series digit s as
-sum_j c_j C(z, j), their Mahler expansions.  One rule
-(`_meets_mahler_bounds`) tests both factors with `%`: p^(i - shift)
-divides the i-th Mahler coefficient wherever the exponent is positive,
-with shift = shift_n for scalar column n and shift = s for series digit s.
+`verify_entry_bounds` certifies from the two sample factors.  Column n
+demands order m - shift_n of row m, with shift_n = n // step - raise_by,
+and an entry sum_s b_s T^s lies in (p, T)^r exactly when v(b_s) >= r - s
+for every s.  Over the samples z < size, write scalar column n as
+sum_i a_i C(z, i) and series digit s as sum_j c_j C(z, j), their Mahler
+expansions.  One rule tests both factors with `%`: p^(i - shift) divides
+the i-th Mahler coefficient wherever the exponent is positive, with
+shift = shift_n for scalar column n and shift = s for series digit s, so
+that the j-th Mahler coefficient of the series factor lies in (p, T)^j.
 C(z, i) C(z, j) is an integer combination of the C(z, k) with
 max(i, j) <= k <= i + j, so every term that a_i c_j adds to digit s of
 P_{k,n} has valuation at least (i - shift_n) + (j - s) >= k - shift_n - s,
 and every entry meets its demand.  The factors are the kernel's reduced
 samples, whose product `action_digits` expands, so the certificate holds
 for the digits it yields; demands never exceed n_target = size, where
-those digits are certified.  The rule runs once, on the scalar columns
-followed by the series digits, and walks one difference level of all
-their columns at a time.  A column with no positive exponent
-(shift + 1 >= size) is dead and skipped wherever it sits, as the M1
-class's last scalar column at raise_by 0 is, before live series columns.
+those digits are certified.  `_meets_mahler_bounds` walks one difference
+level of all scalar columns at a time, in plain integers, and skips a dead
+column (shift + 1 >= size) wherever it sits.  The series walk packs each
+sample's digits in one integer: a level digit has |d| <= 2^j p^n_target,
+j < size, below the bias 2^(width - 1) at width bits(p^n_target) + size.
 When a factor bound fails, the report reads every entry once through
 `action_digits` and lists those whose order misses their demand, in
 (n, m) order; it is exact on its own, so the certificate decides only how
@@ -67,7 +64,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mod, mul, sub
 from typing import NamedTuple
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order, pack, unpack
@@ -207,15 +204,13 @@ def _kernel_samples(
     # g(z) = log((cz + d)/d0)/q = log((d/d0) (1 + (c/d) z))/q on the line
     inv_d = pow(d, -1, mod)
     gs, _eff = log_line(d * pow(d0, -1, mod) % mod, c * inv_d % mod, size, p, prec)
-    # f(z) = (az + b)/(cz + d): the denominators are units (q | c), so one
-    # inversion of their product and a walk back give every 1/(cz + d)
+    # f(z) = (az + b)/(cz + d): each cz + d is a unit (q | c), so one
+    # inversion of their product and a walk back give every inverse
     dens = [(c * z + d) % mod for z in range(size)]
     prefix = list(accumulate(dens, lambda x, y: x * y % mod, initial=1))
-    inv = pow(prefix[-1], -1, mod)
-    fs = [0] * size
+    inv, fs = pow(prefix[-1], -1, mod), [0] * size
     for z in reversed(range(size)):
-        fs[z] = (a * z + b) * inv * prefix[z] % mod
-        inv = inv * dens[z] % mod
+        fs[z], inv = (a * z + b) * inv * prefix[z] % mod, inv * dens[z] % mod
     scalars = binomials(fs, size, p, prec, target, pow(d0, omega.exponent, target))
     return scalars, binomials(gs, trunc, p, prec, target)
 
@@ -270,23 +265,39 @@ class BoundReport(NamedTuple):
         return not self.violations
 
 
+@lru_cache(maxsize=None)
+def _level_divisors(p: int, size: int, shifts: tuple) -> tuple:
+    # the live columns, and the power each must divide at each level i
+    live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
+    return live, [[p ** max(i - shifts[k], 0) for k in live] for i in range(size)]
+
+
 def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
     """Whether p^(i - shift) divides the i-th Mahler coefficient of every column.
 
     rows[z][k] is column k at sample z, and shifts[k] its shift, in any
     order.  The walk takes one difference level of every live column
     (shift + 1 < len(rows), wherever it sits) at a time, and at level i
-    tests the first row of each column with i > shift.
+    tests the first row of each column against p^max(i - shift, 0).
     """
-    size = len(rows)
-    live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
-    shifts = [shifts[k] for k in live]
-    powers = [p**e for e in range(size - min(shifts, default=0))]
+    live, divisors = _level_divisors(p, len(rows), tuple(shifts))
     level = [[row[k] for k in live] for row in rows]
-    for i in range(size):
-        if any(x % powers[i - shift] for x, shift in zip(level[0], shifts) if i > shift):
+    for divs in divisors:
+        if any(map(mod, level[0], divs)):
             return False
         level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
+    return True
+
+
+def _series_meets_mahler_bounds(p: int, series: list, n_target: int) -> bool:
+    """`_meets_mahler_bounds` on series digit s at shift s, rows packed (module doc)."""
+    width = (p**n_target).bit_length() + len(series)
+    bias = 1 << (width - 1)
+    bc = pack((bias,) * len(series[0]), width)
+    for i, first in enumerate(difference_triangle([pack(row, width) for row in series])):
+        digits = unpack(first + bc, width, min(i, len(series[0])))
+        if any((d - bias) % p ** (i - s) for s, d in enumerate(digits)):
+            return False
     return True
 
 
@@ -328,8 +339,7 @@ def verify_entry_bounds(
     step = p if cls is MonoidClass.UpMonoid else 1
     shifts = [n // step - raise_by for n in range(size)]
     scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
-    rows = list(map(add, scalars, series))
-    if _meets_mahler_bounds(p, rows, shifts + list(range(trunc))):
+    if _meets_mahler_bounds(p, scalars, shifts) and _series_meets_mahler_bounds(p, series, size):
         return BoundReport(cls, size, ())
     # a factor bound failed: report every entry short of its demand (an order
     # is never negative, so an entry with no demand is never reported).  meets

@@ -238,12 +238,15 @@ def _log_series_terms(p: int, prec: int) -> tuple:
 def _log_coeffs(x: int, p: int, prec: int, top: int) -> list:
     # (-1)^(k+1) x^k / k mod top for k = 1..k_max: log(1 + x z) as a
     # polynomial in z; x^k is reduced mod p^prec before the exact division
-    # by the p-part of k, which top (a divisor of p^prec / p^v_p(k)) absorbs
+    # by the p-part of k, which top (a divisor of p^prec / p^v_p(k)) absorbs;
+    # it stops at the first x^k that is 0 mod p^prec, as every later one is
     modulus = p**prec
     out = []
     xk = 1
     for pk, inv, even in _log_series_terms(p, prec):
         xk = xk * x % modulus
+        if not xk:
+            break
         term = xk // pk * inv
         out.append(-term % top if even else term % top)
     return out
@@ -255,7 +258,8 @@ def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
     v = 1 mod q and u = 0 mod q.  The logarithm splits as log(v) + log(1+uz).
     The series log(1+x) = sum (-1)^(k+1) x^k / k, summed up to the cutoff,
     gives log(v) at x = v - 1; its coefficients at x = u, computed once, make
-    log(1 + uz) a polynomial in z, evaluated at each z by Horner's rule.
+    log(1 + uz) a polynomial in z, evaluated at each z by Horner's rule in
+    exact integers, with one reduction per sample.
     Division by the p-part of k (and by q, a power of p, at the end) is
     exact integer division, costing the digits log_cutoff counts.
     """
@@ -274,7 +278,6 @@ def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
     coeffs = _log_coeffs(u % modulus, p, prec, top)[::-1]
     out = []
     for z in range(count):
-        # exact integers: the accumulator grows by bits(z) per coefficient
         acc = 0
         for c in coeffs:
             acc = (acc + c) * z
@@ -315,13 +318,11 @@ def _binom_divisors(p: int, count: int, prec: int) -> tuple:
 def binomials(xs, count: int, p: int, prec: int, target: int, scale: int = 1) -> list:
     """scale * C(x, r) mod target for r < count, one row per x in xs.
 
-    x is a residue mod p^prec.  The running product x(x-1)...(x-r+1) is r!
-    times an integer, so its residue mod p^prec stays divisible by
-    p^v_p(r!); dividing that out leaves C(x, r) certified to
-    prec - v_p(r!) digits, which callers budget for: target must divide
-    p^prec, and the row is exact where it divides p^(prec - v_p(r!)).  The
-    scale is folded into the r!-unit inverses once, so each digit takes one
-    reduction mod target.  InsufficientPrecision if some v_p(r!) reaches prec.
+    The running product x(x-1)...(x-r+1) is r! times an integer, so its
+    residue mod p^prec stays divisible by p^v_p(r!); dividing that out
+    leaves C(x, r) exact mod any target dividing p^(prec - v_p(r!)), which
+    callers budget for.  The scale is folded into the r!-unit inverses once
+    per call.  InsufficientPrecision if some v_p(r!) reaches prec.
     """
     mod = p**prec
     divisors = [(pv, inv * scale % target) for pv, inv in _binom_divisors(p, count, prec)]
