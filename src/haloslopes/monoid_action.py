@@ -33,26 +33,26 @@ The levels of the k triangles are added to the bias block, 2^(width-1) in
 every digit, row 0 included; each digit is then a nonnegative field of the
 packed value and unpacks, less the bias, to the exact integer sum.
 
-`verify_entry_bounds` certifies from the two sample factors.  Column n
-demands order m - shift_n of row m, with shift_n = n // step - raise_by,
-and an entry sum_s b_s T^s lies in (p, T)^r exactly when v(b_s) >= r - s
-for every s.  Over the samples z < size, write scalar column n as
-sum_i a_i C(z, i) and series digit s as sum_j c_j C(z, j), their Mahler
-expansions.  One rule tests both factors with `%`: p^(i - shift) divides
-the i-th Mahler coefficient wherever the exponent is positive, with
-shift = shift_n for scalar column n and shift = s for series digit s, so
-that the j-th Mahler coefficient of the series factor lies in (p, T)^j.
+`verify_entry_bounds` certifies from the two sample factors, in plain
+integers.  Column n demands order m - shift_n of row m, with
+shift_n = n // step - raise_by, and an entry sum_s b_s T^s lies in (p, T)^r
+exactly when v(b_s) >= r - s for every s.  Over the samples z < size, write
+scalar column n as sum_i a_i C(z, i) and series digit s as
+sum_j c_j C(z, j), their Mahler expansions.  One rule
+(`_meets_mahler_bounds`) tests both factors with `%`: p^(i - shift)
+divides the i-th Mahler coefficient wherever the exponent is positive,
+with shift = shift_n for scalar column n and shift = s for series digit s.
 C(z, i) C(z, j) is an integer combination of the C(z, k) with
 max(i, j) <= k <= i + j, so every term that a_i c_j adds to digit s of
 P_{k,n} has valuation at least (i - shift_n) + (j - s) >= k - shift_n - s,
 and every entry meets its demand.  The factors are the kernel's reduced
 samples, whose product `action_digits` expands, so the certificate holds
 for the digits it yields; demands never exceed n_target = size, where
-those digits are certified.  `_meets_mahler_bounds` walks one difference
-level of all scalar columns at a time, in plain integers, and skips a dead
-column (shift + 1 >= size) wherever it sits.  The series walk packs each
-sample's digits in one integer: a level digit has |d| <= 2^j p^n_target,
-j < size, below the bias 2^(width - 1) at width bits(p^n_target) + size.
+those digits are certified.  The rule runs once, on the scalar columns
+followed by the series digits, and walks one difference level of all
+their columns at a time.  A column with no positive exponent
+(shift + 1 >= size) is dead and skipped wherever it sits, as the M1
+class's last scalar column at raise_by 0 is, before live series columns.
 When a factor bound fails, the report reads every entry once through
 `action_digits` and lists those whose order misses their demand, in
 (n, m) order; it is exact on its own, so the certificate decides only how
@@ -218,7 +218,7 @@ def _kernel_samples(
 def difference_triangle(rows: list) -> list:
     """Forward differences at 0, the Mahler coefficients of the samples rows:
     [rows[0], D^1 rows, D^2 rows, ...], each an integer combination of rows."""
-    firsts = [rows[0]]
+    firsts = rows[:1]
     cur = rows
     for _level in range(1, len(rows)):
         cur = list(map(sub, cur[1:], cur))
@@ -269,7 +269,8 @@ class BoundReport(NamedTuple):
 def _level_divisors(p: int, size: int, shifts: tuple) -> tuple:
     # the live columns, and the power each must divide at each level i
     live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
-    return live, [[p ** max(i - shifts[k], 0) for k in live] for i in range(size)]
+    powers = [p**e for e in range(size + 1 - min(shifts, default=0))]
+    return live, [[powers[max(i - shifts[k], 0)] for k in live] for i in range(size)]
 
 
 def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
@@ -286,18 +287,6 @@ def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
         if any(map(mod, level[0], divs)):
             return False
         level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
-    return True
-
-
-def _series_meets_mahler_bounds(p: int, series: list, n_target: int) -> bool:
-    """`_meets_mahler_bounds` on series digit s at shift s, rows packed (module doc)."""
-    width = (p**n_target).bit_length() + len(series)
-    bias = 1 << (width - 1)
-    bc = pack((bias,) * len(series[0]), width)
-    for i, first in enumerate(difference_triangle([pack(row, width) for row in series])):
-        digits = unpack(first + bc, width, min(i, len(series[0])))
-        if any((d - bias) % p ** (i - s) for s, d in enumerate(digits)):
-            return False
     return True
 
 
@@ -339,7 +328,8 @@ def verify_entry_bounds(
     step = p if cls is MonoidClass.UpMonoid else 1
     shifts = [n // step - raise_by for n in range(size)]
     scalars, series = _kernel_samples(delta, size, omega, trunc, n_target)
-    if _meets_mahler_bounds(p, scalars, shifts) and _series_meets_mahler_bounds(p, series, size):
+    rows = list(map(add, scalars, series))
+    if _meets_mahler_bounds(p, rows, shifts + list(range(trunc))):
         return BoundReport(cls, size, ())
     # a factor bound failed: report every entry short of its demand (an order
     # is never negative, so an entry with no demand is never reported).  meets

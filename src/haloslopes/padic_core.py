@@ -325,11 +325,11 @@ def binomials(xs, count: int, p: int, prec: int, target: int, scale: int = 1) ->
     per call.  InsufficientPrecision if some v_p(r!) reaches prec.
     """
     mod = p**prec
-    divisors = [(pv, inv * scale % target) for pv, inv in _binom_divisors(p, count, prec)]
+    divisors = enumerate(_binom_divisors(p, count, prec))
+    steps = [(r, pv, inv * scale % target) for r, (pv, inv) in divisors]
     first = scale % target
     rows = []
     for x in xs:
         ff = 1
-        rows.append([first] + [(ff := ff * y % mod) // pv * inv % target
-                               for y, (pv, inv) in zip(range(x, x - count, -1), divisors)])
+        rows.append([first] + [(ff := ff * (x - r) % mod) // pv * inv % target for r, pv, inv in steps])
     return rows

@@ -16,7 +16,6 @@ from haloslopes.monoid_action import (
     MonoidClass,
     NotInMonoid,
     _meets_mahler_bounds,
-    _series_meets_mahler_bounds,
     action_digits,
     check_monoid,
     column_input_prec,
@@ -554,23 +553,13 @@ def test_mahler_bound_rule_walks_past_a_dead_scalar_tail(p):
     assert not _meets_mahler_bounds(p, mahler_samples(coeffs), shifts)
 
 
-@given(mahler_columns(), st.data())
-def test_packed_series_rule_matches_the_plain_walk(case, data):
-    # the series digits s of one factor, with shift s, reduced mod p^n_target
-    # as the kernel gives them: the packed walk agrees with the plain one on
-    # factors that meet the rule and on factors one power of p short
-    p, _shifts, coeffs = case
-    size = len(coeffs[0])
-    trunc = data.draw(st.integers(1, 9))
-    unit = st.integers(1, p**3).filter(lambda u: u % p)
-    coeffs = [[p ** max(i - s, 0) * data.draw(unit) for i in range(size)] for s in range(trunc)]
-    n_target = data.draw(st.integers(size, size + 3))
-    if data.draw(st.booleans()) and size > 1:
-        s = data.draw(st.integers(0, min(trunc, size - 1) - 1))
-        coeffs[s][data.draw(st.integers(s + 1, size - 1))] //= p
-    series = [[x % p**n_target for x in row] for row in mahler_samples(coeffs)]
-    want = _meets_mahler_bounds(p, series, range(trunc))
-    assert _series_meets_mahler_bounds(p, series, n_target) == want
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_bounds_at_the_smallest_sizes_are_certified(size):
+    # no sample, or too few for any demand: nothing can fail
+    delta = dm(3, max(matrix_input_prec(3, size, 8, size), 1), 3, 1, 3, 2)
+    assert verify_entry_bounds(delta, size, triv(3), 8) == BoundReport(
+        MonoidClass.UpMonoid, size, ()
+    )
 
 
 def test_bounds_refuse_orders_past_the_certified_digits():
