@@ -64,7 +64,7 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mod, mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt, mlambda_order, pack, unpack
@@ -218,7 +218,7 @@ def _kernel_samples(
 def difference_triangle(rows: list) -> list:
     """Forward differences at 0, the Mahler coefficients of the samples rows:
     [rows[0], D^1 rows, D^2 rows, ...], each an integer combination of rows."""
-    firsts = rows[:1]
+    firsts = [rows[0]]
     cur = rows
     for _level in range(1, len(rows)):
         cur = list(map(sub, cur[1:], cur))
@@ -265,28 +265,25 @@ class BoundReport(NamedTuple):
         return not self.violations
 
 
-@lru_cache(maxsize=None)
-def _level_divisors(p: int, size: int, shifts: tuple) -> tuple:
-    # the live columns, and the power each must divide at each level i
-    live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
-    powers = [p**e for e in range(size + 1 - min(shifts, default=0))]
-    return live, [[powers[max(i - shifts[k], 0)] for k in live] for i in range(size)]
-
-
 def _meets_mahler_bounds(p: int, rows: list, shifts) -> bool:
     """Whether p^(i - shift) divides the i-th Mahler coefficient of every column.
 
     rows[z][k] is column k at sample z, and shifts[k] its shift, in any
     order.  The walk takes one difference level of every live column
     (shift + 1 < len(rows), wherever it sits) at a time, and at level i
-    tests the first row of each column against p^max(i - shift, 0).
+    tests the first row of each column with i > shift.
     """
-    live, divisors = _level_divisors(p, len(rows), tuple(shifts))
-    level = [[row[k] for k in live] for row in rows]
-    for divs in divisors:
-        if any(map(mod, level[0], divs)):
+    size = len(rows)
+    live = [k for k, shift in enumerate(shifts) if shift + 1 < size]
+    shifts = [shifts[k] for k in live]
+    powers = [p**e for e in range(size - min(shifts, default=0))]
+    # one flat list per level, row after row: its first len(live) entries are
+    # the first row, and one map over the list shifted by a row differences it
+    level = [row[k] for row in rows for k in live]
+    for i in range(size):
+        if any(x % powers[i - shift] for x, shift in zip(level, shifts) if i > shift):
             return False
-        level = [list(map(sub, b, a)) for a, b in zip(level, level[1:])]
+        level = list(map(sub, level[len(live):], level))
     return True
 
 
