@@ -14,7 +14,8 @@ differences: P_{m,n} = m-th difference of h_n at 0.
 the scalars C(f(z), n) * omega(d0) and the series digits, reduced mod
 p^n_target, the precision its caller certifies, each by one reduction.  It
 takes its Teichmuller lifts, logs and binomials from `padic_core`; the
-per-entry reference it is tested against lives with the test oracles.
+per-entry reference it is tested against lives with the test oracles and
+uses none of them.
 `difference_triangle`, the Mahler transform, is an integer combination of
 its rows, so on products of the factors every digit it gives is congruent
 mod p^n_target to the T-coefficient of P_{m,n}.

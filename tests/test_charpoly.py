@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from haloslopes import checks
 from haloslopes.charpoly import (
     CharSeries,
     StabilityFailure,
@@ -23,7 +24,6 @@ from haloslopes.charpoly import (
     verify_char_bound,
     window_blocks,
 )
-from haloslopes import checks
 from haloslopes.iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from haloslopes.monoid_action import DeltaMat
 from haloslopes.padic_core import (
