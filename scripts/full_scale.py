@@ -20,8 +20,9 @@ Usage:
 - `layers_s`: seconds of one call of each entry-side layer at the scale's
   entry shape, keyed "NAME p" for p = 2, 3, 5, on the first matrix of the
   `entry-bounds-up` stream: `torsion_residue` and `log_line` on its entries,
-  `_kernel_samples`, and `_meets_mahler_bounds` on its samples, each the
-  median of --repeats runs;
+  `binomials` on the scalar rows (size x size) and the series rows
+  (size x trunc) the kernel samples, `_kernel_samples`, and
+  `_meets_mahler_bounds` on its samples, each the median of --repeats runs;
 - `verify_s`: wall seconds of a whole `python3 -m haloslopes verify` process
   at the scale, the median of --repeats runs: `fork` as it runs, where
   `checks.run_checks` may split the checks over two processes, and
@@ -112,16 +113,24 @@ def layer_seconds(scale: str, repeats: int) -> dict:
         N = monoid_action.matrix_input_prec(p, size, trunc, size)
         delta = checks.random_monoid_matrix(rng, p, N, True)
         omega = CharOfDelta(p, rng.randrange(padic_core.phi_q(p)))
-        _a, _b, c, d = delta.residues
+        a, b, c, d = delta.residues
         mod = p**N
         d0 = padic_core.torsion_residue(d, p, N)
         v, u = d * pow(d0, -1, mod) % mod, c * pow(d, -1, mod) % mod
+        # the binomial inputs of _kernel_samples: f(z) = (az + b)/(cz + d) and
+        # g(z) on the log line, digits kept mod p^size, scalars scaled by omega(d0)
+        fs = [(a * z + b) * pow(c * z + d, -1, mod) % mod for z in range(size)]
+        gs, _eff = padic_core.log_line(v, u, size, p, N)
+        target = p**size
+        w = pow(d0, omega.exponent, target)
         scalars, series = monoid_action._kernel_samples(delta, size, omega, trunc, size)
         rows = [x + y for x, y in zip(scalars, series)]
         shifts = [n // p for n in range(size)] + list(range(trunc))
         calls = {
             "torsion_residue": lambda: padic_core.torsion_residue(d, p, N),
             "log_line": lambda: padic_core.log_line(v, u, size, p, N),
+            "binomials": lambda: (padic_core.binomials(fs, size, p, N, target, w),
+                                  padic_core.binomials(gs, trunc, p, N, target)),
             "_kernel_samples": lambda: monoid_action._kernel_samples(
                 delta, size, omega, trunc, size),
             "_meets_mahler_bounds": lambda: monoid_action._meets_mahler_bounds(

@@ -246,9 +246,8 @@ def lambda_closed_form(scale, fault=False):
 
 def vertical_gap(scale, fault=False):
     for p, t in ((2, 1), (3, 1), (3, 2), (5, 1), (5, 2)):
-        q = q_for(p)
         for vT in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            got = max_vertical_gap(p, q, t, vT)
+            got = max_vertical_gap(p, t, vT)
             want = bound_gap(p, t, vT) + int(fault)
             if got != want:
                 return False, f"(p,t,vT)=({p},{t},{vT}): {got} != {want}"
@@ -401,33 +400,31 @@ def checker_fault_detection(scale, fault=False):
     psi_inv = [F(3, 2), F(2), F(3)]
     if fault:
         psi = [F(0), F(1), F(2)]
-    good = atkin_lehner_check(psi, psi_inv, 2, 3, 3, 1, 1)
+    good = atkin_lehner_check(psi, psi_inv, 2, 3, 1, 1)
     if not good.passed:
         return False, "pairing checker rejects a satisfying table"
-    bad = atkin_lehner_check(psi, [F(3, 2), F(5, 2), F(3)], 2, 3, 3, 1, 1)
+    bad = atkin_lehner_check(psi, [F(3, 2), F(5, 2), F(3)], 2, 3, 1, 1)
     if bad.passed:
         return False, "pairing checker misses a perturbed table"
     # K = 3 interleaved progressions of difference 1 at p = 3, M = 2
     seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
-    good = progression_check({0: list(seq)}, 2, 3, 3, 1)
+    good = progression_check({0: list(seq)}, 2, 3, 1)
     if not good.passed:
         return False, "progression checker rejects a satisfying table"
     seq[4] += F(1, 9)
-    bad = progression_check({0: seq}, 2, 3, 3, 1)
+    bad = progression_check({0: seq}, 2, 3, 1)
     if bad.passed:
         return False, "progression checker misses a perturbed table"
     # ladder polygon over six unit steps, slopes interleaving the intervals
     ys = [F(0)]
     for s in (F(1, 3), F(1, 2), F(2, 3), F(4, 3), F(3, 2), F(5, 3)):
         ys.append(ys[-1] + s)
-    poly = newton_polygon(
-        [PolyPoint(i, OrderBound.exact(y)) for i, y in enumerate(ys)]
-    )
-    report = slope_report(poly, F(1, 2), 3)
-    good = degree_formula_check(report, {0: 0, 1: 0}, 3, 1)
+    pts = [PolyPoint(i, OrderBound.exact(y)) for i, y in enumerate(ys)]
+    report = slope_report(newton_polygon(pts), F(1, 2), 3, pts)
+    good = degree_formula_check(report, {0: 0, 1: 0}, 1)
     if not good.passed:
         return False, "degree checker rejects a satisfying table"
-    bad = degree_formula_check(report, {0: 1, 1: 0}, 3, 1)
+    bad = degree_formula_check(report, {0: 1, 1: 0}, 1)
     if bad.passed:
         return False, "degree checker misses a perturbed rank table"
     return True, "three checkers pass and catch single perturbations"

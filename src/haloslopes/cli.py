@@ -287,7 +287,6 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
     spec = _spec_for(cfg)
     cs = char_series(spec, cfg.D, cfg.r, CharOfDelta(cfg.p, cfg.omega_exponent))
     out = Path(cfg.out_dir)
-    q = cfg.q
     ratios = {}
     gap_rows = []
     for vT in cfg.vT:
@@ -301,8 +300,7 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
                 [(x, y, int(pts[x].y.is_exact)) for x, y in poly.vertices],
             ),
         )
-        report = slope_report(poly, vT, q, points=pts,
-                              omega_exponent=cfg.omega_exponent)
+        report = slope_report(poly, vT, cfg.p, pts, cfg.omega_exponent)
         _write_text(
             out / f"slopes_{slug}.csv",
             _csv_text(
@@ -311,8 +309,7 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
             ),
         )
         lower = lower_bound_polygon(cfg.p, cfg.t, vT, cfg.D)
-        upper = upper_bound_polygon(cfg.p, q, cfg.t, vT,
-                                    max(-(-cfg.D // (q * cfg.t)), 1))
+        upper = upper_bound_polygon(cfg.p, cfg.t, vT, max(-(-cfg.D // (cfg.q * cfg.t)), 1))
         hi = poly.x_range[1]
         _write_text(
             out / f"overlay_{slug}.csv",
@@ -324,7 +321,7 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
                 ],
             ),
         )
-        gap_rows.append((vT, max_vertical_gap(cfg.p, q, cfg.t, vT)))
+        gap_rows.append((vT, max_vertical_gap(cfg.p, cfg.t, vT)))
         ratios[vT] = ratio_table(pts, poly, vT)
     _write_text(out / "gap.csv", _csv_text(["vT", "max_gap"], gap_rows))
     if len(cfg.vT) >= 2:

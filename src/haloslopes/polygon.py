@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .charpoly import CharSeries, lambda_seq
 from .iwasawa import eval_valuation
-from .padic_core import BadArgument, Frozen, OrderBound, PadicError
+from .padic_core import BadArgument, Frozen, OrderBound, PadicError, phi_q, q_for
 
 
 class UncertifiedHull(PadicError):
@@ -37,10 +37,6 @@ class AssertionFailure(PadicError):
 
 class LengthMismatch(PadicError):
     pass
-
-
-def _phi(q: int) -> int:
-    return 2 if q == 4 else q - 1
 
 
 class PolyPoint(NamedTuple):
@@ -168,9 +164,9 @@ def lower_bound_polygon(p: int, t: int, vT, n_max: int) -> NewtonPolygon:
     return newton_polygon(pts)
 
 
-def upper_bound_polygon(p: int, q: int, t: int, vT, k_max: int) -> NewtonPolygon:
+def upper_bound_polygon(p: int, t: int, vT, k_max: int) -> NewtonPolygon:
     """Chords of the growth sequence over the period grid n_k = k q t."""
-    vT = Fraction(vT)
+    vT, q = Fraction(vT), q_for(p)
     lam = lambda_seq(p, t, k_max * q * t)
     pts = [
         PolyPoint(k * q * t, OrderBound.exact(lam[k * q * t] * vT))
@@ -196,11 +192,11 @@ def bound_gap(p: int, t: int, vT: Fraction) -> Fraction:
     return t * vT if p == 2 else Fraction((p * p - 1) * t, 8) * vT
 
 
-def max_vertical_gap(p: int, q: int, t: int, vT) -> Fraction:
+def max_vertical_gap(p: int, t: int, vT) -> Fraction:
     """Exact scan of upper minus lower, checked against `bound_gap`."""
     vT = Fraction(vT)
-    span = 2 * q * t
-    upper = upper_bound_polygon(p, q, t, vT, 2)
+    span = 2 * q_for(p) * t
+    upper = upper_bound_polygon(p, t, vT, 2)
     lower = lower_bound_polygon(p, t, vT, span)
     gap = max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
     want = bound_gap(p, t, vT)
@@ -222,7 +218,7 @@ class SlopeRow(NamedTuple):
 
 class SlopeReport(NamedTuple):
     vT: Fraction
-    q: int
+    p: int
     omega_exponent: int
     rows: tuple
 
@@ -237,24 +233,24 @@ def interval_label(ratio: Fraction) -> str:
     return f"({n},{n + 1})"
 
 
-def slope_report(np: NewtonPolygon, vT, q: int, points=None, omega_exponent: int = 0) -> SlopeReport:
+def slope_report(np: NewtonPolygon, vT, p: int, points, omega_exponent: int = 0) -> SlopeReport:
     """Slopes with multiplicity, ratios slope/(phi(q) vT), interval classes.
 
-    When the defining points are supplied, a step is flagged exact only if
-    the coefficient valuations at both of its endpoints were exact; the
-    slope itself is certified either way.
+    A step is flagged exact only if the coefficient valuations at both of
+    its endpoints among the defining points were exact; the slope itself
+    is certified either way.
     """
     vT = Fraction(vT)
-    unit = _phi(q) * vT
-    by_x = {pt.x: pt.y.is_exact for pt in points} if points is not None else None
+    unit = phi_q(p) * vT
+    by_x = {pt.x: pt.y.is_exact for pt in points}
     rows = []
     x0 = np.x_range[0]
     for i, slope in enumerate(np.slopes):
         n = x0 + i
         ratio = slope / unit
-        exact = True if by_x is None else by_x.get(n, False) and by_x.get(n + 1, False)
+        exact = by_x.get(n, False) and by_x.get(n + 1, False)
         rows.append(SlopeRow(n, slope, ratio, interval_label(ratio), exact))
-    return SlopeReport(vT, q, omega_exponent, tuple(rows))
+    return SlopeReport(vT, p, omega_exponent, tuple(rows))
 
 
 # -- structural checkers ------------------------------------------------------
@@ -279,7 +275,7 @@ class CheckResult(NamedTuple):
         return tuple(r for r in self.rows if not r.ok)
 
 
-def degree_formula_check(report: SlopeReport, r_ord: dict, q: int, t: int) -> CheckResult:
+def degree_formula_check(report: SlopeReport, r_ord: dict, t: int) -> CheckResult:
     """Observed interval degrees against the ordinary-rank predictions.
 
     Predictions: deg X_[0,0] = r(e); deg X_[n,n] = r(2n-2-e) + r(e-2n);
@@ -287,7 +283,7 @@ def degree_formula_check(report: SlopeReport, r_ord: dict, q: int, t: int) -> Ch
     covers completely are compared.  The twisted periodicity of the
     predictions and the partial-sum identity are checked alongside.
     """
-    phi = _phi(q)
+    q, phi = q_for(report.p), phi_q(report.p)
     e = report.omega_exponent % phi
 
     def r(x: int) -> int:
@@ -347,8 +343,9 @@ def degree_formula_check(report: SlopeReport, r_ord: dict, q: int, t: int) -> Ch
     return CheckResult("degree formulas", tuple(rows))
 
 
-def atkin_lehner_check(slopes_psi, slopes_psi_inv, k: int, q: int, p: int, m: int, t: int) -> CheckResult:
+def atkin_lehner_check(slopes_psi, slopes_psi_inv, k: int, p: int, m: int, t: int) -> CheckResult:
     """Pairing alpha_i(psi) = k+1 - alpha_{L-1-i}(psi^{-1}) plus the sum rule."""
+    q = q_for(p)
     num = (k + 1) * p**m * t
     if num % q:
         raise BadArgument(f"(k+1) p^m t = {num} is not divisible by q = {q}")
@@ -370,7 +367,7 @@ def atkin_lehner_check(slopes_psi, slopes_psi_inv, k: int, q: int, p: int, m: in
     return CheckResult("involution pairing", tuple(rows))
 
 
-def progression_check(alpha: dict, M: int, p: int, q: int, t: int) -> CheckResult:
+def progression_check(alpha: dict, M: int, p: int, t: int) -> CheckResult:
     """Arithmetic-progression structure of normalized slope ratios.
 
     Each per-character sequence must split into (p-1) p^(M-1) t / 2
@@ -378,7 +375,7 @@ def progression_check(alpha: dict, M: int, p: int, q: int, t: int) -> CheckResul
     and sequences at omega and omega * omega_0^2 must match under the
     index shift p^M t / q with offset p^M / q^2.
     """
-    phi = _phi(q)
+    q, phi = q_for(p), phi_q(p)
     two_k = (p - 1) * p ** (M - 1) * t
     if two_k % 2:
         raise BadArgument(f"progression count {two_k}/2 is not integral")

@@ -1,6 +1,8 @@
 """Each module of the package keeps its underscore names to itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "haloslopes"
@@ -78,3 +80,30 @@ def test_no_module_keeps_the_object_path():
     # from constructing the value again
     for name in ("val_p", "with_prec"):
         assert modules_naming(PACKAGE, name) == set(), name
+
+
+def public_functions(root):
+    """(qualified name, function) for each public function and method the
+    package's modules define; __main__ is left out, importing it runs the CLI."""
+    for path in sorted(root.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"haloslopes.{path.stem}")
+        owners = [(path.stem, module)] + [
+            (f"{path.stem}.{name}", obj) for name, obj in vars(module).items()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+        ]
+        for prefix, owner in owners:
+            for name, obj in vars(owner).items():
+                if (not name.startswith("_") and inspect.isfunction(obj)
+                        and obj.__module__ == module.__name__):
+                    yield f"{prefix}.{name}", obj
+
+
+def test_the_prime_alone_names_q():
+    # q = q_for(p) and phi(q) = phi_q(p): no function takes q beside p
+    found = [name for name, fn in public_functions(PACKAGE)
+             if {"p", "q"} <= set(inspect.signature(fn).parameters)]
+    assert len(dict(public_functions(PACKAGE))) > 50
+    assert found == []
+    assert not hasattr(importlib.import_module("haloslopes.polygon"), "_phi")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from haloslopes import cli
 from haloslopes.charpoly import char_input_prec, char_series
 from haloslopes.iwasawa import CharOfDelta
-from haloslopes.padic_core import BadArgument, OrderBound
+from haloslopes.padic_core import BadArgument, OrderBound, q_for
 from haloslopes.polygon import (
     AssertionFailure,
     LengthMismatch,
@@ -40,6 +40,11 @@ F = Fraction
 def pt(x, y, exact=True):
     v = OrderBound.exact(F(y)) if exact else OrderBound.at_least(F(y))
     return PolyPoint(x, v)
+
+
+def report_of(pts, vT):
+    # slope report at p = 3, where phi(q) = 2
+    return slope_report(newton_polygon(pts), vT, 3, pts)
 
 
 # -- hull construction --------------------------------------------------------
@@ -160,18 +165,18 @@ def test_lower_bound_polygon_ordinate():
 
 
 def test_upper_bound_polygon_first_period():
-    np = upper_bound_polygon(3, 3, 1, 1, 1)
+    np = upper_bound_polygon(3, 1, 1, 1)
     assert np.slopes == (1, 1, 1)
     assert np.vertices[0] == (0, 0)
 
 
 def test_upper_bound_polygon_vertex():
-    np = upper_bound_polygon(5, 5, 2, F(1, 4), 1)
+    np = upper_bound_polygon(5, 2, F(1, 4), 1)
     assert np.vertices[-1] == (10, 5)
 
 
 def test_upper_bound_degenerate_start():
-    assert upper_bound_polygon(3, 3, 1, 1, 0).vertices == ((0, 0),)
+    assert upper_bound_polygon(3, 1, 1, 0).vertices == ((0, 0),)
 
 
 @pytest.mark.parametrize("p,q,t,vT,want", [
@@ -180,7 +185,8 @@ def test_upper_bound_degenerate_start():
     (2, 4, 1, F(1, 2), F(1, 2)),
 ])
 def test_max_vertical_gap_frozen(p, q, t, vT, want):
-    assert max_vertical_gap(p, q, t, vT) == bound_gap(p, t, vT) == want
+    assert q_for(p) == q
+    assert max_vertical_gap(p, t, vT) == bound_gap(p, t, vT) == want
 
 
 @given(
@@ -189,15 +195,13 @@ def test_max_vertical_gap_frozen(p, q, t, vT, want):
     st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8),
 )
 def test_max_vertical_gap_scan_agrees_with_closed_form(p, t, vT):
-    q = 4 if p == 2 else p
-    max_vertical_gap(p, q, t, vT)  # AssertionFailure would signal a fault
+    max_vertical_gap(p, t, vT)  # AssertionFailure would signal a fault
 
 
 def test_upper_dominates_lower():
     for p, t, vT in [(3, 1, F(1, 2)), (5, 2, F(1, 4)), (2, 1, F(1, 3))]:
-        q = 4 if p == 2 else p
-        up = upper_bound_polygon(p, q, t, vT, 2)
-        lo = lower_bound_polygon(p, t, vT, 2 * q * t)
+        up = upper_bound_polygon(p, t, vT, 2)
+        lo = lower_bound_polygon(p, t, vT, 2 * q_for(p) * t)
         assert dominates(up, lo)
         assert not dominates(lo, up) or up.vertices == lo.vertices
 
@@ -264,27 +268,23 @@ def test_chord_ratio_rigidity_between_radii():
 
 
 def test_slope_report_classifies_intervals():
-    np = newton_polygon([pt(0, 0), pt(2, 0), pt(3, F(1, 2))])
-    report = slope_report(np, F(1, 4), 3)  # phi(q) vT = 1/2
+    report = report_of([pt(0, 0), pt(2, 0), pt(3, F(1, 2))], F(1, 4))  # phi(q) vT = 1/2
     assert [r.ratio for r in report.rows] == [0, 0, 1]
     assert report.degrees() == {"[0,0]": 2, "[1,1]": 1}
     assert report.degrees().get("[5,5]", 0) == 0
 
 
 def test_slope_report_fractional_ratio():
-    np = newton_polygon([pt(0, 0), pt(1, F(1, 3))])
-    report = slope_report(np, F(1, 4), 3)
+    report = report_of([pt(0, 0), pt(1, F(1, 3))], F(1, 4))
     assert report.rows[0].ratio == F(2, 3)
     assert report.rows[0].interval == "(0,1)"
 
 
 def test_slope_report_exact_flags_from_points():
-    pts = [pt(0, 0), pt(1, F(1, 2), exact=False), pt(2, 1)]
-    np = newton_polygon(pts)
-    report = slope_report(np, F(1, 4), 3, points=pts)
+    report = report_of([pt(0, 0), pt(1, F(1, 2), exact=False), pt(2, 1)], F(1, 4))
     assert [r.exact for r in report.rows] == [False, False]
-    bare = slope_report(np, F(1, 4), 3)
-    assert [r.exact for r in bare.rows] == [True, True]
+    exact = report_of([pt(0, 0), pt(1, F(1, 2)), pt(2, 1)], F(1, 4))
+    assert [r.exact for r in exact.rows] == [True, True]
 
 
 def test_slope_report_csv_frozen(tmp_path, monkeypatch):
@@ -303,17 +303,17 @@ def test_slope_report_csv_frozen(tmp_path, monkeypatch):
 # -- degree formulas ----------------------------------------------------------
 
 
-def ladder_polygon():
+def ladder_points():
     # ratios 1/3, 1/2, 2/3 then 4/3, 3/2, 5/3 at phi(q) vT = 1
     ys = [F(0)]
     for s in [F(1, 3), F(1, 2), F(2, 3), F(4, 3), F(3, 2), F(5, 3)]:
         ys.append(ys[-1] + s)
-    return newton_polygon([pt(i, y) for i, y in enumerate(ys)])
+    return [pt(i, y) for i, y in enumerate(ys)]
 
 
 def test_degree_formula_check_all_zero_ranks():
-    report = slope_report(ladder_polygon(), F(1, 2), 3)
-    result = degree_formula_check(report, {0: 0, 1: 0}, 3, 1)
+    report = report_of(ladder_points(), F(1, 2))
+    result = degree_formula_check(report, {0: 0, 1: 0}, 1)
     assert result.passed
     labels = {r.label for r in result.rows}
     assert "deg X_(0,1)" in labels
@@ -323,8 +323,8 @@ def test_degree_formula_check_all_zero_ranks():
 
 
 def test_degree_formula_check_flags_rank_mismatch():
-    report = slope_report(ladder_polygon(), F(1, 2), 3)
-    result = degree_formula_check(report, {0: 1, 1: 0}, 3, 1)
+    report = report_of(ladder_points(), F(1, 2))
+    result = degree_formula_check(report, {0: 1, 1: 0}, 1)
     assert not result.passed
     assert any(r.label == "deg X_[0,0]" for r in result.failures())
 
@@ -333,25 +333,25 @@ def test_degree_formula_check_flags_rank_mismatch():
 
 
 def test_atkin_lehner_pairing_passes():
-    result = atkin_lehner_check([0, 1], [0, 1], 0, 3, 3, 1, 2)
+    result = atkin_lehner_check([0, 1], [0, 1], 0, 3, 1, 2)
     assert result.passed
     sums = [r for r in result.rows if r.label == "slope sum"]
     assert sums[0].observed == 2
 
 
 def test_atkin_lehner_pairing_fails():
-    result = atkin_lehner_check([0, 0], [0, 0], 0, 3, 3, 1, 2)
+    result = atkin_lehner_check([0, 0], [0, 0], 0, 3, 1, 2)
     assert not result.passed
 
 
 def test_atkin_lehner_length_mismatch():
     with pytest.raises(LengthMismatch):
-        atkin_lehner_check([0], [0, 1], 0, 3, 3, 1, 2)
+        atkin_lehner_check([0], [0, 1], 0, 3, 1, 2)
 
 
 def test_atkin_lehner_requires_sorted():
     with pytest.raises(BadArgument):
-        atkin_lehner_check([1, 0], [0, 1], 0, 3, 3, 1, 2)
+        atkin_lehner_check([1, 0], [0, 1], 0, 3, 1, 2)
 
 
 # -- progressions -------------------------------------------------------------
@@ -364,7 +364,7 @@ def ladder(start, step, length):
 def test_progression_check_constructed_pass():
     # K = 3 interleaved progressions with difference 1 at p=3, M=2
     seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
-    result = progression_check({0: seq}, 2, 3, 3, 1)
+    result = progression_check({0: seq}, 2, 3, 1)
     assert result.passed
     info = {r.label: r.observed for r in result.rows[:2]}
     assert info["progression count"] == 3
@@ -374,6 +374,6 @@ def test_progression_check_constructed_pass():
 def test_progression_check_perturbed_fails():
     seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
     seq[4] += F(1, 9)
-    result = progression_check({0: seq}, 2, 3, 3, 1)
+    result = progression_check({0: seq}, 2, 3, 1)
     bad = [r.label for r in result.failures()]
     assert "omega^0 j=1 step" in bad

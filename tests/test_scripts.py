@@ -9,37 +9,51 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+SWEEP = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
+
+
 def test_bound_sweep_smoke(tmp_path):
     out = tmp_path / "sweep.csv"
-    sweep = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
-    assert sweep["main"](["--count", "2", "--size", "6", "--out", str(out)]) == 0
+    assert SWEEP["main"](["--count", "2", "--size", "6", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"p,matrices,size,violations\n2,2,6,0\n3,2,6,0\n5,2,6,0\n"
+
+
+def test_bound_sweep_counts_planted_violations_and_exits_1(tmp_path, monkeypatch):
+    # every kernel demands one order more than its bound: P_{0,0} is a unit
+    verify = SWEEP["main"].__globals__["verify_entry_bounds"]
+    monkeypatch.setitem(
+        SWEEP["main"].__globals__, "verify_entry_bounds",
+        functools.partial(verify, raise_by=1),
+    )
+    out = tmp_path / "sweep.csv"
+    assert SWEEP["main"](["--primes", "3", "--count", "2", "--size", "6", "--out", str(out)]) == 1
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    assert all(r["violations"] == "0" for r in rows)
-    assert all(r["lambda_identity_ok"] == "1" and r["gap_matches"] == "1" for r in rows)
+    assert [(r["p"], r["matrices"], r["size"]) for r in rows] == [("3", "2", "6")]
+    assert int(rows[0]["violations"]) > 0
 
 
-def test_bound_sweep_rejects_a_non_rational_radius(tmp_path, capsys):
-    sweep = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
+SWEEP_ERRORS = {
+    "--primes 4": "argument --primes: '4' is not a prime in [2, 100]",
+    "--primes 0": "argument --primes: '0' is not a prime in [2, 100]",
+    "--primes 1": "argument --primes: '1' is not a prime in [2, 100]",
+    "--primes 101": "argument --primes: '101' is not a prime in [2, 100]",
+    "--size -3": "argument --size: '-3' is not an integer in [1, 1000]",
+    "--size 0": "argument --size: '0' is not an integer in [1, 1000]",
+    "--trunc 0": "argument --trunc: '0' is not an integer in [1, 256]",
+    "--trunc 257": "argument --trunc: '257' is not an integer in [1, 256]",
+    "--count -1": "argument --count: '-1' is not an integer >= 1",
+    "--count x": "argument --count: 'x' is not an integer >= 1",
+    "--size 600": "--size 600 needs input precision 1193 at p = 2, above 1000",
+}
+
+
+@pytest.mark.parametrize("args", list(SWEEP_ERRORS))
+def test_bound_sweep_rejects_invalid_arguments(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
-        sweep["main"](["--vT", "x", "--out", str(tmp_path / "sweep.csv")])
+        SWEEP["main"]([*args.split(), "--out", str(tmp_path / "sweep.csv")])
     assert exc.value.code == 2
-    assert "argument --vT: invalid Fraction value: 'x'" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
-
-
-@pytest.mark.parametrize("text,message", [
-    ("1/0", "invalid Fraction value: '1/0'"),
-    ("0", "vT = 0 is outside (0,1)"),
-    ("2", "vT = 2 is outside (0,1)"),
-])
-def test_bound_sweep_rejects_a_radius_outside_the_unit_interval(tmp_path, capsys, text, message):
-    sweep = runpy.run_path(str(SCRIPTS / "bound_sweep.py"), run_name="bound_sweep")
-    with pytest.raises(SystemExit) as exc:
-        sweep["main"](["--vT", text, "--out", str(tmp_path / "sweep.csv")])
-    assert exc.value.code == 2
-    assert f"argument --vT: {message}" in capsys.readouterr().err
+    assert SWEEP_ERRORS[args] in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -194,12 +208,13 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
     # every timing is the median of --repeats runs: each check runs that
     # often, fixture_series builds the series afresh each time, each fixture
     # is assembled that often at the block count char_series takes, and each
-    # entry-side layer is called that often per prime at the entry shape
+    # entry-side layer is called that often per prime at the entry shape;
+    # only direct calls count, not a layer's calls inside another layer
     from haloslopes import charpoly, checks, monoid_action, padic_core, up_operator
     from haloslopes.charpoly import window_blocks
 
     builds, runs, assembled, layers = [], [], [], []
-    busy = []  # inside a check, a series or an assembly, whose calls are not counted
+    busy = []  # inside a check, a series, an assembly or a layer: calls not counted
     build = checks.fixture_series.__wrapped__
     assemble = up_operator.assemble
 
@@ -231,8 +246,9 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
         fn = getattr(module, name)
 
         def call(*args):
-            out = fn(*args)
-            if not busy:
+            direct = not busy
+            out = inside(fn)(*args)
+            if direct:
                 layers.append((name, key(*args), out if out is True else None))
             return out
         monkeypatch.setattr(module, name, call)
@@ -244,6 +260,7 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
     monkeypatch.setattr(charpoly, "char_series", inside(charpoly.char_series))
     layer(padic_core, "torsion_residue", lambda d, p, prec: (p, None))
     layer(padic_core, "log_line", lambda v, u, count, p, prec: (p, count))
+    layer(padic_core, "binomials", lambda xs, count, p, *_: (p, len(xs), count))
     layer(monoid_action, "_kernel_samples", lambda delta, size, *_: (delta.p, size))
     layer(monoid_action, "_meets_mahler_bounds", lambda p, rows, shifts: (p, len(rows)))
     got = FULL_SCALE["measure"]("smoke", 3)
@@ -255,20 +272,25 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
     assert list(got["checks_s"]) == ["fixture_series", *names]
     assert list(got["layers_s"]) == [
         f"{name} {p}" for p in (2, 3, 5)
-        for name in ("torsion_residue", "log_line", "_kernel_samples", "_meets_mahler_bounds")
+        for name in ("torsion_residue", "log_line", "binomials", "_kernel_samples",
+                     "_meets_mahler_bounds")
     ]
     assert all(s >= 0 for part in got.values() for s in part.values())
     assert builds == ["smoke"] * 3
     assert runs == [name for name in names for _ in range(3)]
-    # one untimed call of each of the first two layers builds the next
-    # layer's inputs; the samples satisfy the bounds the walk tests
-    size = checks.SCALES["smoke"].entry_size
+    # untimed calls of torsion_residue, log_line and _kernel_samples build
+    # the later layers' inputs; binomials takes the scalar rows (size x size)
+    # and the series rows (size x trunc); the samples satisfy the bounds the
+    # walk tests
+    size, trunc = checks.SCALES["smoke"].entry_size, checks.SCALES["smoke"].entry_trunc
     assert measured == [
         call for p in (2, 3, 5) for call in [
             ("torsion_residue", (p, None), None),
+            ("log_line", (p, size), None),
             ("_kernel_samples", (p, size), None),
             *[("torsion_residue", (p, None), None)] * 3,
             *[("log_line", (p, size), None)] * 3,
+            *[("binomials", (p, size, size), None), ("binomials", (p, size, trunc), None)] * 3,
             *[("_kernel_samples", (p, size), None)] * 3,
             *[("_meets_mahler_bounds", (p, size), True)] * 3,
         ]
