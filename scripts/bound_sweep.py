@@ -38,10 +38,10 @@ def integer(least: int, most: int | None = None, prime: bool = False):
     def parse(text: str) -> int:
         try:
             n = int(text)
-            ok = least <= n and (most is None or n <= most) and (is_prime(n) or not prime)
         except ValueError:
-            ok = False
-        if not ok:
+            n = None
+        ok = n is not None and least <= n and (most is None or n <= most)
+        if not ok or prime and not is_prime(n):
             raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
         return n
     return parse
