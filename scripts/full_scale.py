@@ -17,12 +17,21 @@ Usage:
   checks share, and of each acceptance check in one process, in registry
   order, each the median of --repeats runs; `fixture_series`' cache is
   cleared before each of its runs, so each one builds the series;
-- `layers_s`: seconds of one call of each entry-side layer at the scale's
-  entry shape, keyed "NAME p" for p = 2, 3, 5, on the first matrix of the
-  `entry-bounds-up` stream: `torsion_residue` and `log_line` on its entries,
-  `binomials` on the scalar rows (size x size) and the series rows
-  (size x trunc) the kernel samples, `_kernel_samples`, and
-  `_meets_mahler_bounds` on its samples, each the median of --repeats runs;
+- `layers_s`: seconds of one call of each layer, each the median of
+  --repeats runs:
+  - keyed "NAME p" for p = 2, 3, 5, at the scale's entry shape on the first
+    matrix of the `entry-bounds-up` stream: `torsion_residue` and `log_line`
+    on its entries, `binomials` on the scalar rows (size x size) and the
+    series rows (size x trunc) the kernel samples, `_kernel_samples`,
+    `_meets_mahler_bounds` on its samples, and one column (all m at n = 0)
+    of `action_digits`, which samples the kernel first;
+  - keyed "NAME p,t" per pinned fixture, on the matrix `assemble_s` times:
+    `berkowitz_charpoly` on its entries, and `mlambda_order` per call,
+    averaged over its entries;
+  - keyed "NAME p,t vT" per fixture at the radii vT = 1/3, 1/4 of
+    `ratio-rigidity`: `series_points` on the fixture's series,
+    `newton_polygon` on those points, `slope_report` on that polygon, and
+    `eval_valuation` per call, averaged over the matrix entries;
 - `verify_s`: wall seconds of a whole `python3 -m haloslopes verify` process
   at the scale, the median of --repeats runs: `fork` as it runs, where
   `checks.run_checks` may split the checks over two processes, and
@@ -40,6 +49,7 @@ holds every round and, per measurement, each side's median over the rounds.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -50,11 +60,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve()
 ROOT = HERE.parent.parent
 SIDES = ("parent", "change")
+RADII = (Fraction(1, 3), Fraction(1, 4))
 
 
 def _seconds(fn) -> float:
@@ -94,8 +106,9 @@ def measure(scale: str, repeats: int) -> dict:
         )
     for name, fn in checks.CHECKS:
         checks_s[name] = _median_seconds(lambda: run(name, fn), repeats)
+    layers_s = {**layer_seconds(scale, repeats), **series_layer_seconds(scale, repeats)}
     return {"char_series_s": series_s, "assemble_s": assemble_s, "checks_s": checks_s,
-            "layers_s": layer_seconds(scale, repeats)}
+            "layers_s": layers_s}
 
 
 def layer_seconds(scale: str, repeats: int) -> dict:
@@ -135,9 +148,43 @@ def layer_seconds(scale: str, repeats: int) -> dict:
                 delta, size, omega, trunc, size),
             "_meets_mahler_bounds": lambda: monoid_action._meets_mahler_bounds(
                 p, rows, shifts),
+            "action_digits": lambda: list(itertools.islice(
+                monoid_action.action_digits((delta,), size, omega, trunc, size), size)),
         }
         for name, fn in calls.items():
             out[f"{name} {p}"] = _median_seconds(fn, repeats)
+    return out
+
+
+def series_layer_seconds(scale: str, repeats: int) -> dict:
+    """Seconds of Berkowitz per pinned fixture, of the hull and slope report
+    per fixture and radius, and of one valuation call on assembled entries,
+    each the median of repeats runs; only names and signatures the parent
+    shares."""
+    from haloslopes import charpoly, checks, iwasawa, polygon, up_operator
+    from haloslopes.iwasawa import CharOfDelta
+
+    out = {}
+    for p, t, D, spec, cs in checks.fixture_series(scale):
+        n_blocks = charpoly.window_blocks(p, t, cs.r, D)
+        mat = up_operator.assemble(spec, n_blocks, CharOfDelta(p, 0))
+        entries = [x for row in mat.entries for x in row]
+        out[f"berkowitz_charpoly {p},{t}"] = _median_seconds(
+            lambda: charpoly.berkowitz_charpoly(mat.entries), repeats)
+        out[f"mlambda_order {p},{t}"] = _median_seconds(
+            lambda: [iwasawa.mlambda_order(x) for x in entries], repeats) / len(entries)
+        for vT in RADII:
+            pts = polygon.series_points(cs, vT)
+            poly = polygon.newton_polygon(pts)
+            calls = {
+                "series_points": lambda: polygon.series_points(cs, vT),
+                "newton_polygon": lambda: polygon.newton_polygon(pts),
+                "slope_report": lambda: polygon.slope_report(poly, vT, p, pts),
+            }
+            for name, fn in calls.items():
+                out[f"{name} {p},{t} {vT}"] = _median_seconds(fn, repeats)
+            out[f"eval_valuation {p},{t} {vT}"] = _median_seconds(
+                lambda: [iwasawa.eval_valuation(x, vT) for x in entries], repeats) / len(entries)
     return out
 
 

@@ -112,7 +112,7 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"config {path} must hold a key/value table")

@@ -29,12 +29,6 @@ class UncertifiedHull(PadicError):
     exit_code = 3
 
 
-class AssertionFailure(PadicError):
-    """A closed-form identity failed; signals an implementation fault."""
-
-    exit_code = 1
-
-
 class LengthMismatch(PadicError):
     pass
 
@@ -193,16 +187,12 @@ def bound_gap(p: int, t: int, vT: Fraction) -> Fraction:
 
 
 def max_vertical_gap(p: int, t: int, vT) -> Fraction:
-    """Exact scan of upper minus lower, checked against `bound_gap`."""
+    """Exact scan of upper minus lower over two periods; `bound_gap` is its closed form."""
     vT = Fraction(vT)
     span = 2 * q_for(p) * t
     upper = upper_bound_polygon(p, t, vT, 2)
     lower = lower_bound_polygon(p, t, vT, span)
-    gap = max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
-    want = bound_gap(p, t, vT)
-    if gap != want:
-        raise AssertionFailure(f"scanned gap {gap} differs from closed form {want}")
-    return gap
+    return max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
 
 
 # -- slope reports ------------------------------------------------------------
@@ -280,71 +270,38 @@ def degree_formula_check(report: SlopeReport, r_ord: dict, t: int) -> CheckResul
 
     Predictions: deg X_[0,0] = r(e); deg X_[n,n] = r(2n-2-e) + r(e-2n);
     deg X_(n,n+1) = qt - r(2n-e) - r(e-2n).  Only intervals the polygon
-    covers completely are compared.  The twisted periodicity of the
-    predictions and the partial-sum identity are checked alongside.
+    covers completely are compared.  r_ord must map each residue
+    0..phi(q)-1 to an int in [0, t]; the predictions' periodicity and sums
+    then hold whatever the report holds, so they are not rows.
     """
     q, phi = q_for(report.p), phi_q(report.p)
+    ranks = r_ord.values()
+    if set(r_ord) != set(range(phi)) or any(type(v) is not int or not 0 <= v <= t for v in ranks):
+        raise BadArgument(f"ranks must map each residue 0..{phi - 1} to an int in [0, {t}]")
     e = report.omega_exponent % phi
 
     def r(x: int) -> int:
         return r_ord[x % phi]
 
-    def pred_int(n: int, ee: int) -> int:
-        return r(ee) if n == 0 else r(2 * n - 2 - ee) + r(ee - 2 * n)
-
-    def pred_gap(n: int, ee: int) -> int:
-        return q * t - r(2 * n - ee) - r(ee - 2 * n)
-
-    ratios = [row.ratio for row in report.rows]
-    top = max(ratios, default=Fraction(0))
+    top = max((row.ratio for row in report.rows), default=Fraction(0))
     degrees = report.degrees()
     rows = []
     for n in range(int(top) + 1):
         if top > n:
             obs = degrees.get(f"[{n},{n}]", 0)
-            rows.append(CheckRow(f"deg X_[{n},{n}]", obs == pred_int(n, e), obs, pred_int(n, e)))
+            want = r(e) if n == 0 else r(2 * n - 2 - e) + r(e - 2 * n)
+            rows.append(CheckRow(f"deg X_[{n},{n}]", obs == want, obs, want))
         if top >= n + 1:
             obs = degrees.get(f"({n},{n + 1})", 0)
-            rows.append(
-                CheckRow(f"deg X_({n},{n + 1})", obs == pred_gap(n, e), obs, pred_gap(n, e))
-            )
-        rows.append(
-            CheckRow(f"X_({n},{n + 1}) nonempty", pred_gap(n, e) > 0, pred_gap(n, e), "> 0")
-        )
-        if n >= 1:
-            rows.append(
-                CheckRow(
-                    f"periodicity X_[{n},{n}]",
-                    pred_int(n + 1, e + 2) == pred_int(n, e),
-                    pred_int(n + 1, e + 2),
-                    pred_int(n, e),
-                )
-            )
-        rows.append(
-            CheckRow(
-                f"periodicity X_({n},{n + 1})",
-                pred_gap(n + 1, e + 2) == pred_gap(n, e),
-                pred_gap(n + 1, e + 2),
-                pred_gap(n, e),
-            )
-        )
-    for k in range(1, int(top) + 1):
-        total = pred_int(0, e) + sum(pred_int(n, e) for n in range(1, k))
-        total += sum(pred_gap(n, e) for n in range(k))
-        n_k = k * q * t
-        rows.append(
-            CheckRow(
-                f"slope count below {k}",
-                total == n_k - r(2 * k - 2 - e) and n_k - t <= total <= n_k,
-                total,
-                f"{n_k} - r({(2 * k - 2 - e) % phi})",
-            )
-        )
+            want = q * t - r(2 * n - e) - r(e - 2 * n)
+            rows.append(CheckRow(f"deg X_({n},{n + 1})", obs == want, obs, want))
     return CheckResult("degree formulas", tuple(rows))
 
 
 def atkin_lehner_check(slopes_psi, slopes_psi_inv, k: int, p: int, m: int, t: int) -> CheckResult:
     """Pairing alpha_i(psi) = k+1 - alpha_{L-1-i}(psi^{-1}) plus the sum rule."""
+    if m < 1:
+        raise BadArgument(f"m = {m} must be at least 1")
     q = q_for(p)
     num = (k + 1) * p**m * t
     if num % q:
@@ -373,8 +330,11 @@ def progression_check(alpha: dict, M: int, p: int, t: int) -> CheckResult:
     Each per-character sequence must split into (p-1) p^(M-1) t / 2
     interleaved progressions of common difference phi(q) p^M / (2 q^2),
     and sequences at omega and omega * omega_0^2 must match under the
-    index shift p^M t / q with offset p^M / q^2.
+    index shift p^M t / q with offset p^M / q^2.  One step or twist row
+    per compared term; M >= 1, so every prediction is a Fraction.
     """
+    if M < 1:
+        raise BadArgument(f"M = {M} must be at least 1")
     q, phi = q_for(p), phi_q(p)
     two_k = (p - 1) * p ** (M - 1) * t
     if two_k % 2:
@@ -386,10 +346,7 @@ def progression_check(alpha: dict, M: int, p: int, t: int) -> CheckResult:
         raise BadArgument(f"p^M t = {shift_num} is not divisible by q = {q}")
     shift = shift_num // q
     offset = Fraction(p**M, q * q)
-    rows = [
-        CheckRow("progression count", True, K, K),
-        CheckRow("common difference", True, diff, diff),
-    ]
+    rows = []
     for e, seq in sorted(alpha.items()):
         for j in range(len(seq) - K):
             rows.append(

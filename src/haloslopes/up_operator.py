@@ -178,7 +178,7 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read operator file {path}: {exc}") from exc
     try:
         if not isinstance(obj, dict):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haloslopes import checks, cli
+from haloslopes import checks, cli, polygon
 from haloslopes.charpoly import CharSeries, char_input_prec
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
@@ -377,6 +377,28 @@ def test_invalid_operator_file_exits_2(tmp_path):
     assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("config,operator", [
+    ('{"p": ' + DEEP, None),
+    (None, DEEP + "]" * 200_000),
+], ids=["config", "operator-file"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, config, operator):
+    # the JSON decoder stops such input with a RecursionError
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+    else:
+        op = tmp_path / "op.json"
+        op.write_text(operator)
+        cfg = write_config(tmp_path, source={"file": str(op)})
+    assert main(["charpoly", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_starved_precision_exits_3(tmp_path):
     cfg = write_config(tmp_path, N="6")
     assert main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
@@ -415,6 +437,25 @@ def test_injected_fault_exits_1(tmp_path, capsys):
     assert "FAIL vertical-gap" in capsys.readouterr().out
 
 
+def test_bound_gap_fault_is_one_fail_line_of_a_written_ledger(tmp_path, capsys, monkeypatch):
+    # a closed form twice too large at p = 2, in every module that holds it
+    real = polygon.bound_gap
+
+    def faulty(p, t, vT):
+        return 2 * t * vT if p == 2 else real(p, t, vT)
+
+    monkeypatch.setattr(polygon, "bound_gap", faulty)
+    monkeypatch.setattr(checks, "bound_gap", faulty)
+    out = tmp_path / "o"
+    args = ["verify", "--config", write_config(tmp_path), "--out", str(out)]
+    assert main(args + ["--only", "vertical-gap"]) == 1
+    lines = (out / "verify.txt").read_text().splitlines()
+    assert lines == [
+        "FAIL vertical-gap: (p,t,vT)=(2,1,1/4): 1/4 != 1/2",
+        "result: 0/1 checks passed",
+    ]
+
+
 def package_errors(cls=PadicError):
     """PadicError and every subclass the package defines."""
     out = [cls]
@@ -434,7 +475,7 @@ PRECISION_ERRORS = {
 }
 
 
-CHECK_ERRORS = {"AssertionFailure", "CheckWorkerLost"}
+CHECK_ERRORS = {"CheckWorkerLost"}
 
 
 def readme_exit(error):

@@ -12,7 +12,6 @@ from haloslopes.charpoly import char_input_prec, char_series
 from haloslopes.iwasawa import CharOfDelta
 from haloslopes.padic_core import BadArgument, OrderBound, q_for
 from haloslopes.polygon import (
-    AssertionFailure,
     LengthMismatch,
     NewtonPolygon,
     PolyPoint,
@@ -195,7 +194,7 @@ def test_max_vertical_gap_frozen(p, q, t, vT, want):
     st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8),
 )
 def test_max_vertical_gap_scan_agrees_with_closed_form(p, t, vT):
-    max_vertical_gap(p, t, vT)  # AssertionFailure would signal a fault
+    assert max_vertical_gap(p, t, vT) == bound_gap(p, t, vT)
 
 
 def test_upper_dominates_lower():
@@ -329,6 +328,52 @@ def test_degree_formula_check_flags_rank_mismatch():
     assert any(r.label == "deg X_[0,0]" for r in result.failures())
 
 
+# p = 5, t = 2, omega^1 and r = (1, 0, 2, 1): deg X_[0,0] = r(1),
+# deg X_[n,n] = r(2n-3) + r(1-2n) and deg X_(n,n+1) = 10 - r(2n-1) - r(1-2n)
+RANKS = {0: 1, 1: 0, 2: 2, 3: 1}
+DEGREES = {
+    "deg X_[0,0]": 0, "deg X_(0,1)": 9, "deg X_[1,1]": 2, "deg X_(1,2)": 9,
+    "deg X_[2,2]": 0, "deg X_(2,3)": 9, "deg X_[3,3]": 2,
+}
+
+
+def nonzero_rank_report():
+    # ratio = slope at phi(q) vT = 1; the ratios stop at 7/2, inside (3,4)
+    slopes = [F(1, 2)] * 9 + [F(1)] * 2 + [F(3, 2)] * 9 + [F(5, 2)] * 9 + [F(3)] * 2 + [F(7, 2)]
+    ys = [F(0)]
+    for s in slopes:
+        ys.append(ys[-1] + s)
+    pts = [pt(i, y) for i, y in enumerate(ys)]
+    return slope_report(newton_polygon(pts), F(1, 4), 5, pts, omega_exponent=1)
+
+
+def test_degree_formula_check_pins_every_row_on_nonzero_ranks():
+    result = degree_formula_check(nonzero_rank_report(), RANKS, 2)
+    assert [(r.label, r.predicted) for r in result.rows] == list(DEGREES.items())
+    assert [r.observed for r in result.rows] == list(DEGREES.values())
+    assert result.passed
+
+
+def test_degree_formula_check_reads_the_report_in_every_row():
+    report = nonzero_rank_report()
+    rows = tuple(row._replace(interval="(5,6)") for row in report.rows)
+    result = degree_formula_check(report._replace(rows=rows), RANKS, 2)
+    assert [(r.label, r.observed) for r in result.rows] == [(label, 0) for label in DEGREES]
+    assert [r.label for r in result.failures()] == [k for k, v in DEGREES.items() if v]
+
+
+@pytest.mark.parametrize("ranks", [
+    {0: 1, 1: 0, 2: 2},
+    {0: 1, 1: 0, 2: 3, 3: 1},
+    {0: 1, 1: -1, 2: 2, 3: 1},
+    {0: 1, 1: 0, 2: F(2), 3: 1},
+    {0: 1, 1: 0, 2: 2, 3: 1, 4: 0},
+], ids=["missing-residue", "above-t", "negative", "non-int", "extra-residue"])
+def test_degree_formula_check_rejects_bad_rank_tables(ranks):
+    with pytest.raises(BadArgument, match=r"residue 0\.\.3 to an int in \[0, 2\]"):
+        degree_formula_check(nonzero_rank_report(), ranks, 2)
+
+
 # -- involution pairing -------------------------------------------------------
 
 
@@ -366,9 +411,12 @@ def test_progression_check_constructed_pass():
     seq = [F(0), F(1, 3), F(2, 3), F(1), F(4, 3), F(5, 3), F(2)]
     result = progression_check({0: seq}, 2, 3, 1)
     assert result.passed
-    info = {r.label: r.observed for r in result.rows[:2]}
-    assert info["progression count"] == 3
-    assert info["common difference"] == 1
+    # each step row compares seq[j + K] with seq[j] + diff
+    steps = [r for r in result.rows if r.label.endswith("step")]
+    assert [r.label for r in steps] == [f"omega^0 j={j} step" for j in range(len(seq) - 3)]
+    assert [(r.observed, r.predicted) for r in steps] == [
+        (seq[j + 3], seq[j] + 1) for j in range(len(seq) - 3)
+    ]
 
 
 def test_progression_check_perturbed_fails():
@@ -377,3 +425,16 @@ def test_progression_check_perturbed_fails():
     result = progression_check({0: seq}, 2, 3, 1)
     bad = [r.label for r in result.failures()]
     assert "omega^0 j=1 step" in bad
+
+
+@pytest.mark.parametrize("checker", [
+    lambda: progression_check({0: [F(0)]}, 0, 3, 3),
+    lambda: progression_check({0: [F(0)]}, 0, 3, 1),
+    lambda: progression_check({0: [F(0)]}, -1, 5, 2),
+    lambda: atkin_lehner_check([0, 1], [0, 1], 0, 3, 0, 2),
+    lambda: atkin_lehner_check([0, 1], [0, 1], 0, 3, -1, 2),
+], ids=["M0-t3", "M0-t1", "M-1", "m0", "m-1"])
+def test_checkers_reject_exponents_below_one(checker):
+    # p^(M-1) and p^m would be floats
+    with pytest.raises(BadArgument, match="must be at least 1"):
+        checker()

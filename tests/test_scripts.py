@@ -1,7 +1,9 @@
 import csv
 import functools
+import inspect
 import runpy
 import subprocess
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -207,10 +209,13 @@ FULL_SCALE = runpy.run_path(str(SCRIPTS / "full_scale.py"), run_name="full_scale
 def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypatch):
     # every timing is the median of --repeats runs: each check runs that
     # often, fixture_series builds the series afresh each time, each fixture
-    # is assembled that often at the block count char_series takes, and each
-    # entry-side layer is called that often per prime at the entry shape;
-    # only direct calls count, not a layer's calls inside another layer
-    from haloslopes import charpoly, checks, monoid_action, padic_core, up_operator
+    # is assembled that often at the block count char_series takes, each
+    # entry-side layer is called that often per prime at the entry shape,
+    # and each series-side layer per fixture and radius; only direct calls
+    # count, not a layer's calls inside another layer
+    from haloslopes import (
+        charpoly, checks, iwasawa, monoid_action, padic_core, polygon, up_operator,
+    )
     from haloslopes.charpoly import window_blocks
 
     builds, runs, assembled, layers = [], [], [], []
@@ -242,6 +247,18 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
             return inside(fn)(scale, fault)
         return check
 
+    def stepped(gen):
+        # a generator layer runs its body on each step
+        while True:
+            busy.append(gen)
+            try:
+                item = next(gen)
+            except StopIteration:
+                return
+            finally:
+                busy.pop()
+            yield item
+
     def layer(module, name, key):
         fn = getattr(module, name)
 
@@ -250,7 +267,7 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
             out = inside(fn)(*args)
             if direct:
                 layers.append((name, key(*args), out if out is True else None))
-            return out
+            return stepped(out) if inspect.isgenerator(out) else out
         monkeypatch.setattr(module, name, call)
 
     names = [name for name, _fn in checks.CHECKS]
@@ -263,17 +280,33 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
     layer(padic_core, "binomials", lambda xs, count, p, *_: (p, len(xs), count))
     layer(monoid_action, "_kernel_samples", lambda delta, size, *_: (delta.p, size))
     layer(monoid_action, "_meets_mahler_bounds", lambda p, rows, shifts: (p, len(rows)))
+    layer(monoid_action, "action_digits", lambda deltas, size, *_: (deltas[0].p, size))
+    layer(charpoly, "berkowitz_charpoly", lambda rows: (rows[0][0].p, len(rows)))
+    layer(iwasawa, "mlambda_order", lambda x: (x.p, None))
+    layer(iwasawa, "eval_valuation", lambda x, vT: (x.p, vT))
+    layer(polygon, "series_points", lambda cs, vT: (cs.coeffs[0].p, vT))
+    layer(polygon, "newton_polygon", lambda pts: (len(pts), None))
+    layer(polygon, "slope_report", lambda poly, vT, p, pts: (p, vT))
     got = FULL_SCALE["measure"]("smoke", 3)
     measured = list(layers)
     assert list(got["char_series_s"]) == ["3,1", "5,2"]
     assert list(got["assemble_s"]) == ["3,1", "5,2"]
-    fixtures = [(p, t, window_blocks(p, t, cs.r, D)) for p, t, D, _spec, cs in build("smoke")]
-    assert assembled == [f for f in fixtures for _ in range(3)]
+    series = build("smoke")
+    fixtures = [(p, t, window_blocks(p, t, cs.r, D)) for p, t, D, _spec, cs in series]
+    # three timed assemblies, then one untimed for the series-side layers
+    assert assembled == [f for f in fixtures for _ in range(3)] + fixtures
     assert list(got["checks_s"]) == ["fixture_series", *names]
+    radii = [F(1, 3), F(1, 4)]
     assert list(got["layers_s"]) == [
         f"{name} {p}" for p in (2, 3, 5)
         for name in ("torsion_residue", "log_line", "binomials", "_kernel_samples",
-                     "_meets_mahler_bounds")
+                     "_meets_mahler_bounds", "action_digits")
+    ] + [
+        key for p, t, *_ in series for key in [
+            f"berkowitz_charpoly {p},{t}", f"mlambda_order {p},{t}",
+            *[f"{name} {p},{t} {vT}" for vT in radii
+              for name in ("series_points", "newton_polygon", "slope_report", "eval_valuation")],
+        ]
     ]
     assert all(s >= 0 for part in got.values() for s in part.values())
     assert builds == ["smoke"] * 3
@@ -293,6 +326,23 @@ def test_full_scale_measures_the_series_side_in_process_at_smoke_scale(monkeypat
             *[("binomials", (p, size, size), None), ("binomials", (p, size, trunc), None)] * 3,
             *[("_kernel_samples", (p, size), None)] * 3,
             *[("_meets_mahler_bounds", (p, size), True)] * 3,
+            *[("action_digits", (p, size), None)] * 3,
+        ]
+    ] + [
+        # untimed calls of series_points and newton_polygon build the hull's
+        # and the report's inputs; the valuations run on every entry of the
+        # matrix Berkowitz takes
+        call for (p, t, n_blocks), (*_, cs) in zip(fixtures, series) for call in [
+            *[("berkowitz_charpoly", (p, n_blocks * t), None)] * 3,
+            *[("mlambda_order", (p, None), None)] * (3 * (n_blocks * t) ** 2),
+            *[c for vT in radii for c in [
+                ("series_points", (p, vT), None),
+                ("newton_polygon", (len(cs.coeffs), None), None),
+                *[("series_points", (p, vT), None)] * 3,
+                *[("newton_polygon", (len(cs.coeffs), None), None)] * 3,
+                *[("slope_report", (p, vT), None)] * 3,
+                *[("eval_valuation", (p, vT), None)] * (3 * (n_blocks * t) ** 2),
+            ]],
         ]
     ]
 
