@@ -50,6 +50,8 @@ from .up_operator import (
 
 # the message prefix of each exit code a PadicError carries
 _EXIT_PREFIX = {1: "check failure", 2: "input error", 3: "precision exhausted"}
+# every key a config may hold; load_config refuses any other
+_CONFIG_KEYS = ("p", "t", "N", "M_T", "r", "D", "omega_exponent", "vT", "source", "scale")
 
 
 class ExperimentConfig(NamedTuple):
@@ -65,7 +67,6 @@ class ExperimentConfig(NamedTuple):
     vT: tuple  # distinct Fractions in (0,1)
     source: object  # Synthetic(seed) | Ingested(file)
     out_dir: str
-    checks: tuple
     scale: str  # "full" | "smoke"
 
     @property
@@ -107,8 +108,8 @@ def _fraction(text: str) -> Fraction:
         raise BadArgument(f"{text!r} is not a rational number") from None
 
 
-def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
-    """Parse and validate a config file; --seed/--out override fields."""
+def load_config(path: str, out: str = "out") -> ExperimentConfig:
+    """Parse and validate a config file; every key must be one it reads."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -119,9 +120,13 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     src_obj = obj.get("source", {})
     if not isinstance(src_obj, dict):
         raise BadArgument("config field 'source' must be a key/value table")
-    if seed is not None:
-        source = Synthetic(seed)
-    elif "file" in src_obj:
+    unknown = set(obj) - set(_CONFIG_KEYS)
+    unknown |= {f"source.{key}" for key in set(src_obj) - {"seed", "file"}}
+    if unknown:
+        raise BadArgument(f"config has unknown fields: {', '.join(sorted(unknown))}")
+    if "file" in src_obj:
+        if "seed" in src_obj:
+            raise BadArgument("source must name one of 'seed' and 'file', not both")
         if not isinstance(src_obj["file"], str):
             raise BadArgument("source 'file' must be a path string")
         source = Ingested(src_obj["file"])
@@ -130,9 +135,6 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
     p = _int_field(obj, "p")
     if not is_prime(p):
         raise BadArgument(f"p = {p} is not a prime")
-    out_dir = out if out is not None else obj.get("out", "out")
-    if not isinstance(out_dir, str):
-        raise BadArgument("config field 'out' must be a path string")
     scale = obj.get("scale", "smoke")
     if not isinstance(scale, str):
         raise BadArgument("config field 'scale' must be a string")
@@ -146,8 +148,7 @@ def load_config(path: str, seed=None, out=None) -> ExperimentConfig:
         omega_exponent=_int_field(obj, "omega_exponent", 0),
         vT=tuple(_fraction(s) for s in _str_list(obj, "vT", ["1/3", "1/4"])),
         source=source,
-        out_dir=out_dir,
-        checks=tuple(_str_list(obj, "checks", [])),
+        out_dir=out,
         scale=scale,
     )
     # every radius names its own output files and rigidity column
@@ -172,10 +173,10 @@ def _spec_for(cfg: ExperimentConfig) -> UpSpec:
     if isinstance(cfg.source, Synthetic):
         return synth_up(cfg.t, cfg.p, cfg.N, cfg.M_T, seed=cfg.source.seed)
     spec = load_up(cfg.source.file, cfg.M_T)
-    if (spec.p, spec.t) != (cfg.p, cfg.t):
+    if (spec.p, spec.t, spec.N) != (cfg.p, cfg.t, cfg.N):
         raise BadArgument(
-            f"operator file has (p,t)=({spec.p},{spec.t}), "
-            f"config says ({cfg.p},{cfg.t})"
+            f"operator file has (p,t,N)=({spec.p},{spec.t},{spec.N}), "
+            f"config says ({cfg.p},{cfg.t},{cfg.N})"
         )
     return spec
 
@@ -337,11 +338,11 @@ def cmd_polygon(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: ExperimentConfig, only=None, inject_fault=None) -> int:
+def cmd_verify(cfg: ExperimentConfig, only=(), inject_fault=None) -> int:
     # the check registry is imported here, so only verify pays to compile it
     from .checks import run_checks
 
-    rows = run_checks(only or cfg.checks, cfg.scale, inject_fault)
+    rows = run_checks(only, cfg.scale, inject_fault)
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in rows]
     failures = sum(not ok for _name, ok, _detail in rows)
     lines.append(f"result: {len(rows) - failures}/{len(rows)} checks passed")
@@ -363,23 +364,25 @@ def main(argv=None) -> int:
     for name in ("matrix", "charpoly", "polygon", "verify"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default="out")
         if name == "matrix":
             sp.add_argument("--rescale", action="store_true")
         if name == "verify":
             sp.add_argument("--only", default=None)
             sp.add_argument("--inject-fault", default=None)
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        print(f"input error: unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
+        return 2
     try:
-        cfg = load_config(args.config, seed=args.seed, out=args.out)
+        cfg = load_config(args.config, out=args.out)
         if args.command == "matrix":
             return cmd_matrix(cfg, rescale=args.rescale)
         if args.command == "charpoly":
             return cmd_charpoly(cfg)
         if args.command == "polygon":
             return cmd_polygon(cfg)
-        only = args.only.split(",") if args.only else None
+        only = args.only.split(",") if args.only else ()
         return cmd_verify(cfg, only=only, inject_fault=args.inject_fault)
     except PadicError as exc:
         print(f"{_EXIT_PREFIX[exc.exit_code]}: {exc}", file=sys.stderr)

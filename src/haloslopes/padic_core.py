@@ -189,19 +189,16 @@ def torsion_residue(d: int, p: int, prec: int) -> int:
     """Torsion component of the unit d, as a residue mod p^prec.
 
     For odd p the Teichmuller lift, the (p-1)-st root of unity congruent to
-    d mod p: the fixed point of x -> x^p, which prec iterations reach since
-    each contracts the distance to it by a factor of p.  For p = 2 the sign,
-    1 or -1 as d is 1 or 3 mod 4.
+    d mod p: d^(p^k) mod p^prec for every k >= prec - 1, since the units mod
+    p^prec have order (p-1) p^(prec-1).  For p = 2 the sign, 1 or -1 as d
+    is 1 or 3 mod 4.
     """
     if d % p == 0:
         raise NotAUnit(f"{d} is divisible by {p}")
     mod = p**prec
     if p == 2:
         return 1 if d % 4 == 1 else mod - 1
-    x = d % mod
-    for _ in range(prec):
-        x = pow(x, p, mod)
-    return x
+    return pow(d, p ** (prec - 1), mod)
 
 
 @lru_cache(maxsize=None)

@@ -187,10 +187,19 @@ def bound_gap(p: int, t: int, vT: Fraction) -> Fraction:
 
 
 def max_vertical_gap(p: int, t: int, vT) -> Fraction:
-    """Exact scan of upper minus lower over two periods; `bound_gap` is its closed form."""
+    """Exact scan of upper minus lower over one period; `bound_gap` is its closed form.
+
+    One period x <= qt holds every gap.  The increment floor(i/t) - floor(i/pt)
+    of lambda never decreases, since every multiple of pt is a multiple of t,
+    so lambda is convex and the lower polygon passes through every point
+    (n, vT lambda(n)).  The increment at i + qt is the one at i plus q - q/p,
+    so lambda(m + qt) = lambda(m) + lambda(qt) + (q - q/p) m.  On each period
+    both polygons are then the first period's plus one affine function, and
+    their difference has period qt.
+    """
     vT = Fraction(vT)
-    span = 2 * q_for(p) * t
-    upper = upper_bound_polygon(p, t, vT, 2)
+    span = q_for(p) * t
+    upper = upper_bound_polygon(p, t, vT, 1)
     lower = lower_bound_polygon(p, t, vT, span)
     return max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
 

@@ -174,7 +174,7 @@ def _file_int(val, key: str, least: int | None = None) -> int:
 
 
 def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
-    """Read a save_up file; M_T applies unless the file sets its own."""
+    """Read a save_up file, whose keys are p, t, N and cells; M_T is the caller's."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -183,12 +183,13 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
     try:
         if not isinstance(obj, dict):
             raise ValueError("the file must hold a key/value table")
+        if set(obj) != {"p", "t", "N", "cells"}:
+            raise ValueError(f"the keys must be p, t, N and cells, not {sorted(obj)}")
         p = _file_int(obj["p"], "p")
         if not is_prime(p):
             raise ValueError(f"p = {p} is not a prime")
         t = _file_int(obj["t"], "t", least=1)
         n = _file_int(obj["N"], "N", least=1)
-        m_t = _file_int(obj.get("M_T", M_T), "M_T", least=1)
         cells = tuple(
             (
                 _file_int(c["i"], "i"),
@@ -199,7 +200,7 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed operator file {path}: {exc}") from exc
-    spec = UpSpec(t, p, n, m_t, cells, Ingested(path))
+    spec = UpSpec(t, p, n, M_T, cells, Ingested(path))
     spec.validate()
     return spec
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -76,9 +77,9 @@ def test_load_config_decimal_strings(tmp_path):
 
 
 def test_load_config_overrides(tmp_path):
-    cfg = load_config(write_config(tmp_path), seed=9, out="elsewhere")
-    assert cfg.source == Synthetic(9)
-    assert cfg.out_dir == "elsewhere"
+    # --out is the one source of the output directory
+    assert load_config(write_config(tmp_path), out="elsewhere").out_dir == "elsewhere"
+    assert load_config(write_config(tmp_path)).out_dir == "out"
 
 
 def test_load_config_file_source(tmp_path):
@@ -183,8 +184,59 @@ def test_saved_operator_file_runs(tmp_path, capsys):
     assert run_charpoly_on_saved_file(tmp_path, capsys, lambda obj: None)[0] == 0
 
 
+def saved_smoke_operator(tmp_path, **extra) -> str:
+    """Path of the smoke operator's save_up file, with `extra` keys added."""
+    op = tmp_path / "op.json"
+    save_up(synth_up(1, 3, 40, 20, seed=1), str(op))
+    op.write_text(json.dumps(dict(json.loads(op.read_text()), **extra)))
+    return str(op)
+
+
+def test_charpoly_reads_a_saved_operator_as_its_seed(tmp_path):
+    # the smoke operator through source.file writes what source.seed writes
+    op = saved_smoke_operator(tmp_path)
+    outs = []
+    for name, source in (("seed", {"seed": "1"}), ("file", {"file": op})):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, name=f"{name}.json", source=source)
+        assert main(["charpoly", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "charpoly.json").read_text())
+        outs.append((doc["source"], doc["series"], (out / "charbound.csv").read_bytes()))
+    assert [tag for tag, *_ in outs] == ["seed:1", f"file:{op}"]
+    assert outs[0][1:] == outs[1][1:]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda op: ({"omega_exponnet": "1"}, []), "unknown fields: omega_exponnet"),
+        (lambda op: ({"checks": ["non-compactness"]}, []), "unknown fields: checks"),
+        (lambda op: ({"out": "elsewhere"}, []), "unknown fields: out"),
+        (lambda op: ({"source": {"sead": "1"}}, []), "unknown fields: source.sead"),
+        (lambda op: ({"source": {"seed": "1", "file": op()}}, []), "not both"),
+        (lambda op: ({"source": {"file": op()}, "N": "41"}, []), "(p,t,N)=(3,1,40)"),
+        (lambda op: ({"source": {"file": op(M_T=20)}}, []), "keys must be p, t, N and cells"),
+        (lambda op: ({"source": {"file": op(level="5")}}, []), "keys must be p, t, N and cells"),
+        (lambda op: ({}, ["--seed", "3"]), "unrecognized arguments: --seed 3"),
+    ],
+    ids=[
+        "misspelled-key", "config-checks", "config-out", "source-key", "seed-and-file",
+        "file-N", "file-M_T", "file-extra-key", "seed-flag",
+    ],
+)
+def test_input_the_runner_would_ignore_exits_2(tmp_path, capsys, case, message):
+    overrides, flags = case(functools.partial(saved_smoke_operator, tmp_path))
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["charpoly", "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # decimal strings (some out of range), malformed strings and wrong JSON types
-CONFIG_KEYS = tuple(BASE) + ("checks", "out")
+CONFIG_KEYS = tuple(BASE)
 FIELD_VALUES = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(["1/3", "1/4", "x", "1/0", "0.25", "", " 7 ", "1e3", "smoke", "full"]),
@@ -322,12 +374,11 @@ def test_fuzzed_config_sizes_exit_2_past_a_cap(drawn):
     assert_capped(drawn, code, err, "config field ")
 
 
-# the file's cells fix p = 3 and t = 1
+# the file's cells fix p = 3 and t = 1; M_T is the config's alone
 SMALL_FILE_SIZES = {
     "p": st.just("3"),
     "t": st.just("1"),
     "N": st.integers(1, 40).map(str),
-    "M_T": st.integers(1, 20).map(str),
 }
 
 
@@ -338,8 +389,10 @@ def test_fuzzed_operator_file_sizes_exit_2_past_a_cap(drawn):
         op = Path(tmp) / "op.json"
         save_up(synth_up(1, 3, 40, 20, seed=1), str(op))
         op.write_text(json.dumps(dict(json.loads(op.read_text()), **drawn)))
+        # the config names the file's N, or its cap where the file's lies past it
+        n = str(min(int(drawn["N"]), SIZE_CAPS["N"]))
         path = Path(tmp) / "cfg.json"
-        path.write_text(json.dumps(dict(BASE, source={"file": str(op)})))
+        path.write_text(json.dumps(dict(BASE, N=n, source={"file": str(op)})))
         code, err = run_quietly(["charpoly", "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert_capped(drawn, code, err, "field ")
 
@@ -352,7 +405,7 @@ def test_config_rejects_vt_outside_unit_interval(tmp_path):
 
 def test_q_derivation():
     cfg = ExperimentConfig(
-        2, 1, 40, 20, 5, 6, 0, (Fraction(1, 2),), Synthetic(1), "o", (), "smoke"
+        2, 1, 40, 20, 5, 6, 0, (Fraction(1, 2),), Synthetic(1), "o", "smoke"
     )
     assert cfg.q == 4
 
@@ -419,11 +472,6 @@ def test_unknown_check_exits_2(tmp_path, capsys):
     # a fault in a known check left out of the selection would go unseen
     only = ["--only", "lambda-closed-form", "--inject-fault", "vertical-gap"]
     assert main(args + only) == 2
-    err = capsys.readouterr().err
-    assert "vertical-gap" in err and "lambda-closed-form" in err
-    cfg = write_config(tmp_path, name="listed.json", checks=["lambda-closed-form"])
-    args = ["verify", "--config", cfg, "--out", str(tmp_path / "o")]
-    assert main(args + ["--inject-fault", "vertical-gap"]) == 2
     err = capsys.readouterr().err
     assert "vertical-gap" in err and "lambda-closed-form" in err
     assert not (tmp_path / "o").exists()
@@ -585,11 +633,11 @@ def test_charpoly_degree_zero_is_unit_series(tmp_path):
     assert len(rows) == 1 and rows[0]["halo_order"] == "0"
 
 
-def test_seed_flag_changes_series(tmp_path):
-    cfg = write_config(tmp_path)
+def test_source_seed_changes_series(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["charpoly", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["charpoly", "--config", cfg, "--out", str(b), "--seed", "3"]) == 0
+    assert main(["charpoly", "--config", write_config(tmp_path), "--out", str(a)]) == 0
+    cfg = write_config(tmp_path, name="seed3.json", source={"seed": "3"})
+    assert main(["charpoly", "--config", cfg, "--out", str(b)]) == 0
     assert (a / "charpoly.json").read_text() != (b / "charpoly.json").read_text()
 
 
@@ -681,13 +729,6 @@ def test_verify_only_filters_ledger(tmp_path, capsys):
     assert len(lines) == 5
     assert lines[-1] == "result: 4/4 checks passed"
     assert all(line.startswith("PASS ") for line in lines[:-1])
-
-
-def test_verify_checks_from_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, checks=["non-compactness"])
-    out = tmp_path / "v"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    assert "result: 1/1" in capsys.readouterr().out
 
 
 def test_verify_ledger_is_deterministic(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from haloslopes import cli
-from haloslopes.charpoly import char_input_prec, char_series
+from haloslopes.charpoly import char_input_prec, char_series, lambda_seq
 from haloslopes.iwasawa import CharOfDelta
 from haloslopes.padic_core import BadArgument, OrderBound, q_for
 from haloslopes.polygon import (
@@ -197,6 +197,33 @@ def test_max_vertical_gap_scan_agrees_with_closed_form(p, t, vT):
     assert max_vertical_gap(p, t, vT) == bound_gap(p, t, vT)
 
 
+def two_period_gap(p, t, vT):
+    """The scan over x <= 2qt that max_vertical_gap made before one period sufficed."""
+    span = 2 * q_for(p) * t
+    upper = upper_bound_polygon(p, t, vT, 2)
+    lower = lower_bound_polygon(p, t, vT, span)
+    return max(upper.value_at(x) - lower.value_at(x) for x in range(span + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_one_period_gap_scan_equals_two_periods(p, t):
+    for vT in (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(7, 8)):
+        assert max_vertical_gap(p, t, vT) == two_period_gap(p, t, vT)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_lambda_is_convex_and_shifts_by_a_period_affinely(p, t):
+    # the argument of max_vertical_gap's one-period scan
+    q = q_for(p)
+    lam = lambda_seq(p, t, 2 * q * t)
+    steps = [b - a for a, b in zip(lam, lam[1:])]
+    assert steps == sorted(steps)
+    for m in range(q * t + 1):
+        assert lam[m + q * t] == lam[m] + lam[q * t] + (q - q // p) * m
+
+
 def test_upper_dominates_lower():
     for p, t, vT in [(3, 1, F(1, 2)), (5, 2, F(1, 4)), (2, 1, F(1, 3))]:
         up = upper_bound_polygon(p, t, vT, 2)
@@ -292,7 +319,7 @@ def test_slope_report_csv_frozen(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "char_series", lambda *args: None)
     monkeypatch.setattr(cli, "series_points", lambda cs, vT: [pt(0, 0), pt(1, F(1, 3))])
     cfg = cli.ExperimentConfig(
-        3, 1, 40, 20, 5, 1, 0, (F(1, 4),), Synthetic(1), str(tmp_path), (), "smoke"
+        3, 1, 40, 20, 5, 1, 0, (F(1, 4),), Synthetic(1), str(tmp_path), "smoke"
     )
     assert cli.cmd_polygon(cfg) == 0
     got = (tmp_path / "slopes_1_4.csv").read_bytes()

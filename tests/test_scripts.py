@@ -367,6 +367,25 @@ def test_full_scale_takes_exactly_one_mode(capsys):
     assert "give exactly one of --here and --base" in capsys.readouterr().err
 
 
+def test_every_harness_config_passes_the_strict_loader(tmp_path):
+    # load_config refuses keys it does not read, so a harness config that
+    # carried one would fail every benchmark item or identity run it drives
+    import json
+
+    from haloslopes.cli import load_config
+
+    bench = SCRIPTS.parent / "bench"
+    workloads = runpy.run_path(str(bench / "workloads.py"))
+    pins = json.loads((bench / "pins.json").read_text())
+    identity = runpy.run_path(str(SCRIPTS / "identity.py"), run_name="identity")
+    configs = [workloads["cli_config"](seed) for seed, _digest in pins["cli"]]
+    configs += [identity["SMOKE_CONFIG"], identity["T2_CONFIG"]]
+    for k, obj in enumerate(configs):
+        path = tmp_path / f"cfg{k}.json"
+        path.write_text(json.dumps(obj))
+        assert load_config(str(path)).source.seed == int(obj["source"]["seed"])
+
+
 def test_identity_smoke_record_matches_the_pinned_outputs():
     # the in-process smoke part of scripts/identity.py, against the pins of
     # tests/test_cli.py: every golden tree, the smoke ledger, and a ledger that
