@@ -51,7 +51,7 @@ from .up_operator import (
 # the message prefix of each exit code a PadicError carries
 _EXIT_PREFIX = {1: "check failure", 2: "input error", 3: "precision exhausted"}
 # every key a config may hold; load_config refuses any other
-_CONFIG_KEYS = ("p", "t", "N", "M_T", "r", "D", "omega_exponent", "vT", "source", "scale")
+_CONFIG_KEYS = {"p", "t", "N", "M_T", "r", "D", "omega_exponent", "vT", "source", "scale"}
 
 
 class ExperimentConfig(NamedTuple):
@@ -120,8 +120,8 @@ def load_config(path: str, out: str = "out") -> ExperimentConfig:
     src_obj = obj.get("source", {})
     if not isinstance(src_obj, dict):
         raise BadArgument("config field 'source' must be a key/value table")
-    unknown = set(obj) - set(_CONFIG_KEYS)
-    unknown |= {f"source.{key}" for key in set(src_obj) - {"seed", "file"}}
+    unknown = obj.keys() - _CONFIG_KEYS
+    unknown |= {f"source.{key}" for key in src_obj.keys() - {"seed", "file"}}
     if unknown:
         raise BadArgument(f"config has unknown fields: {', '.join(sorted(unknown))}")
     if "file" in src_obj:

@@ -198,7 +198,7 @@ def test_max_vertical_gap_scan_agrees_with_closed_form(p, t, vT):
 
 
 def two_period_gap(p, t, vT):
-    """The scan over x <= 2qt that max_vertical_gap made before one period sufficed."""
+    """Largest gap of upper minus lower over two periods, x <= 2qt."""
     span = 2 * q_for(p) * t
     upper = upper_bound_polygon(p, t, vT, 2)
     lower = lower_bound_polygon(p, t, vT, span)
