@@ -19,6 +19,8 @@ the import path that a change must leave byte-identical:
 - `entry reports`: count, violation count and sha256 of a seeded set of
   144 `verify_entry_bounds` reports, their `repr`s joined by newlines
   (`entry_reports`), half of them failing and half passing.
+- `errors`: exit code and sha256 of the stderr of each failing run of
+  `ERROR_RUNS`, the error paths that a config or an operator file reaches.
 
 --base compares the parent REV with the committed HEAD.  Each side is a
 `git archive` extract made by `scripts/bench_pairs.py`'s `checkouts`, and is
@@ -34,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
 import tempfile
 from pathlib import Path
@@ -72,6 +75,31 @@ TREE_COMMANDS = ("matrix", "matrix --rescale", "charpoly", "polygon")
 ENTRY_CHECKS = ("entry-bounds-up", "entry-bounds-m1")
 
 
+def unit_a(text: str) -> str:
+    # a unit a takes the first cell's matrix out of the U_p class (p | a)
+    obj = json.loads(text)
+    obj["cells"][0]["delta"]["a"] = "1"
+    return json.dumps(obj)
+
+
+# name -> (config changes, operator file edit or None, command): failing runs
+# on SMOKE_CONFIG; an operator file is the smoke operator's save_up file,
+# op.json, that the edit gets as its JSON text and returns changed
+ON_FILE = {"source": {"file": "op.json"}}
+ERROR_RUNS = {
+    "starved N": ({"N": "6"}, None, ["charpoly"]),
+    "undecidable stability gap": (
+        {"t": "2", "N": "8", "M_T": "1", "r": "5", "D": "0"}, None, ["charpoly"]
+    ),
+    "non-U_p cell": (ON_FILE, unit_a, ["charpoly"]),
+    "config not JSON": ("{not json", None, ["charpoly"]),
+    "operator file not JSON": (ON_FILE, lambda text: "{not json", ["charpoly"]),
+    "unknown config key": ({"omega_exponnet": "1"}, None, ["charpoly"]),
+    "file N unlike the config's": (dict(ON_FILE, N="41"), lambda text: text, ["charpoly"]),
+    "unknown check": ({}, None, ["verify", "--only", "no-such-check"]),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -106,6 +134,41 @@ def run_cli(tmp: Path, config: dict, argv: list) -> tuple:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
     return code, out
+
+
+def error_run(tmp: Path, changes, edit, argv: list) -> tuple:
+    """(exit code, stderr) of one failing in-process run, in a fresh directory
+    under tmp made the working directory, so the file names in its message
+    (config.json, op.json) are the same on every run.  changes update
+    SMOKE_CONFIG, or are the config file's whole text if a string."""
+    from haloslopes.cli import main
+    from haloslopes.up_operator import save_up, synth_up
+
+    work = Path(tempfile.mkdtemp(dir=tmp))
+    text = changes if isinstance(changes, str) else json.dumps(dict(SMOKE_CONFIG, **changes))
+    (work / "config.json").write_text(text)
+    if edit is not None:
+        save_up(synth_up(1, 3, 40, 20, seed=1), str(work / "op.json"))
+        (work / "op.json").write_text(edit((work / "op.json").read_text()))
+    err = io.StringIO()
+    home = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--config", "config.json", "--out", "out", *argv[1:]])
+    finally:
+        os.chdir(home)
+    return code, err.getvalue()
+
+
+def errors() -> dict:
+    """name -> exit code and stderr sha256 of each run of ERROR_RUNS."""
+    record = {}
+    with tempfile.TemporaryDirectory(prefix="identity-") as name:
+        for label, run in ERROR_RUNS.items():
+            code, err = error_run(Path(name), *run)
+            record[label] = {"exit": code, "sha256": sha256(err.encode())}
+    return record
 
 
 def tree(tmp: Path, config: dict, command: str) -> dict:
@@ -196,7 +259,8 @@ def main(argv=None) -> int:
     if args.here:
         import haloslopes
 
-        record = {**smoke_record(), **full_record(), "entry reports": entry_reports()}
+        record = {**smoke_record(), **full_record(), "entry reports": entry_reports(),
+                  "errors": errors()}
         record["package"] = str(Path(haloslopes.__file__).resolve().parent)
         print(json.dumps(record, sort_keys=True))
         return 0

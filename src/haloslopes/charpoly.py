@@ -11,6 +11,8 @@ reduced value is one subtraction from the block with p^N in every digit.
 The truncation size comes from the convergence lemma for the block shape:
 beyond the leading floor(ptr/(p-1)) minor the matrix is strictly upper
 triangular mod m^r, so coefficients stabilize once the minor is inside.
+A series the operator's digits cannot certify mod m^r, and two truncation
+sizes that disagree, raise PrecisionTooLow (exit 3).
 """
 
 from __future__ import annotations
@@ -21,20 +23,8 @@ from typing import NamedTuple
 from .iwasawa import CharOfDelta, LambdaElt, mlambda_order
 from .iwasawa import pack, reduce_digits, ring_width, unpack
 from .monoid_action import matrix_input_prec
-from .padic_core import (
-    BadArgument,
-    Frozen,
-    MismatchedParameters,
-    PadicError,
-    PrecisionTooLow,
-)
+from .padic_core import BadArgument, Frozen, PrecisionTooLow
 from .up_operator import UpSpec, assemble, certified_target
-
-
-class StabilityFailure(PadicError):
-    """Two truncation sizes disagreed where the convergence lemma forbids it."""
-
-    exit_code = 3
 
 
 class CharSeries(Frozen):
@@ -95,7 +85,7 @@ def berkowitz_charpoly(entries) -> tuple:
         raise BadArgument("empty matrix has no characteristic series")
     params = {(e.p, e.prec, e.trunc) for row in entries for e in row}
     if len(params) != 1:
-        raise MismatchedParameters(f"entries disagree on ring parameters: {params}")
+        raise BadArgument(f"entries disagree on ring parameters: {params}")
     ((p, prec, trunc),) = params
     pn = p**prec
     width = ring_width(pn, trunc, size + 1)
@@ -145,9 +135,8 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     orders >= r, so that gap is decided over Z/p^k [T]/T^w, with k the
     smaller of r and the precision certified for size S + t and w the
     smaller of r and M_T, from a second assembly whose budget is cut to
-    what k digits need.  A certified disagreement (StabilityFailure)
-    signals a precision or implementation fault; a gap that only zero
-    residues bound below r is undecidable (PrecisionTooLow).
+    what k digits need.  A certified disagreement and a gap that only zero
+    residues bound below r both raise PrecisionTooLow.
     """
     p, t = spec.p, spec.t
     ts = truncation_size(r, p, t)
@@ -175,7 +164,9 @@ def char_series(spec: UpSpec, D: int, r: int, omega: CharOfDelta) -> CharSeries:
     for n, c in enumerate(series):
         gap = mlambda_order(LambdaElt.from_ints(p, k, w, c.res[:w]) - big[n])
         if not gap.meets(r, f"the gap of c_{n} between {sizes}"):
-            raise StabilityFailure(
+            # the convergence lemma forbids a certified disagreement: it is an
+            # implementation fault, not a short budget, though it exits 3
+            raise PrecisionTooLow(
                 f"c_{n} differs between {sizes} at order {gap.value} < {r}"
             )
     return CharSeries(series, r)

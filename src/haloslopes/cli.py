@@ -36,9 +36,6 @@ from .polygon import (
 )
 from .up_operator import (
     SIZE_CAPS,
-    Ingested,
-    ParseError,
-    Synthetic,
     UpSpec,
     assemble,
     halo_bounds,
@@ -52,6 +49,14 @@ from .up_operator import (
 _EXIT_PREFIX = {1: "check failure", 2: "input error", 3: "precision exhausted"}
 # every key a config may hold; load_config refuses any other
 _CONFIG_KEYS = {"p", "t", "N", "M_T", "r", "D", "omega_exponent", "vT", "source", "scale"}
+
+
+class Synthetic(NamedTuple):
+    seed: int
+
+
+class Ingested(NamedTuple):
+    file: str
 
 
 class ExperimentConfig(NamedTuple):
@@ -114,9 +119,9 @@ def load_config(path: str, out: str = "out") -> ExperimentConfig:
         with open(path) as fh:
             obj = json.load(fh)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"cannot parse config {path}: {exc}") from exc
+        raise BadArgument(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ParseError(f"config {path} must hold a key/value table")
+        raise BadArgument(f"config {path} must hold a key/value table")
     src_obj = obj.get("source", {})
     if not isinstance(src_obj, dict):
         raise BadArgument("config field 'source' must be a key/value table")
@@ -355,8 +360,16 @@ def cmd_verify(cfg: ExperimentConfig, only=(), inject_fault=None) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 2);
+    the subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise BadArgument(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haloslopes",
         description="operator assembly, characteristic series and slope tables",
     )
@@ -370,11 +383,8 @@ def main(argv=None) -> int:
         if name == "verify":
             sp.add_argument("--only", default=None)
             sp.add_argument("--inject-fault", default=None)
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        print(f"input error: unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
-        return 2
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config, out=args.out)
         if args.command == "matrix":
             return cmd_matrix(cfg, rescale=args.rescale)

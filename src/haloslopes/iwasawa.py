@@ -23,7 +23,6 @@ from typing import NamedTuple
 from .padic_core import (
     BadArgument,
     Frozen,
-    MismatchedParameters,
     OrderBound,
     PAdicNum,
     phi_q,
@@ -68,7 +67,7 @@ class LambdaElt(Frozen):
         c0 = coeffs[0]
         for c in coeffs:
             if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
-                raise MismatchedParameters("coefficients must share (p, N)")
+                raise BadArgument("coefficients must share (p, N)")
         _init(self, c0.p, c0.prec, tuple(c.residue for c in coeffs))
 
     def __reduce__(self):
@@ -119,9 +118,7 @@ class LambdaElt(Frozen):
         if not isinstance(other, LambdaElt):
             raise TypeError(f"expected LambdaElt, got {type(other).__name__}")
         if self.p != other.p or len(self.res) != len(other.res):
-            raise MismatchedParameters(
-                f"({self.p},{self.trunc}) vs ({other.p},{other.trunc})"
-            )
+            raise BadArgument(f"({self.p},{self.trunc}) vs ({other.p},{other.trunc})")
         return min(self.prec, other.prec)
 
     # -- ring operations ----------------------------------------------------

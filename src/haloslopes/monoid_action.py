@@ -73,7 +73,6 @@ from .padic_core import (
     BadArgument,
     Frozen,
     PAdicNum,
-    PadicError,
     PrecisionTooLow,
     binomials,
     log_cutoff,
@@ -82,10 +81,6 @@ from .padic_core import (
     torsion_residue,
     val_p_factorial,
 )
-
-
-class NotInMonoid(PadicError):
-    pass
 
 
 class MonoidClass(enum.Enum):
@@ -313,7 +308,7 @@ def verify_entry_bounds(
         )
     cls = check_monoid(delta)
     if cls is MonoidClass.Neither:
-        raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
+        raise BadArgument(f"{delta.to_json()} fails the q|c, unit-d, det test")
     p = delta.p
     n_target = size
     need = matrix_input_prec(p, size, trunc, n_target)

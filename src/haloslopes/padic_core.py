@@ -7,6 +7,11 @@ the one record of an order or valuation, Exact or AtLeast, and its `meets`
 the one rule that decides one against a floor; a zero residue carries an
 AtLeast value, never an exact infinity.  PAdicNum is a bare record of
 (p, N, residue) with no arithmetic.
+
+The package raises one error class per CLI exit code, and the message
+names the case.  Two are defined here: BadArgument (2) for input outside
+what a function accepts and PrecisionTooLow (3) for a certificate the
+digits at hand cannot give; checks.CheckWorkerLost (1) is the third.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import NamedTuple
 
 
 class PadicError(Exception):
-    """Base class for arithmetic-layer errors.
+    """Base class of the package's errors.
 
     exit_code is the CLI's exit status for the error: 2 for bad input, 3
     for a precision shortfall, 1 for a failed check.
@@ -27,22 +32,13 @@ class PadicError(Exception):
     exit_code = 2
 
 
-class NotAUnit(PadicError):
-    pass
-
-
 class BadArgument(PadicError):
-    pass
-
-
-class InsufficientPrecision(PadicError):
-    """An operation would leave no certified digits (caller must re-pad)."""
-
-    exit_code = 3
+    """Input outside what the called function accepts (exit 2)."""
 
 
 class PrecisionTooLow(PadicError):
-    """AtLeast flags prevent certification at the required order."""
+    """A certificate the digits at hand cannot give (exit 3): too few digits
+    for an operation, or an AtLeast value left undecided against a floor."""
 
     exit_code = 3
 
@@ -67,23 +63,21 @@ class OrderBound(NamedTuple):
     def at_least(cls, value) -> "OrderBound":
         return cls(value, False)
 
-    def meets(self, need, where: str, error=PrecisionTooLow) -> bool:
+    def meets(self, need, where: str) -> bool:
         """Whether the value reaches need; an AtLeast shortfall is undecidable.
 
-        That case raises `error`, so no claim rests on an AtLeast value.
+        That case raises PrecisionTooLow, so no claim rests on an AtLeast value.
         """
         if self.value >= need:
             return True
         if self.is_exact:
             return False
-        raise error(f"{where} certifies only order {self.value}, bound {need} undecidable")
+        raise PrecisionTooLow(
+            f"{where} certifies only order {self.value}, bound {need} undecidable"
+        )
 
     def __repr__(self):
         return f"OrderBound({'=' if self.is_exact else '>='}{self.value})"
-
-
-class MismatchedParameters(PadicError):
-    pass
 
 
 def q_for(p: int) -> int:
@@ -194,7 +188,7 @@ def torsion_residue(d: int, p: int, prec: int) -> int:
     is 1 or 3 mod 4.
     """
     if d % p == 0:
-        raise NotAUnit(f"{d} is divisible by {p}")
+        raise BadArgument(f"{d} is divisible by {p}")
     mod = p**prec
     if p == 2:
         return 1 if d % 4 == 1 else mod - 1
@@ -269,7 +263,7 @@ def log_line(v: int, u: int, count: int, p: int, prec: int) -> tuple[list, int]:
         raise BadArgument(f"log line slope {u} is not 0 mod {q}")
     eff = prec - log_cutoff(p, prec)[1]
     if eff <= 0:
-        raise InsufficientPrecision("log series exhausted the working precision")
+        raise PrecisionTooLow("log series exhausted the working precision")
     top = p**eff * q
     base = sum(_log_coeffs(x, p, prec, top))
     coeffs = _log_coeffs(u % modulus, p, prec, top)[::-1]
@@ -297,7 +291,7 @@ def _binom_divisors(p: int, count: int, prec: int) -> tuple:
             u //= p
             v += 1
         if v >= prec:
-            raise InsufficientPrecision(
+            raise PrecisionTooLow(
                 f"C(x, {r}) loses v_p({r}!) = {v} digits, have {prec}"
             )
         unit = unit * u % mod
@@ -319,7 +313,7 @@ def binomials(xs, count: int, p: int, prec: int, target: int, scale: int = 1) ->
     residue mod p^prec stays divisible by p^v_p(r!); dividing that out
     leaves C(x, r) exact mod any target dividing p^(prec - v_p(r!)), which
     callers budget for.  The scale is folded into the r!-unit inverses once
-    per call.  InsufficientPrecision if some v_p(r!) reaches prec.
+    per call.  PrecisionTooLow if some v_p(r!) reaches prec.
     """
     mod = p**prec
     divisors = enumerate(_binom_divisors(p, count, prec))

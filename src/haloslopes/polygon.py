@@ -5,11 +5,13 @@ residue only bounds its coefficient from below, so the hull is built from
 the Exact points and every AtLeast point must meet it (on or above inside
 the hull's x-range, above its slope extension outside).
 Certified polygons are exact functions of x even when some interior
-points are only bounded.
+points are only bounded; an AtLeast point that could dip below the hull
+raises PrecisionTooLow (exit 3).
 
 Slope checkers compare observed slope multisets against the closed-form
 degree, pairing and progression predictions.  Ordinary-rank tables and
-slope tables are inputs, never computed here.
+slope tables are inputs, never computed here; a malformed one, or one of
+the wrong length, raises BadArgument (exit 2).
 """
 
 from __future__ import annotations
@@ -20,17 +22,7 @@ from typing import NamedTuple
 
 from .charpoly import CharSeries, lambda_seq
 from .iwasawa import eval_valuation
-from .padic_core import BadArgument, Frozen, OrderBound, PadicError, phi_q, q_for
-
-
-class UncertifiedHull(PadicError):
-    """An AtLeast point could dip below the hull of the Exact points."""
-
-    exit_code = 3
-
-
-class LengthMismatch(PadicError):
-    pass
+from .padic_core import BadArgument, Frozen, OrderBound, PrecisionTooLow, phi_q, q_for
 
 
 class PolyPoint(NamedTuple):
@@ -107,7 +99,7 @@ def newton_polygon(points) -> NewtonPolygon:
     The hull is computed over the Exact points alone; every AtLeast point
     must meet it (on or above inside the hull range, above the end-slope
     extension outside), else the hull cannot be trusted and
-    OrderBound.meets raises UncertifiedHull.
+    OrderBound.meets raises PrecisionTooLow.
     """
     xs = [pt.x for pt in points]
     if len(set(xs)) != len(xs):
@@ -122,7 +114,7 @@ def newton_polygon(points) -> NewtonPolygon:
         if pt.y.is_exact:
             continue
         if not seg and pt.x != lo:
-            raise UncertifiedHull(
+            raise PrecisionTooLow(
                 f"single exact point cannot certify a bound-only point at x={pt.x}"
             )
         if lo <= pt.x <= hi:
@@ -131,7 +123,7 @@ def newton_polygon(points) -> NewtonPolygon:
             need = np.vertices[-1][1] + seg[-1] * (pt.x - hi)
         else:
             need = np.vertices[0][1] + seg[0] * (pt.x - lo)
-        pt.y.meets(need, f"point at x={pt.x}", UncertifiedHull)
+        pt.y.meets(need, f"point at x={pt.x}")
     return np
 
 
@@ -317,7 +309,7 @@ def atkin_lehner_check(slopes_psi, slopes_psi_inv, k: int, p: int, m: int, t: in
         raise BadArgument(f"(k+1) p^m t = {num} is not divisible by q = {q}")
     L = num // q
     if len(slopes_psi) != L or len(slopes_psi_inv) != L:
-        raise LengthMismatch(
+        raise BadArgument(
             f"expected {L} slopes, got {len(slopes_psi)} and {len(slopes_psi_inv)}"
         )
     for name, s in (("psi", slopes_psi), ("psi^-1", slopes_psi_inv)):

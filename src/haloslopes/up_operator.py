@@ -18,40 +18,17 @@ from .iwasawa import DEFAULT_TRUNC, CharOfDelta, HaloElt, LambdaElt, mlambda_ord
 from .monoid_action import (
     DeltaMat,
     MonoidClass,
-    NotInMonoid,
     action_digits,
     check_monoid,
     matrix_input_prec,
 )
-from .padic_core import (
-    BadArgument,
-    InsufficientPrecision,
-    PadicError,
-    is_prime,
-    q_for,
-)
+from .padic_core import BadArgument, PrecisionTooLow, is_prime, q_for
 
 
 # The largest p, t, N, M_T, r and D a config or operator file may give; a
 # larger one is an input error (exit 2).  Each is several times the largest
 # pinned use.  They bound each size, not the run time of their product.
 SIZE_CAPS = {"p": 100, "t": 32, "N": 1000, "M_T": 256, "r": 32, "D": 64}
-
-
-class ParseError(PadicError):
-    pass
-
-
-class InvariantViolation(PadicError):
-    pass
-
-
-class Synthetic(NamedTuple):
-    seed: int
-
-
-class Ingested(NamedTuple):
-    file: str
 
 
 class UpSpec(NamedTuple):
@@ -62,21 +39,20 @@ class UpSpec(NamedTuple):
     N: int
     M_T: int
     cells: tuple  # ((i, j, DeltaMat), ...) in a fixed order
-    provenance: object
 
     def validate(self) -> None:
         # count first: a huge t must not size the tallies below
         if len(self.cells) != self.p * self.t:
-            raise InvariantViolation(
+            raise BadArgument(
                 f"expected {self.p * self.t} matrices, found {len(self.cells)}"
             )
         rows = [0] * self.t
         cols = [0] * self.t
         for i, j, delta in self.cells:
             if not (0 <= i < self.t and 0 <= j < self.t):
-                raise InvariantViolation(f"cell index ({i},{j}) out of range")
+                raise BadArgument(f"cell index ({i},{j}) out of range")
             if check_monoid(delta) is not MonoidClass.UpMonoid:
-                raise InvariantViolation(
+                raise BadArgument(
                     f"matrix {delta.to_json()} at cell ({i},{j}) is outside "
                     "the U_p class (needs p|a, q|c, unit d, nonzero det)"
                 )
@@ -84,10 +60,10 @@ class UpSpec(NamedTuple):
             cols[j] += 1
         for i, count in enumerate(rows):
             if count != self.p:
-                raise InvariantViolation(f"block row {i} holds {count} != p matrices")
+                raise BadArgument(f"block row {i} holds {count} != p matrices")
         for j, count in enumerate(cols):
             if count != self.p:
-                raise InvariantViolation(f"block column {j} holds {count} != p matrices")
+                raise BadArgument(f"block column {j} holds {count} != p matrices")
 
     def to_json(self) -> dict:
         return {
@@ -148,7 +124,7 @@ def synth_up(
                     break
             cells.append((i, j, delta))
     cells.sort(key=lambda c: (c[0], c[1]))
-    return UpSpec(t, p, N, M_T, tuple(cells), Synthetic(seed))
+    return UpSpec(t, p, N, M_T, tuple(cells))
 
 
 def save_up(spec: UpSpec, path: str) -> None:
@@ -178,8 +154,8 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"cannot read operator file {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BadArgument(f"cannot read operator file {path}: {exc}") from exc
     try:
         if not isinstance(obj, dict):
             raise ValueError("the file must hold a key/value table")
@@ -199,8 +175,8 @@ def load_up(path: str, M_T: int = DEFAULT_TRUNC) -> UpSpec:
             for c in obj["cells"]
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed operator file {path}: {exc}") from exc
-    spec = UpSpec(t, p, n, M_T, cells, Ingested(path))
+        raise BadArgument(f"malformed operator file {path}: {exc}") from exc
+    spec = UpSpec(t, p, n, M_T, cells)
     spec.validate()
     return spec
 
@@ -231,7 +207,7 @@ def certified_target(spec: UpSpec, n_blocks: int) -> int:
     """attainable_target for n_blocks blocks of spec, which must be positive."""
     target = attainable_target(spec.p, n_blocks, spec.M_T, spec.N)
     if target <= 0:
-        raise InsufficientPrecision(
+        raise PrecisionTooLow(
             f"operator data at precision {spec.N} cannot certify any digits "
             f"for {n_blocks} basis blocks"
         )
@@ -256,11 +232,11 @@ def assemble(spec: UpSpec, n_blocks: int, omega: CharOfDelta) -> BlockMatrix:
     cells = {}
     for i, j, delta in spec.cells:
         if not (0 <= i < t and 0 <= j < t):
-            raise InvariantViolation(f"cell index ({i},{j}) out of range")
+            raise BadArgument(f"cell index ({i},{j}) out of range")
         if check_monoid(delta) is MonoidClass.Neither:
-            raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
+            raise BadArgument(f"{delta.to_json()} fails the q|c, unit-d, det test")
         if delta.prec < need:
-            raise InsufficientPrecision(
+            raise PrecisionTooLow(
                 f"{n_blocks} basis blocks need entry precision {need}, "
                 f"have {delta.prec}"
             )

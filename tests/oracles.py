@@ -29,16 +29,14 @@ from haloslopes.iwasawa import DEFAULT_TRUNC, CharOfDelta, LambdaElt
 from haloslopes.monoid_action import (
     DeltaMat,
     MonoidClass,
-    NotInMonoid,
     check_monoid,
     column_input_prec,
 )
 from haloslopes.padic_core import (
     BadArgument,
-    InsufficientPrecision,
-    MismatchedParameters,
     OrderBound,
     PAdicNum,
+    PrecisionTooLow,
     q_for,
 )
 
@@ -161,7 +159,7 @@ def one_plus_T_pow(g: PAdicNum, trunc: int, n_target: int) -> LambdaElt:
     """(1+T)^g as a truncated series: coefficients C(g, r) for r < trunc."""
     need = n_target + val_int(math.factorial(trunc - 1), g.p)
     if g.prec < need:
-        raise InsufficientPrecision(
+        raise PrecisionTooLow(
             f"exponent needs precision >= {need} to certify {n_target} digits"
         )
     coeffs = [binom_oracle(g.residue, r, g.p, n_target) for r in range(trunc)]
@@ -192,10 +190,10 @@ def action_column(
     """
     cls = check_monoid(delta)
     if cls is MonoidClass.Neither:
-        raise NotInMonoid(f"{delta.to_json()} fails the q|c, unit-d, det test")
+        raise BadArgument(f"{delta.to_json()} fails the q|c, unit-d, det test")
     need = column_input_prec(delta.p, n, trunc, n_target)
     if delta.prec < need:
-        raise InsufficientPrecision(
+        raise PrecisionTooLow(
             f"column {n} at target {n_target} needs entry precision {need}, "
             f"have {delta.prec}"
         )
@@ -237,13 +235,13 @@ class CoeffLambda:
         c0 = self.coeffs[0]
         for c in self.coeffs:
             if not isinstance(c, PAdicNum) or (c.p, c.prec) != (c0.p, c0.prec):
-                raise MismatchedParameters("coefficients must share (p, N)")
+                raise BadArgument("coefficients must share (p, N)")
 
     def _join(self, other) -> int:
         """The shared precision of two elements of the same ring."""
         a, b = self.coeffs[0], other.coeffs[0]
         if (a.p, len(self.coeffs)) != (b.p, len(other.coeffs)):
-            raise MismatchedParameters("different rings")
+            raise BadArgument("different rings")
         return min(a.prec, b.prec)
 
     def _reduced(self, prec: int, residues) -> "CoeffLambda":

@@ -20,18 +20,11 @@ from haloslopes import checks, cli, polygon
 from haloslopes.charpoly import CharSeries, char_input_prec
 from haloslopes.checks import CHECKS
 from haloslopes.iwasawa import LambdaElt
-from haloslopes.cli import ExperimentConfig, load_config, main
-from haloslopes.padic_core import (
-    BadArgument,
-    InsufficientPrecision,
-    PadicError,
-    PrecisionTooLow,
-)
+from haloslopes.cli import ExperimentConfig, Ingested, Synthetic, load_config, main
+from haloslopes.padic_core import BadArgument, PadicError, PrecisionTooLow
 from haloslopes.up_operator import (
     SIZE_CAPS,
     BlockMatrix,
-    Ingested,
-    Synthetic,
     load_up,
     save_up,
     synth_up,
@@ -128,12 +121,13 @@ def test_malformed_config_field_exits_2(tmp_path, capsys, override):
 
 
 def run_charpoly_on_saved_file(tmp_path, capsys, edit):
-    """charpoly over a save_up operator file after `edit` changed its JSON."""
+    """charpoly over a save_up operator file after `edit` changed its JSON;
+    an edit that returns bytes gives the whole file instead."""
     op = tmp_path / "op.json"
     save_up(synth_up(1, 3, 40, 20, seed=1), str(op))
     obj = json.loads(op.read_text())
-    edit(obj)
-    op.write_text(json.dumps(obj))
+    data = edit(obj)
+    op.write_bytes(json.dumps(obj).encode() if data is None else data)
     cfg = write_config(tmp_path, source={"file": str(op)})
     code = main(["charpoly", "--config", cfg, "--out", str(tmp_path / "o")])
     return code, capsys.readouterr().err
@@ -160,17 +154,20 @@ def run_charpoly_on_saved_file(tmp_path, capsys, edit):
         lambda obj: obj["cells"][0].update(j="x"),
         lambda obj: obj["cells"][0]["delta"].update(a=3.5),
         lambda obj: obj.update(cells={"i": "0"}),
+        lambda obj: json.dumps(obj).encode().replace(b'"cells"', b'"cells\xe9"'),
+        lambda obj: json.dumps(obj).replace('"N": 40', '"N": ' + "4" * 4301).encode(),
     ],
     ids=[
         "M_T-x", "M_T-float", "M_T-0", "N-float", "N-float-string", "t-float",
         "t-word", "t-10^19", "t-2^62", "p-x", "p-list", "p-null", "p-bool",
-        "p-9", "i-float", "j-x", "a-float", "cells-table",
+        "p-9", "i-float", "j-x", "a-float", "cells-table", "not-utf-8", "N-4301-digits",
     ],
 )
 def test_malformed_operator_file_exits_2(tmp_path, capsys, edit):
     code, err = run_charpoly_on_saved_file(tmp_path, capsys, edit)
     assert code == 2
-    assert err.startswith("input error:")
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_operator_file_with_composite_p_says_so(tmp_path, capsys):
@@ -233,6 +230,29 @@ def test_input_the_runner_would_ignore_exits_2(tmp_path, capsys, case, message):
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["charpoly"], "the following arguments are required: --config"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["no-config", "unknown-subcommand", "no-subcommand"],
+)
+def test_usage_error_is_one_input_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charpoly", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: haloslopes charpoly")
 
 
 # decimal strings (some out of range), malformed strings and wrong JSON types
@@ -515,12 +535,7 @@ def package_errors(cls=PadicError):
 
 # the README's exit codes: 3 for a precision shortfall, 1 for a failed
 # check, 2 for every other error of the package
-PRECISION_ERRORS = {
-    "InsufficientPrecision",
-    "PrecisionTooLow",
-    "StabilityFailure",
-    "UncertifiedHull",
-}
+PRECISION_ERRORS = {"PrecisionTooLow"}
 
 
 CHECK_ERRORS = {"CheckWorkerLost"}
@@ -911,7 +926,7 @@ def test_forked_check_error_exits_with_its_readme_code(tmp_path, capsys, monkeyp
 def test_first_error_in_registry_order_wins(tmp_path, capsys, monkeypatch, forks, cpus):
     # entry-bounds-up runs in the worker and precedes char-series-bound
     def first(scale, fault=False):
-        raise InsufficientPrecision("first")
+        raise PrecisionTooLow("first")
 
     def later(scale, fault=False):
         raise BadArgument("later")

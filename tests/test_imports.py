@@ -107,3 +107,17 @@ def test_the_prime_alone_names_q():
     assert len(dict(public_functions(PACKAGE))) > 50
     assert found == []
     assert not hasattr(importlib.import_module("haloslopes.polygon"), "_phi")
+
+
+def test_one_error_class_per_exit_code():
+    # the CLI tells errors apart only by exit code; the message names the case
+    from haloslopes.padic_core import OrderBound, PadicError
+
+    errors = {
+        obj for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__main__"
+        for obj in vars(importlib.import_module(f"haloslopes.{path.stem}")).values()
+        if inspect.isclass(obj) and issubclass(obj, PadicError) and obj is not PadicError
+    }
+    codes = sorted(cls.exit_code for cls in errors)
+    assert codes == [1, 2, 3], {cls.__name__: cls.exit_code for cls in errors}
+    assert "error" not in inspect.signature(OrderBound.meets).parameters

@@ -14,7 +14,6 @@ from haloslopes.monoid_action import (
     BoundReport,
     DeltaMat,
     MonoidClass,
-    NotInMonoid,
     _meets_mahler_bounds,
     action_digits,
     check_monoid,
@@ -25,7 +24,6 @@ from haloslopes.monoid_action import (
 )
 from haloslopes.padic_core import (
     BadArgument,
-    InsufficientPrecision,
     OrderBound,
     PAdicNum,
     PrecisionTooLow,
@@ -152,9 +150,9 @@ def test_scaling_matrix_columns():
 
 
 def test_column_rejects_bad_matrix_and_short_precision():
-    with pytest.raises(NotInMonoid):
+    with pytest.raises(BadArgument, match=r"fails the q\|c, unit-d, det test"):
         action_column(dm(3, 20, 1, 0, 1, 1), 0, triv(3), 2)
-    with pytest.raises(InsufficientPrecision):
+    with pytest.raises(PrecisionTooLow):
         action_column(dm(3, 3, 1, 0, 0, 1), 6, triv(3), 6, trunc=5, n_target=8)
 
 
@@ -575,7 +573,7 @@ def test_bounds_need_enough_precision():
 
 
 def test_bounds_reject_non_monoid():
-    with pytest.raises(NotInMonoid):
+    with pytest.raises(BadArgument, match=r"fails the q\|c, unit-d, det test"):
         verify_entry_bounds(dm(3, 40, 1, 0, 1, 1), 5, triv(3))
 
 

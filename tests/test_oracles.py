@@ -19,7 +19,6 @@ import oracles
 MONOID_ACTION_ALLOWED = {
     "DeltaMat",
     "MonoidClass",
-    "NotInMonoid",
     "check_monoid",
     "column_input_prec",
 }

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from haloslopes import cli
 from haloslopes.charpoly import char_input_prec, char_series, lambda_seq
 from haloslopes.iwasawa import CharOfDelta
-from haloslopes.padic_core import BadArgument, OrderBound, q_for
+from haloslopes.padic_core import BadArgument, OrderBound, PrecisionTooLow, q_for
 from haloslopes.polygon import (
-    LengthMismatch,
     NewtonPolygon,
     PolyPoint,
-    UncertifiedHull,
     atkin_lehner_check,
     bound_gap,
     degree_formula_check,
@@ -29,7 +27,7 @@ from haloslopes.polygon import (
     slope_report,
     upper_bound_polygon,
 )
-from haloslopes.up_operator import Synthetic, synth_up
+from haloslopes.up_operator import synth_up
 
 from oracles import hull_floor_oracle, lower_hull_oracle
 
@@ -67,12 +65,12 @@ def test_hull_merges_collinear_runs():
 
 
 def test_single_exact_with_dangling_bound_uncertified():
-    with pytest.raises(UncertifiedHull):
+    with pytest.raises(PrecisionTooLow):
         newton_polygon([pt(0, 0), pt(1, F(1, 4), exact=False)])
 
 
 def test_interior_bound_below_hull_uncertified():
-    with pytest.raises(UncertifiedHull):
+    with pytest.raises(PrecisionTooLow):
         newton_polygon([pt(0, 0), pt(2, 1), pt(1, F(1, 4), exact=False)])
 
 
@@ -88,7 +86,7 @@ def test_trailing_bound_above_extension_is_fine():
 
 def test_trailing_bound_below_extension_uncertified():
     # extension of the final slope 1/2 reaches 5/2 at x = 5
-    with pytest.raises(UncertifiedHull):
+    with pytest.raises(PrecisionTooLow):
         newton_polygon([pt(0, 0), pt(2, 1), pt(5, 2, exact=False)])
 
 
@@ -143,7 +141,7 @@ def test_hull_certifies_atleast_points_exactly_when_the_oracle_does(pts):
     certified = all(floor is not None and y >= floor for y, floor in floors)
     points = [pt(x, y, is_exact) for x, y, is_exact in pts]
     if not certified:
-        with pytest.raises(UncertifiedHull):
+        with pytest.raises(PrecisionTooLow):
             newton_polygon(points)
         return
     poly = newton_polygon(points)
@@ -319,7 +317,7 @@ def test_slope_report_csv_frozen(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "char_series", lambda *args: None)
     monkeypatch.setattr(cli, "series_points", lambda cs, vT: [pt(0, 0), pt(1, F(1, 3))])
     cfg = cli.ExperimentConfig(
-        3, 1, 40, 20, 5, 1, 0, (F(1, 4),), Synthetic(1), str(tmp_path), "smoke"
+        3, 1, 40, 20, 5, 1, 0, (F(1, 4),), cli.Synthetic(1), str(tmp_path), "smoke"
     )
     assert cli.cmd_polygon(cfg) == 0
     got = (tmp_path / "slopes_1_4.csv").read_bytes()
@@ -417,7 +415,7 @@ def test_atkin_lehner_pairing_fails():
 
 
 def test_atkin_lehner_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(BadArgument, match="expected 2 slopes, got 1 and 2"):
         atkin_lehner_check([0], [0, 1], 0, 3, 1, 2)
 
 

@@ -421,3 +421,17 @@ def test_identity_entry_reports_match_the_pinned_set():
         "violations": 8314,
         "sha256": "0dda7de1d4375aa28016e33265652391fbd4d728e5d3c76039e1a9e651d9cb9e",
     }
+
+
+def test_identity_errors_are_one_line_with_the_prefix_of_their_exit_code(tmp_path):
+    # each error path of scripts/identity.py prints one line that names its
+    # exit code, and records the same exit code and digest on every run
+    identity = runpy.run_path(str(SCRIPTS / "identity.py"), run_name="identity")
+    prefix = {2: "input error: ", 3: "precision exhausted: "}
+    record = identity["errors"]()
+    assert set(record) == set(identity["ERROR_RUNS"])
+    for name, run in identity["ERROR_RUNS"].items():
+        code, err = identity["error_run"](tmp_path, *run)
+        assert err.startswith(prefix[code]) and err.count("\n") == 1, name
+        assert record[name] == {"exit": code, "sha256": identity["sha256"](err.encode())}
+    assert {entry["exit"] for entry in record.values()} == {2, 3}
